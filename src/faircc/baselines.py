@@ -161,7 +161,8 @@ def run_ccmerge(
             moves = []
             feasible = True
             for c in non_base:
-                need = (n1 + 1) * spec.bounds[c][0] - color_count(host, c)
+                # a host already above the new lower bound needs nothing
+                need = max((n1 + 1) * spec.bounds[c][0] - color_count(host, c), 0)
                 take = _ordered_by_pos_degree(g, pool[c], host)[:need]
                 need -= len(take)
                 moves.extend(("pool", c, u) for u in take)

@@ -1,60 +1,86 @@
 """Exact min-cost bipartite b-matching with per-left-node degree intervals.
 
-Solved as integer min-cost flow: source -> left arcs carry the degree
-interval (lower bounds via a split sink that must absorb exactly the
-mandatory units), left -> right arcs carry the pair costs, every right node
-is matched exactly once. Successive shortest paths with vertex potentials
-keep all reduced costs nonnegative, so each augmentation is a plain
-Dijkstra; everything stays in integers.
+Every left node l is expanded into interchangeable slot columns, which
+turns the b-matching into a rectangular assignment: each right node takes
+exactly one slot and each slot holds at most one right node. Node l gets
+degree_hi[l] slots, clamped to R - (sum(degree_lo) - degree_lo[l]), the most
+it can take while every other node still meets its lower bound; so a loose
+upper bound costs no more columns than the table can use. The first
+degree_lo[l] slots of l are mandatory. Their costs are shifted by -M with
+M = (sum of all costs) + 1, so an assignment that leaves a mandatory slot
+empty costs more than any assignment that fills them all; the shift is
+skipped when every slot must be filled anyway. The assignment is solved by
+shortest augmenting paths (Jonker and Volgenant 1987): one Dijkstra per
+right node over reduced costs that dual potentials keep nonnegative, each
+Dijkstra step vectorized over all slot columns, whose costs are gathered
+from the L x R table rather than stored. Everything stays in int64, and
+instances whose costs could overflow it are rejected, so the optimum is
+exact.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfeasibleSpecError, InvalidInputError
 
+_UNREACHED = np.iinfo(np.int64).max
+# shifted costs lie in [-M, M) with M = sum of costs + 1, and potentials and
+# path lengths stay within a few multiples of M * (R + 1); capping that
+# product at 2**56 leaves int64 headroom
+_COST_LIMIT = 2**56
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class BMatchingInstance:
     """L x R nonnegative integer cost table with degree interval
-    [degree_lo[l], degree_hi[l]] per left node; right nodes have degree 1."""
+    [degree_lo[l], degree_hi[l]] per left node; right nodes have degree 1.
 
-    cost: tuple  # tuple of L rows, each a tuple of R ints
+    ``cost`` is stored as a read-only int64 array."""
+
+    cost: np.ndarray
     degree_lo: tuple
     degree_hi: tuple
 
     def __post_init__(self):
-        cost = tuple(tuple(int(c) for c in row) for row in self.cost)
+        try:
+            cost = np.array(self.cost, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"cost table must be rectangular integers: {exc}") from exc
         lo = tuple(int(x) for x in self.degree_lo)
         hi = tuple(int(x) for x in self.degree_hi)
-        if not cost or not cost[0]:
-            raise InvalidInputError("cost table must be nonempty")
-        if any(len(row) != len(cost[0]) for row in cost):
-            raise InvalidInputError("ragged cost table")
-        if any(c < 0 for row in cost for c in row):
+        if cost.ndim != 2 or cost.size == 0:
+            raise InvalidInputError("cost table must be a nonempty L x R table")
+        if (cost < 0).any():
             raise InvalidInputError("costs must be nonnegative")
+        total = int(cost.sum())
+        if int(cost.max()) * cost.size >= _COST_LIMIT:  # int64 sum may wrap
+            total = int(cost.sum(dtype=object))
+        if (total + 1) * (cost.shape[1] + 1) >= _COST_LIMIT:
+            raise InvalidInputError(f"costs too large to solve exactly (sum {total})")
         if len(lo) != len(cost) or len(hi) != len(cost):
             raise InvalidInputError("degree bounds must have one entry per left node")
         if any(l < 0 or l > h for l, h in zip(lo, hi)):
             raise InvalidInputError("need 0 <= degree_lo <= degree_hi")
+        cost.setflags(write=False)
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "degree_lo", lo)
         object.__setattr__(self, "degree_hi", hi)
 
     @property
     def left_size(self):
-        return len(self.cost)
+        return self.cost.shape[0]
 
     @property
     def right_size(self):
-        return len(self.cost[0])
+        return self.cost.shape[1]
 
     def to_dict(self):
         """JSON-ready mirror for debug dumps."""
         return {
-            "cost": [list(row) for row in self.cost],
+            "cost": self.cost.tolist(),
             "degree_lo": list(self.degree_lo),
             "degree_hi": list(self.degree_hi),
         }
@@ -74,116 +100,82 @@ class BMatching:
         return deg
 
 
-class _FlowNetwork:
-    def __init__(self, num_nodes):
-        self.graph = [[] for _ in range(num_nodes)]
-
-    def add_arc(self, u, v, cap, cost):
-        self.graph[u].append([v, cap, cost, len(self.graph[v])])
-        self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1])
-
-    def min_cost_flow(self, source, sink, amount):
-        """Send ``amount`` units; returns total cost or None if the network
-        cannot carry that much flow."""
-        n = len(self.graph)
-        potential = [0] * n
-        total = 0
-        inf = float("inf")
-        while amount > 0:
-            dist = [inf] * n
-            dist[source] = 0
-            prev = [None] * n  # (node, arc index)
-            heap = [(0, source)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for i, (v, cap, cost, _) in enumerate(self.graph[u]):
-                    if cap <= 0:
-                        continue
-                    nd = d + cost + potential[u] - potential[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = (u, i)
-                        heapq.heappush(heap, (nd, v))
-            if dist[sink] == inf:
-                return None
-            for v in range(n):
-                if dist[v] < inf:
-                    potential[v] += dist[v]
-            # bottleneck along the path
-            push = amount
-            v = sink
-            while v != source:
-                u, i = prev[v]
-                push = min(push, self.graph[u][i][1])
-                v = u
-            v = sink
-            while v != source:
-                u, i = prev[v]
-                arc = self.graph[u][i]
-                arc[1] -= push
-                self.graph[v][arc[3]][1] += push
-                total += push * arc[2]
-                v = u
-            amount -= push
-        return total
+def _assign(rows, owner, offset):
+    """Column of each row in a minimum-cost assignment of every row to a
+    distinct column, where column j of row i costs
+    ``rows[i, owner[j]] + offset[j]`` (n rows, m >= n columns, int64)."""
+    n, m = len(rows), len(owner)
+    u = np.zeros(n, np.int64)
+    v = np.zeros(m, np.int64)
+    row_of = np.full(m, -1)
+    col_of = np.full(n, -1)
+    for start in range(n):
+        dist = np.full(m, _UNREACHED)
+        pred = np.empty(m, np.int64)
+        done = np.zeros(m, bool)
+        base = offset - v
+        i, low = start, 0
+        while True:  # Dijkstra from ``start`` until it reaches a free column
+            reach = rows[i].take(owner)
+            reach += base
+            reach += low - u[i]
+            better = reach < dist
+            better &= ~done
+            np.copyto(dist, reach, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(np.argmin(np.where(done, _UNREACHED, dist)))
+            low = int(dist[j])
+            done[j] = True
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        cols = np.flatnonzero(done)
+        slack = low - dist[cols]
+        v[cols] -= slack
+        inner = row_of[cols] >= 0
+        u[row_of[cols[inner]]] += slack[inner]
+        u[start] += low
+        while True:  # flip the path back to ``start``
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
 
 
 def solve(inst: BMatchingInstance) -> BMatching:
     """Feasible matching of exactly minimum total cost.
 
     Raises InfeasibleSpecError when no assignment satisfies every degree
-    interval.
+    interval; with a complete cost table that is exactly when
+    sum(lo) <= R <= sum(hi) fails.
     """
-    L, R = inst.left_size, inst.right_size
-    lo_sum = sum(inst.degree_lo)
-    hi_sum = sum(inst.degree_hi)
+    R = inst.right_size
+    lo_sum, hi_sum = sum(inst.degree_lo), sum(inst.degree_hi)
     if not lo_sum <= R <= hi_sum:
         raise InfeasibleSpecError(
             f"{R} right nodes cannot meet degree bounds (sum lo {lo_sum}, sum hi {hi_sum})"
         )
-    source = 0
-    right0 = 1
-    left0 = right0 + R
-    sink_mand = left0 + L
-    sink_opt = sink_mand + 1
-    sink = sink_opt + 1
-    net = _FlowNetwork(sink + 1)
-    for r in range(R):
-        net.add_arc(source, right0 + r, 1, 0)
-    right_arc_start = [len(net.graph[right0 + r]) for r in range(R)]
-    for r in range(R):
-        for l in range(L):
-            net.add_arc(right0 + r, left0 + l, 1, inst.cost[l][r])
-    for l in range(L):
-        if inst.degree_lo[l]:
-            net.add_arc(left0 + l, sink_mand, inst.degree_lo[l], 0)
-        if inst.degree_hi[l] > inst.degree_lo[l]:
-            net.add_arc(left0 + l, sink_opt, inst.degree_hi[l] - inst.degree_lo[l], 0)
-    net.add_arc(sink_mand, sink, lo_sum, 0)
-    net.add_arc(sink_opt, sink, R - lo_sum, 0)
-    total = net.min_cost_flow(source, sink, R)
-    if total is None:
-        raise InfeasibleSpecError("degree intervals admit no full assignment")
-    assign = []
-    for r in range(R):
-        hit = None
-        for v, cap, _, _ in net.graph[right0 + r][right_arc_start[r]:]:
-            if left0 <= v < left0 + L and cap == 0:
-                hit = v - left0
-                break
-        assign.append(hit)
-    weight = sum(inst.cost[l][r] for r, l in enumerate(assign))
-    return BMatching(tuple(assign), weight)
+    lo = np.array(inst.degree_lo, np.int64)
+    # no feasible degree is larger, so the clamp keeps the optimum
+    hi = np.array([min(h, R - lo_sum + l) for l, h in zip(inst.degree_lo, inst.degree_hi)])
+    slots = int(hi.sum())
+    owner = np.repeat(np.arange(inst.left_size), hi)  # slot column -> left node
+    offset = np.zeros(slots, np.int64)
+    if lo_sum and R < slots:
+        rank = np.arange(slots) - np.repeat(np.cumsum(hi) - hi, hi)
+        offset[rank < lo[owner]] = -(int(inst.cost.sum()) + 1)
+    assign = owner[_assign(np.ascontiguousarray(inst.cost.T), owner, offset)]
+    weight = int(inst.cost[assign, np.arange(R)].sum())
+    return BMatching(tuple(assign.tolist()), weight)
 
 
 def solve_exact_degree(cost, p) -> BMatching:
     """All left degrees exactly p; requires R == p * L."""
-    cost = tuple(tuple(row) for row in cost)
-    L = len(cost)
-    R = len(cost[0]) if L else 0
-    if R != p * L:
-        raise InfeasibleSpecError(f"exact degree {p} needs {p * L} right nodes, got {R}")
-    inst = BMatchingInstance(cost, (p,) * L, (p,) * L)
+    inst = BMatchingInstance(cost, (p,) * len(cost), (p,) * len(cost))
+    if inst.right_size != p * inst.left_size:
+        raise InfeasibleSpecError(
+            f"exact degree {p} needs {p * inst.left_size} right nodes, got {inst.right_size}"
+        )
     return solve(inst)

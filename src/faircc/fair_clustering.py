@@ -57,12 +57,17 @@ def pair_cost(g: SignedCompleteGraph, u: int, v: int) -> int:
 
 
 def pair_cost_table(g: SignedCompleteGraph, lefts, rights) -> np.ndarray:
-    """Vectorized pair costs, rows indexed by ``lefts`` (base vertices)."""
+    """Vectorized pair costs, rows indexed by ``lefts`` (base vertices).
+
+    Row u of the sign matrix dotted with row v sums +1 over the n-2 third
+    vertices that agree and -1 over those that disagree (the diagonal zeros
+    drop w = u and w = v), so the disagreeing count is (n-2 - dot)/2. The
+    product runs in float32, exact for integers below 2**24.
+    """
     S = g.signs
-    diff = (S[np.asarray(lefts)][:, None, :] != S[np.asarray(rights)][None, :, :]).sum(axis=2)
-    neg = (S[np.ix_(lefts, rights)] < 0).astype(np.int64)
-    # the w = u and w = v terms always differ (0 vs a signed entry)
-    return diff - 2 + neg
+    dot = S[lefts].astype(np.float32) @ S[rights].astype(np.float32).T
+    diff = (g.n - 2 - dot.astype(np.int64)) // 2
+    return diff + (S[np.ix_(lefts, rights)] < 0)
 
 
 def _color_degree_bounds(colors, spec, color):
@@ -95,9 +100,9 @@ def build_matchings(
         rights = colors.vertices_of(color)
         p, q = _color_degree_bounds(colors, spec, color)
         if unit_costs:
-            table = [[1] * len(rights) for _ in lefts]
+            table = np.ones((len(lefts), len(rights)), np.int64)
         else:
-            table = pair_cost_table(g, lefts, rights).tolist()
+            table = pair_cost_table(g, lefts, rights)
         inst = BMatchingInstance(table, (p,) * len(lefts), (q,) * len(lefts))
         out[color] = (solve(inst), lefts, rights)
     return out

@@ -44,14 +44,31 @@ class SignedCompleteGraph:
 
     @classmethod
     def from_negative_edges(cls, n, negative_edges):
-        """Build from the canonical serialized form: unlisted pairs are
-        positive."""
+        """Build from the canonical serialized form: each negative pair
+        (u, v) with u < v listed once; unlisted pairs are positive."""
+        return cls._from_edge_blocks(n, [np.asarray(negative_edges, np.int64).reshape(-1, 2)])
+
+    @classmethod
+    def _from_edge_blocks(cls, n, blocks, repeat_error=InvalidInputError):
+        """``from_negative_edges`` over an iterable of E_i x 2 int64 blocks;
+        a pair listed twice raises ``repeat_error``."""
+        if n < 1:
+            raise InvalidInputError("graph needs at least one vertex")
         signs = np.ones((n, n), dtype=np.int8)
         np.fill_diagonal(signs, 0)
-        for u, v in negative_edges:
-            if not (0 <= u < v < n):
-                raise InvalidInputError(f"bad negative edge ({u}, {v})")
-            signs[u, v] = signs[v, u] = -1
+        listed = 0
+        for edges in blocks:
+            u, v = edges[:, 0], edges[:, 1]
+            bad = ~((0 <= u) & (u < v) & (v < n))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise InvalidInputError(f"bad negative edge ({u[k]}, {v[k]})")
+            signs[u, v] = -1
+            signs[v, u] = -1
+            listed += len(edges)
+        repeats = listed - np.count_nonzero(signs < 0) // 2
+        if repeats:
+            raise repeat_error(f"{repeats} negative edges are listed more than once")
         return cls(n, signs)
 
     def sign(self, u, v):
@@ -78,7 +95,27 @@ class SignedCompleteGraph:
             edges = obj["negative_edges"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from exc
-        return cls.from_negative_edges(n, edges)
+        if type(n) is not int:
+            raise ParseError(f"bad graph JSON: n must be an integer, got {n!r}")
+        if not isinstance(edges, list):
+            raise ParseError("bad graph JSON: negative_edges must be a list")
+        return cls._from_edge_blocks(n, _edge_blocks(edges), repeat_error=ParseError)
+
+
+def _edge_blocks(edges, chunk=8192):
+    """Yield a parsed JSON list of [u, v] integer pairs as k x 2 int64
+    blocks, emptying the list from its end so that its objects are freed
+    while the graph is built rather than after."""
+    while edges:
+        start = max(len(edges) - chunk, 0)
+        try:
+            block = np.array(edges[start:])
+        except (ValueError, OverflowError):
+            block = None
+        if block is None or block.dtype.kind != "i" or block.shape != (len(edges) - start, 2):
+            raise ParseError("bad graph JSON: negative_edges must be [u, v] integer pairs")
+        del edges[start:]
+        yield block
 
 
 @dataclass(frozen=True)
@@ -183,7 +220,7 @@ class Clustering:
     cluster_of: tuple
 
     def __post_init__(self):
-        ids = tuple(int(c) for c in self.cluster_of)
+        ids = tuple(map(int, self.cluster_of))
         if not ids:
             raise InvalidInputError("empty clustering")
         used = set(ids)
@@ -211,12 +248,7 @@ class Clustering:
         """Canonicalize arbitrary labels: ids assigned in order of first
         appearance."""
         remap = {}
-        ids = []
-        for lab in labels:
-            if lab not in remap:
-                remap[lab] = len(remap)
-            ids.append(remap[lab])
-        return cls(tuple(ids))
+        return cls(tuple([remap.setdefault(lab, len(remap)) for lab in labels]))
 
     def to_json(self):
         return json.dumps({"cluster_of": list(self.cluster_of)})
@@ -246,9 +278,10 @@ def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
     if c.n != g.n:
         raise InvalidInputError("clustering length does not match graph")
     labels = np.asarray(c.cluster_of)
-    same = labels[:, None] == labels[None, :]
-    bad = ((g.signs < 0) & same) | ((g.signs > 0) & ~same)
-    return int(np.triu(bad, k=1).sum())
+    # a pair disagrees iff "same cluster" differs from "positive"; each
+    # diagonal entry (same, not positive) adds one, each pair two
+    mismatched = np.count_nonzero((labels[:, None] == labels) != (g.signs > 0))
+    return int(mismatched - g.n) // 2
 
 
 def agreements(g: SignedCompleteGraph, c: Clustering) -> int:

@@ -81,11 +81,12 @@ def opt_bmatching(
     inst: bmatching.BMatchingInstance, limit: OracleLimit | None = None
 ) -> bmatching.BMatching:
     """Exhaustive minimum over all right-to-left assignments meeting the
-    degree intervals. Independent verifier for the flow solver."""
+    degree intervals. Independent verifier for ``bmatching.solve``."""
     limit = limit or OracleLimit.default()
     L, R = inst.left_size, inst.right_size
     if R > limit.max_right:
         raise OracleLimitError(f"R={R} exceeds oracle limit {limit.max_right}")
+    cost = inst.cost.tolist()
     best = None
     assign = [0] * R
     deg = [0] * L
@@ -107,7 +108,7 @@ def opt_bmatching(
                 continue
             assign[r] = l
             deg[l] += 1
-            walk(r + 1, weight + inst.cost[l][r])
+            walk(r + 1, weight + cost[l][r])
             deg[l] -= 1
 
     walk(0, 0)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError
 from .model import Clustering, SignedCompleteGraph, disagreements
 
@@ -60,26 +62,16 @@ def pivot_cluster(g: SignedCompleteGraph, run: PivotRun) -> dict:
     return label
 
 
-def _subset_cost(g, label, subset):
-    cost = 0
-    for i, u in enumerate(subset):
-        for v in subset[i + 1 :]:
-            same = label[u] == label[v]
-            sign = g.signs[u, v]
-            if (sign < 0 and same) or (sign > 0 and not same):
-                cost += 1
-    return cost
-
-
 def best_of_restarts(g: SignedCompleteGraph, run: PivotRun) -> dict:
     """Pivot with seeds seed .. seed+restarts-1; keep the labeling with the
     fewest disagreements inside the subset (ties: earliest seed)."""
     subset = run.resolve_subset(g.n)
+    induced = SignedCompleteGraph(len(subset), g.signs[np.ix_(subset, subset)])
     best_label = None
     best_cost = None
     for k in range(run.restarts):
         label = pivot_cluster(g, PivotRun(run.seed + k, 1, tuple(subset)))
-        cost = _subset_cost(g, label, subset)
+        cost = disagreements(induced, Clustering.from_labels([label[v] for v in subset]))
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best_label = label
@@ -90,10 +82,3 @@ def pivot_clustering(g: SignedCompleteGraph, run: PivotRun) -> Clustering:
     """Full-graph convenience wrapper returning a canonical Clustering."""
     label = best_of_restarts(g, run)
     return Clustering.from_labels([label[v] for v in range(g.n)])
-
-
-def pivot_cost(g: SignedCompleteGraph, seed: int) -> int:
-    """Disagreements of a single full-graph pivot pass."""
-    label = pivot_cluster(g, PivotRun(seed, 1))
-    c = Clustering.from_labels([label[v] for v in range(g.n)])
-    return disagreements(g, c)

@@ -96,8 +96,8 @@ def test_fairness_hard_invariant():
 
 
 def test_matching_solver_exactness():
-    """The min-cost flow solver matches exhaustive enumeration on random
-    b-matching instances, including proper degree intervals."""
+    """The slot-expanded assignment solver matches exhaustive enumeration
+    on random b-matching instances, including proper degree intervals."""
     start = time.perf_counter()
     rng = random.Random(77)
     checked = 0

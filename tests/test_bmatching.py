@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from faircc import (
     BMatchingInstance,
@@ -119,3 +122,85 @@ def test_validation():
 def test_debug_dump_mirror():
     inst = BMatchingInstance([[1, 2]], [2], [2])
     assert inst.to_dict() == {"cost": [[1, 2]], "degree_lo": [2], "degree_hi": [2]}
+
+
+@st.composite
+def feasible_instances(draw):
+    L = draw(st.integers(1, 4))
+    R = draw(st.integers(1, 8))
+    cost = draw(
+        st.lists(
+            st.lists(st.integers(0, 30), min_size=R, max_size=R), min_size=L, max_size=L
+        )
+    )
+    lo = draw(st.lists(st.integers(0, 3), min_size=L, max_size=L))
+    hi = [l + draw(st.integers(0, 4)) for l in lo]
+    assume(sum(lo) <= R <= sum(hi))
+    return cost, lo, hi
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(feasible_instances())
+def test_solver_property_against_enumeration(case):
+    cost, lo, hi = case
+    inst = BMatchingInstance(cost, lo, hi)
+    got = solve(inst)
+    assert got.weight == opt_bmatching(inst).weight
+    deg = got.degrees(len(cost))
+    assert all(lo[l] <= deg[l] <= hi[l] for l in range(len(cost)))
+    assert got.weight == sum(cost[l][r] for r, l in enumerate(got.assign))
+    assert all(isinstance(l, int) for l in got.assign) and isinstance(got.weight, int)
+
+
+def test_instance_holds_read_only_int64_table():
+    source = np.array([[1, 2], [3, 4]])
+    inst = BMatchingInstance(source, [1, 1], [1, 1])
+    assert inst.cost.dtype == np.int64 and not inst.cost.flags.writeable
+    assert (inst.left_size, inst.right_size) == (2, 2)
+    source[0, 0] = 99  # the instance keeps its own copy
+    assert inst.cost[0, 0] == 1
+    with pytest.raises(InvalidInputError):
+        BMatchingInstance([[1, 2], [3]], [1, 1], [1, 1])  # ragged
+    with pytest.raises(InvalidInputError):
+        BMatchingInstance([[]], [0], [0])
+
+
+def test_loose_upper_bounds_are_clamped():
+    # a degree bound far above R must neither change the optimum nor be
+    # expanded into that many slot columns
+    rng = random.Random(21)
+    for _ in range(30):
+        L, R = rng.randrange(1, 4), rng.randrange(1, 8)
+        cost = [[rng.randrange(20) for _ in range(R)] for _ in range(L)]
+        lo = [rng.randrange(0, 2) for _ in range(L)]
+        if sum(lo) > R:
+            continue
+        inst = BMatchingInstance(cost, lo, [10**9] * L)
+        got = solve(inst)
+        assert got.weight == opt_bmatching(inst).weight
+        assert all(lo[l] <= d for l, d in enumerate(got.degrees(L)))
+    wide = np.arange(60 * 200).reshape(60, 200) % 97
+    got = solve(BMatchingInstance(wide, [1] * 60, [10**30] * 60))
+    assert sorted(set(got.assign)) == list(range(60))
+
+
+def test_costs_that_could_overflow_int64_are_rejected():
+    with pytest.raises(InvalidInputError):
+        BMatchingInstance([[2**64]], [1], [1])  # not an int64
+    with pytest.raises(InvalidInputError):
+        BMatchingInstance([[2**62, 2**62]], [2], [2])  # sum wraps in int64
+    with pytest.raises(InvalidInputError):
+        BMatchingInstance([[2**58] * 8], [8], [8])  # sum * (R + 1) too large
+    assert solve(BMatchingInstance([[2**50, 1], [1, 2**50]], [1, 1], [1, 1])).weight == 2
+    # just inside the limit the int64 solver is still exact
+    rng = random.Random(17)
+    for _ in range(40):
+        L, R = rng.randrange(1, 4), rng.randrange(1, 8)
+        lo = [rng.randrange(0, 2) for _ in range(L)]
+        hi = [l + rng.randrange(0, 4) for l in lo]
+        if not sum(lo) <= R <= sum(hi):
+            continue
+        top = (2**56 // (R + 1) - 1) // (L * R) - 1
+        cost = [[rng.choice([0, top, rng.randrange(top)]) for _ in range(R)] for _ in range(L)]
+        inst = BMatchingInstance(cost, lo, hi)
+        assert solve(inst).weight == opt_bmatching(inst).weight

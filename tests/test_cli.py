@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from faircc import Clustering, ColorAssignment, SignedCompleteGraph, check_fairness
@@ -182,6 +183,90 @@ def test_exit_code_parse_error(workspace, capsys):
         ]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"n": "3", "negative_edges": []},
+        {"n": 3.0, "negative_edges": []},
+        {"n": 3, "negative_edges": [["0", 1]]},
+        {"n": 3, "negative_edges": [[0, 1], [0, 1]]},
+    ],
+)
+def test_exit_code_malformed_graph(workspace, capsys, graph):
+    (workspace / "bad.json").write_text(json.dumps(graph))
+    rc = main(
+        [
+            "cluster",
+            "--graph", str(workspace / "bad.json"),
+            "--algo", "cc",
+            "--out-clustering", str(workspace / "c.json"),
+            "--out-result", str(workspace / "r.json"),
+        ]
+    )
+    assert rc == 3
+
+
+def write_planted(workspace, n, counts, seed, blocks=8, noise=0.15):
+    """Planted-partition instance: same-block pairs positive, others
+    negative, each sign flipped with probability ``noise``."""
+    rng = np.random.default_rng(seed)
+    block = rng.permutation(n) % blocks
+    positive = (block[:, None] == block[None, :]) ^ (rng.random((n, n)) < noise)
+    iu, iv = np.nonzero(np.triu(~positive, 1))
+    colors = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    graph = {"n": n, "negative_edges": np.stack([iu, iv], 1).tolist()}
+    (workspace / "g.json").write_text(json.dumps(graph))
+    (workspace / "c.csv").write_text("".join(f"{v},{c}\n" for v, c in enumerate(colors.tolist())))
+
+
+@pytest.mark.parametrize(
+    "n,counts,seeds", [(80, (20, 20, 40), range(8)), (200, (50, 50, 100), range(2, 5))]
+)
+def test_ccmerge_interval_bounds_on_planted_instances(workspace, capsys, n, counts, seeds):
+    """Repair must not overfill a host cluster that already holds a surplus
+    of some color (it once sliced the pool with a negative deficit)."""
+    for seed in seeds:
+        write_planted(workspace, n, counts, seed)
+        rc = main(
+            [
+                "cluster",
+                "--graph", str(workspace / "g.json"),
+                "--colors", str(workspace / "c.csv"),
+                "--bounds", "1:1:1..1:2:3",
+                "--algo", "ccmerge",
+                "--out-clustering", str(workspace / "out.json"),
+                "--out-result", str(workspace / "r.json"),
+            ]
+        )
+        assert rc == 0, f"n={n} seed={seed}"
+        colors = ColorAssignment.from_csv((workspace / "c.csv").read_text())
+        c = Clustering.from_json((workspace / "out.json").read_text())
+        spec = parse_spec(None, "1:1:1..1:2:3")
+        assert check_fairness(colors, c, spec).overall_pass
+
+
+@pytest.mark.parametrize("algo", ["faircc", "ufaircc", "wmatch"])
+def test_loose_upper_bound_on_cli(workspace, capsys, algo):
+    """An upper ratio far above the color counts is valid input and must
+    not blow up the matcher."""
+    write_planted(workspace, 120, (40, 80), seed=1)
+    rc = main(
+        [
+            "cluster",
+            "--graph", str(workspace / "g.json"),
+            "--colors", str(workspace / "c.csv"),
+            "--bounds", "1:1..1:1000000",
+            "--algo", algo,
+            "--out-clustering", str(workspace / "out.json"),
+            "--out-result", str(workspace / "r.json"),
+        ]
+    )
+    assert rc == 0
+    colors = ColorAssignment.from_csv((workspace / "c.csv").read_text())
+    c = Clustering.from_json((workspace / "out.json").read_text())
+    assert check_fairness(colors, c, parse_spec(None, "1:1..1:1000000")).overall_pass
 
 
 def test_exit_code_oracle_limit(workspace, capsys):

@@ -63,6 +63,21 @@ def test_pair_cost_table_matches_scalar():
             assert table[i, j] == pair_cost(g, u, x)
 
 
+@pytest.mark.parametrize("counts", [(5, 7), (4, 4, 6), (3, 9, 2)])
+def test_pair_cost_table_matches_scalar_per_color(counts):
+    """The BLAS table equals the scalar definition for every (base, color)
+    block of random graphs with two and three colors."""
+    for seed in range(5):
+        colors = random_colors(counts, seed)
+        g = random_graph(colors.n, seed=400 + seed, neg_prob=0.3 + 0.1 * seed)
+        lefts = colors.vertices_of(0)
+        for color in range(1, len(counts)):
+            rights = colors.vertices_of(color)
+            table = pair_cost_table(g, lefts, rights)
+            assert table.shape == (len(lefts), len(rights))
+            assert table.tolist() == [[pair_cost(g, u, x) for u in rights] for x in lefts]
+
+
 def test_two_colors_pair_positive_edge():
     g = SignedCompleteGraph.from_negative_edges(2, [])
     colors = ColorAssignment((0, 1))

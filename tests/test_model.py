@@ -148,6 +148,49 @@ def test_graph_json_roundtrip():
         SignedCompleteGraph.from_json(json.dumps({"n": 3}))
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": "3", "negative_edges": []},
+        {"n": 3.0, "negative_edges": []},
+        {"n": True, "negative_edges": []},
+        {"n": 3, "negative_edges": [["0", 1]]},
+        {"n": 3, "negative_edges": [[0, 1.5]]},
+        {"n": 3, "negative_edges": [[0, 1, 2]]},
+        {"n": 3, "negative_edges": [[0, 1], [2]]},
+        {"n": 3, "negative_edges": [0, 1]},
+        {"n": 3, "negative_edges": None},
+        {"n": 3, "negative_edges": [[0, 1], [0, 1]]},
+        {"n": 4, "negative_edges": [[0, 1], [2, 3], [0, 1]]},
+    ],
+)
+def test_graph_json_malformed_is_parse_error(obj):
+    with pytest.raises(ParseError):
+        SignedCompleteGraph.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("edge", [[1, 0], [1, 1], [0, 3], [-1, 2]])
+def test_graph_json_bad_edge_ids(edge):
+    text = json.dumps({"n": 3, "negative_edges": [[0, 1], edge]})
+    with pytest.raises(InvalidInputError, match=r"bad negative edge \(%d, %d\)" % tuple(edge)):
+        SignedCompleteGraph.from_json(text)
+
+
+def test_from_negative_edges_matches_pairwise_signs():
+    rng = random.Random(9)
+    n = 12
+    edges = sorted(
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+    )
+    g = SignedCompleteGraph.from_negative_edges(n, edges)
+    assert g.negative_edges() == edges
+    assert SignedCompleteGraph.from_json(g.to_json()).negative_edges() == edges
+    with pytest.raises(InvalidInputError):
+        SignedCompleteGraph.from_negative_edges(0, [])
+    with pytest.raises(InvalidInputError, match="more than once"):
+        SignedCompleteGraph.from_negative_edges(3, [(0, 1), (0, 1)])
+
+
 def test_colors_csv_roundtrip():
     colors = ColorAssignment((0, 1, 0, 2))
     assert ColorAssignment.from_csv(colors.to_csv()).color_of == colors.color_of

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,12 @@ from faircc import (
     SignedCompleteGraph,
     disagreements,
 )
-from faircc.pivot import PivotRun, best_of_restarts, pivot_cluster, pivot_clustering
+from faircc.pivot import (
+    PivotRun,
+    best_of_restarts,
+    pivot_cluster,
+    pivot_clustering,
+)
 from conftest import all_partitions, partition_cost, random_graph
 
 
@@ -90,3 +97,25 @@ def test_statistical_three_approximation():
             disagreements(g, pivot_clustering(g, PivotRun(s, 1))) for s in range(500)
         ]
         assert np.mean(costs) <= 3 * opt * 1.15 + 1e-9
+
+
+# best_of_restarts labels on random_graph(60, seed=31), recorded from the
+# scalar pair-loop scorer that the vectorized score replaced.
+PINNED_FULL = [
+    0, 0, 4, 0, 2, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 2, 0,
+    0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 1, 1, 0, 3, 0, 0, 1, 1, 1, 2, 0, 0, 0, 1, 0, 1, 1,
+]
+PINNED_EVEN_SUBSET = [
+    0, 3, 1, 0, 2, 0, 0, 1, 0, 0, 0, 1, 2, 1, 0,
+    0, 0, 3, 1, 0, 1, 1, 0, 0, 0, 4, 2, 0, 0, 1,
+]
+
+
+def test_best_of_restarts_pinned_labels():
+    g = random_graph(60, seed=31)
+    label = best_of_restarts(g, PivotRun(5, 25))
+    assert [label[v] for v in range(60)] == PINNED_FULL
+    even = tuple(range(0, 60, 2))
+    label = best_of_restarts(g, PivotRun(5, 25, even))
+    assert [label[v] for v in even] == PINNED_EVEN_SUBSET

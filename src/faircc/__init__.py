@@ -5,9 +5,8 @@ clustering, the standard comparison baselines, and brute-force oracles for
 verifying the approximation bounds on small instances.
 """
 
-from ._kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
-from .baselines import BaselineKind, run_cc, run_ccmerge, run_ufaircc, run_wmatch
-from .bmatching import BMatching, BMatchingInstance, solve, solve_exact_degree
+from .baselines import run_cc, run_ccmerge, run_ufaircc, run_wmatch
+from .bmatching import BMatching, BMatchingInstance, solve
 from .errors import (
     FairCCError,
     InfeasibleSpecError,
@@ -16,12 +15,9 @@ from .errors import (
     ParseError,
 )
 from .fair_clustering import (
-    FairCCConfig,
     HyperNode,
     approximation_budget,
-    fair_cc_bounded,
-    fair_cc_multi,
-    fair_cc_two_colors,
+    fair_cc,
     matching_weight_bound_check,
     pair_cost,
 )

@@ -5,10 +5,8 @@ clustering.
 
 from __future__ import annotations
 
-import enum
-
 from .errors import InfeasibleSpecError
-from .fair_clustering import _color_degree_bounds, build_matchings, hyper_nodes, run_pipeline
+from .fair_clustering import build_matchings, check_spec, hyper_nodes, run_pipeline
 from .model import (
     Clustering,
     ColorAssignment,
@@ -16,13 +14,6 @@ from .model import (
     SignedCompleteGraph,
 )
 from .pivot import PivotRun, pivot_clustering
-
-
-class BaselineKind(enum.Enum):
-    CC = "cc"
-    WMATCH = "wmatch"
-    UFAIRCC = "ufaircc"
-    CCMERGE = "ccmerge"
 
 
 def run_cc(g: SignedCompleteGraph, pivot: PivotRun = PivotRun()) -> Clustering:
@@ -82,10 +73,7 @@ def run_ccmerge(
     clusters and any remaining slack vertices go wherever the interval
     constraint still has room.
     """
-    if set(spec.bounds) != set(range(colors.num_colors)) - {spec.base_color}:
-        raise InfeasibleSpecError("spec must bound every non-base color")
-    for color in spec.bounds:
-        _color_degree_bounds(colors, spec, color)  # global feasibility
+    check_spec(colors, spec)
     base = spec.base_color
     non_base = sorted(spec.bounds)
     initial = run_cc(g, pivot).clusters()

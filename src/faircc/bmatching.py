@@ -170,12 +170,3 @@ def solve(inst: BMatchingInstance) -> BMatching:
     weight = int(inst.cost[assign, np.arange(R)].sum())
     return BMatching(tuple(assign.tolist()), weight)
 
-
-def solve_exact_degree(cost, p) -> BMatching:
-    """All left degrees exactly p; requires R == p * L."""
-    inst = BMatchingInstance(cost, (p,) * len(cost), (p,) * len(cost))
-    if inst.right_size != p * inst.left_size:
-        raise InfeasibleSpecError(
-            f"exact degree {p} needs {p * inst.left_size} right nodes, got {inst.right_size}"
-        )
-    return solve(inst)

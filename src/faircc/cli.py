@@ -2,8 +2,8 @@
 experiment matrix, verify the approximation bounds, and emit plot-ready
 CSV/JSON.
 
-Exit codes: 0 success, 2 infeasible fairness spec, 3 parse error,
-4 oracle size limit exceeded.
+Exit codes: 0 success, 1 invalid input, 2 infeasible fairness spec,
+3 parse error, 4 oracle size limit exceeded.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,11 +70,7 @@ def run_algorithm(algo, g, colors, spec, pivot, try_all_bases=False):
     if algo == "ccmerge":
         return baselines.run_ccmerge(g, colors, spec, pivot)
     if algo == "faircc":
-        if not spec.is_exact:
-            return fair_clustering.fair_cc_bounded(g, colors, spec, pivot)
-        return fair_clustering.fair_cc_multi(
-            g, colors, spec, pivot, try_all_bases=try_all_bases
-        )
+        return fair_clustering.fair_cc(g, colors, spec, pivot, try_all_bases=try_all_bases)
     raise ParseError(f"unknown algorithm {algo!r}")
 
 
@@ -189,20 +184,15 @@ def cmd_experiment(args):
     if any(a != "cc" for a in algos) and spec is None:
         raise ParseError("fair algorithms need --ratio or --bounds")
     seeds = [args.seed + k for k in range(args.runs)]
-    cells = [(algo, seed) for algo in algos for seed in seeds]
-
-    def run_cell(cell):
-        algo, seed = cell
-        start = time.perf_counter()
-        clustering = run_algorithm(algo, g, colors, spec, PivotRun(seed, args.restarts))
-        millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
-        return _result_row(args.dataset, algo, seed, g, colors, spec, clustering, millis)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(cell) for cell in cells]
+    rows = []
+    for algo in algos:
+        for seed in seeds:
+            start = time.perf_counter()
+            clustering = run_algorithm(algo, g, colors, spec, PivotRun(seed, args.restarts))
+            millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
+            rows.append(
+                _result_row(args.dataset, algo, seed, g, colors, spec, clustering, millis)
+            )
     for row in rows:
         if row["algo"] != "cc" and spec is not None and row["fair"] is False:
             raise FairCCError(
@@ -352,7 +342,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--restarts", type=int, default=25)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--dataset", default="instance")
     p.add_argument("--out", required=True)

@@ -39,12 +39,6 @@ class HyperNode:
         return (self.representative,) + self.attached
 
 
-@dataclass(frozen=True)
-class FairCCConfig:
-    spec: FairnessSpec
-    pivot: PivotRun = PivotRun()
-
-
 def pair_cost(g: SignedCompleteGraph, u: int, v: int) -> int:
     """Disagreement increase from forcing u and v into one cluster."""
     if u == v:
@@ -70,16 +64,20 @@ def pair_cost_table(g: SignedCompleteGraph, lefts, rights) -> np.ndarray:
     return diff + (S[np.ix_(lefts, rights)] < 0)
 
 
-def _color_degree_bounds(colors, spec, color):
+def check_spec(colors: ColorAssignment, spec: FairnessSpec):
+    """Raise InfeasibleSpecError unless ``spec`` bounds exactly the non-base
+    colors and each color's global count fits its ratio to the base color,
+    the two conditions a per-color b-matching needs."""
+    if set(spec.bounds) != set(range(colors.num_colors)) - {spec.base_color}:
+        raise InfeasibleSpecError("spec must bound every non-base color")
     lefts = len(colors.vertices_of(spec.base_color))
-    rights = colors.counts[color]
-    p, q = spec.bounds[color]
-    if not p * lefts <= rights <= q * lefts:
-        raise InfeasibleSpecError(
-            f"color {color}: {rights} vertices cannot match {lefts} base vertices "
-            f"at ratio 1:{p}..1:{q}"
-        )
-    return p, q
+    for color, (p, q) in sorted(spec.bounds.items()):
+        rights = colors.counts[color]
+        if not p * lefts <= rights <= q * lefts:
+            raise InfeasibleSpecError(
+                f"color {color}: {rights} vertices cannot match {lefts} base vertices "
+                f"at ratio 1:{p}..1:{q}"
+            )
 
 
 def build_matchings(
@@ -92,13 +90,11 @@ def build_matchings(
 
     Returns color -> (BMatching, base vertex list, color vertex list).
     """
-    if set(spec.bounds) != set(range(colors.num_colors)) - {spec.base_color}:
-        raise InvalidInputError("spec must bound every non-base color")
+    check_spec(colors, spec)
     lefts = colors.vertices_of(spec.base_color)
     out = {}
-    for color in sorted(spec.bounds):
+    for color, (p, q) in sorted(spec.bounds.items()):
         rights = colors.vertices_of(color)
-        p, q = _color_degree_bounds(colors, spec, color)
         if unit_costs:
             table = np.ones((len(lefts), len(rights)), np.int64)
         else:
@@ -135,37 +131,22 @@ def run_pipeline(g, colors, spec, pivot, unit_costs=False):
     return c
 
 
-def fair_cc_two_colors(
-    g: SignedCompleteGraph, colors: ColorAssignment, p: int, pivot: PivotRun = PivotRun()
-) -> Clustering:
-    """Exact-ratio 1:p pipeline for two colors (color 0 is the base)."""
-    if colors.num_colors != 2:
-        raise InvalidInputError("two-color pipeline needs exactly 2 colors")
-    spec = FairnessSpec.exact({1: p})
-    if colors.counts[1] != p * colors.counts[0]:
-        raise InfeasibleSpecError(
-            f"global counts {colors.counts[0]}:{colors.counts[1]} are not in ratio 1:{p}"
-        )
-    return run_pipeline(g, colors, spec, pivot)
-
-
-def fair_cc_multi(
+def fair_cc(
     g: SignedCompleteGraph,
     colors: ColorAssignment,
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
     try_all_bases: bool = False,
 ) -> Clustering:
-    """Exact-ratio pipeline for any number of colors.
+    """Fair clustering for any number of colors under an exact (1:p_i) or
+    interval (1:p_i..1:q_i) spec.
 
     With ``try_all_bases`` (only valid when every ratio is 1:1) the pipeline
     runs once per candidate base color and keeps the cheapest result.
     """
-    if not spec.is_exact:
-        raise InvalidInputError("fair_cc_multi needs an exact-ratio spec")
     if not try_all_bases:
         return run_pipeline(g, colors, spec, pivot)
-    if any(p != 1 for p, _ in spec.bounds.values()):
+    if any(bounds != (1, 1) for bounds in spec.bounds.values()):
         raise InvalidInputError("try_all_bases requires all ratios 1:1")
     best = None
     for base in range(colors.num_colors):
@@ -177,16 +158,6 @@ def fair_cc_multi(
         if best is None or cost < best[0]:
             best = (cost, c)
     return best[1]
-
-
-def fair_cc_bounded(
-    g: SignedCompleteGraph,
-    colors: ColorAssignment,
-    spec: FairnessSpec,
-    pivot: PivotRun = PivotRun(),
-) -> Clustering:
-    """Interval pipeline: base degree in [p_i, q_i] per non-base color."""
-    return run_pipeline(g, colors, spec, pivot)
 
 
 def approximation_budget(spec: FairnessSpec, num_colors: int, alpha: int = 3) -> int:

@@ -54,7 +54,10 @@ class SignedCompleteGraph:
         a pair listed twice raises ``repeat_error``."""
         if n < 1:
             raise InvalidInputError("graph needs at least one vertex")
-        signs = np.ones((n, n), dtype=np.int8)
+        try:
+            signs = np.ones((n, n), dtype=np.int8)
+        except (MemoryError, ValueError) as exc:  # ValueError: n * n overflows
+            raise InvalidInputError(f"a graph with n={n} vertices is too large") from exc
         np.fill_diagonal(signs, 0)
         listed = 0
         for edges in blocks:
@@ -105,14 +108,26 @@ class SignedCompleteGraph:
 def _edge_blocks(edges, chunk=8192):
     """Yield a parsed JSON list of [u, v] integer pairs as k x 2 int64
     blocks, emptying the list from its end so that its objects are freed
-    while the graph is built rather than after."""
+    while the graph is built rather than after.
+
+    numpy reads a JSON boolean paired with an integer as 0 or 1, so only
+    the ids equal to 0 or 1 are checked for booleans."""
     while edges:
         start = max(len(edges) - chunk, 0)
+        pairs = edges[start:]
         try:
-            block = np.array(edges[start:])
+            block = np.array(pairs)
         except (ValueError, OverflowError):
             block = None
-        if block is None or block.dtype.kind != "i" or block.shape != (len(edges) - start, 2):
+        if (
+            block is None
+            or block.dtype.kind != "i"
+            or block.shape != (len(pairs), 2)
+            or any(
+                type(pairs[k >> 1][k & 1]) is bool
+                for k in np.flatnonzero(block.ravel() <= 1).tolist()
+            )
+        ):
             raise ParseError("bad graph JSON: negative_edges must be [u, v] integer pairs")
         del edges[start:]
         yield block

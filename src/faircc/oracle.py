@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bmatching
-from ._kernels import best_partition
 from .errors import InfeasibleSpecError, OracleLimitError
 from .model import Clustering, ColorAssignment, FairnessSpec, SignedCompleteGraph
 
@@ -39,7 +38,71 @@ class OracleLimit:
         return cls(max_n=int(raw)) if raw else cls()
 
 
-def _kernel_args(g: SignedCompleteGraph):
+def best_partition(neg, color_of, base_color, p_bound, q_bound, fair):
+    """Minimum-disagreement partition of an n-vertex signed complete graph,
+    by branch and bound over restricted growth strings in lexicographic
+    order.
+
+    neg[u][v] is 1 for a negative pair, 0 for positive. When ``fair`` is
+    true, only partitions whose every block has n1 >= 1 base-color vertices
+    and n1*p_c <= n_c <= n1*q_c for every non-base color c are considered.
+
+    Returns (cost, assignment) where assignment is the lexicographically
+    smallest restricted growth string among the optima, or (-1, None) when
+    no feasible partition exists.
+    """
+    n = len(neg)
+    neg = [list(map(int, row)) for row in neg]
+    color_of = list(map(int, color_of))
+    num_colors = len(p_bound)
+    best_cost = -1
+    best_assign = None
+    assign = [0] * n
+
+    def fair_ok(num_blocks):
+        for b in range(num_blocks):
+            hist = [0] * num_colors
+            for v in range(n):
+                if assign[v] == b:
+                    hist[color_of[v]] += 1
+            n1 = hist[base_color]
+            if n1 < 1:
+                return False
+            for c in range(num_colors):
+                if c == base_color:
+                    continue
+                if not n1 * p_bound[c] <= hist[c] <= n1 * q_bound[c]:
+                    return False
+        return True
+
+    def walk(v, num_blocks, cost):
+        nonlocal best_cost, best_assign
+        if v == n:
+            if not fair or fair_ok(num_blocks):
+                if best_cost < 0 or cost < best_cost:
+                    best_cost = cost
+                    best_assign = list(assign)
+            return
+        row = neg[v]
+        for b in range(num_blocks + 1):
+            delta = 0
+            for u in range(v):
+                if assign[u] == b:
+                    delta += row[u]
+                else:
+                    delta += 1 - row[u]
+            new_cost = cost + delta
+            if best_cost >= 0 and new_cost >= best_cost:
+                continue
+            assign[v] = b
+            walk(v + 1, max(num_blocks, b + 1), new_cost)
+        assign[v] = 0
+
+    walk(0, 0, 0)
+    return best_cost, best_assign
+
+
+def _negative_rows(g: SignedCompleteGraph):
     return (g.signs < 0).astype(np.uint8).tolist()
 
 
@@ -49,7 +112,7 @@ def opt_cc(g: SignedCompleteGraph, limit: OracleLimit | None = None):
     limit = limit or OracleLimit.default()
     if g.n > limit.max_n:
         raise OracleLimitError(f"n={g.n} exceeds oracle limit {limit.max_n}")
-    cost, assign = best_partition(_kernel_args(g), [0] * g.n, 0, [1], [1], False)
+    cost, assign = best_partition(_negative_rows(g), [0] * g.n, 0, [1], [1], False)
     return Clustering(tuple(assign)), cost
 
 
@@ -70,7 +133,7 @@ def opt_fair(
     for c, (pc, qc) in spec.bounds.items():
         p[c], q[c] = pc, qc
     cost, assign = best_partition(
-        _kernel_args(g), list(colors.color_of), spec.base_color, p, q, True
+        _negative_rows(g), list(colors.color_of), spec.base_color, p, q, True
     )
     if cost < 0:
         raise InfeasibleSpecError("no clustering satisfies the fairness spec")

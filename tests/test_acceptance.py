@@ -22,9 +22,7 @@ from faircc import (
     SignedCompleteGraph,
     check_fairness,
     disagreements,
-    fair_cc_bounded,
-    fair_cc_multi,
-    fair_cc_two_colors,
+    fair_cc,
     matching_weight_bound_check,
     mirror_graph,
     opt_bmatching,
@@ -74,14 +72,7 @@ def test_fairness_hard_invariant():
                 run_ufaircc(g, colors, spec, pivot),
                 run_ccmerge(g, colors, spec, pivot),
             ]
-            if not spec.is_exact:
-                outputs.append(fair_cc_bounded(g, colors, spec, pivot))
-            else:
-                outputs.append(fair_cc_multi(g, colors, spec, pivot))
-                if len(counts) == 2:
-                    outputs.append(
-                        fair_cc_two_colors(g, colors, spec.bounds[1][0], pivot)
-                    )
+            outputs.append(fair_cc(g, colors, spec, pivot))
             for c in outputs:
                 if not check_fairness(colors, c, spec).overall_pass:
                     violations += 1
@@ -173,7 +164,7 @@ def test_balanced_pipeline_constant():
         for seed in range(100):
             g = random_graph(sum(counts), seed * 17 + instances)
             colors = random_colors(counts, seed)
-            c = fair_cc_two_colors(g, colors, 1, PivotRun(seed, 25))
+            c = fair_cc(g, colors, spec, PivotRun(seed, 25))
             opt = brute_opt_fair(g, colors, spec)
             if disagreements(g, c) > 13 * opt:
                 violations += 1
@@ -201,10 +192,7 @@ def test_unbalanced_pipeline_constants():
         for seed in range(reps):
             g = random_graph(sum(counts), seed * 23 + instances)
             colors = random_colors(counts, seed)
-            if spec.is_exact:
-                c = fair_cc_multi(g, colors, spec, PivotRun(seed, 25))
-            else:
-                c = fair_cc_bounded(g, colors, spec, PivotRun(seed, 25))
+            c = fair_cc(g, colors, spec, PivotRun(seed, 25))
             opt = brute_opt_fair(g, colors, spec)
             if disagreements(g, c) > budget * opt:
                 violations += 1

@@ -9,7 +9,7 @@ from faircc import (
     SignedCompleteGraph,
     check_fairness,
     disagreements,
-    fair_cc_multi,
+    fair_cc,
     run_cc,
     run_ccmerge,
     run_ufaircc,
@@ -85,7 +85,7 @@ def test_ufaircc_matches_faircc_on_forced_pairs():
         g = random_graph(2, seed)
         colors = ColorAssignment((0, 1))
         a = run_ufaircc(g, colors, spec, PivotRun(seed, 5))
-        b = fair_cc_multi(g, colors, spec, PivotRun(seed, 5))
+        b = fair_cc(g, colors, spec, PivotRun(seed, 5))
         assert disagreements(g, a) == disagreements(g, b)
 
 
@@ -96,7 +96,7 @@ def test_faircc_no_worse_than_ufaircc_on_average():
         g = random_graph(8, seed + 400)
         colors = random_colors((4, 4), seed)
         run = PivotRun(seed, 10)
-        smart.append(disagreements(g, fair_cc_multi(g, colors, spec, run)))
+        smart.append(disagreements(g, fair_cc(g, colors, spec, run)))
         unit.append(disagreements(g, run_ufaircc(g, colors, spec, run)))
     assert statistics.mean(smart) <= statistics.mean(unit)
 

@@ -12,7 +12,6 @@ from faircc import (
     InvalidInputError,
     opt_bmatching,
     solve,
-    solve_exact_degree,
 )
 
 
@@ -52,18 +51,22 @@ def test_random_intervals_match_enumeration():
         assert solve(inst).weight == enumerate_optimum(cost, [1] * L, [3] * L)
 
 
+def exact_degree(cost, p):
+    return BMatchingInstance(cost, (p,) * len(cost), (p,) * len(cost))
+
+
 def test_exact_degree_wrapper():
-    assert solve_exact_degree([[0]], 1).weight == 0
-    assert solve_exact_degree([[1, 1, 5, 5], [5, 5, 1, 1]], 2).weight == 4
+    assert solve(exact_degree([[0]], 1)).weight == 0
+    assert solve(exact_degree([[1, 1, 5, 5], [5, 5, 1, 1]], 2)).weight == 4
     with pytest.raises(InfeasibleSpecError):
-        solve_exact_degree([[1, 2, 3]], 2)  # R != p*L
+        solve(exact_degree([[1, 2, 3]], 2))  # R != p*L
 
 
 def test_exact_degree_random_matches_enumeration():
     rng = random.Random(8)
     for _ in range(20):
         cost = [[rng.randrange(10) for _ in range(6)] for _ in range(3)]
-        got = solve_exact_degree(cost, 2)
+        got = solve(exact_degree(cost, 2))
         assert got.weight == enumerate_optimum(cost, [2] * 3, [2] * 3)
 
 

@@ -139,8 +139,8 @@ def test_experiment_deterministic_bytes(workspace):
         "--ratio", "1:1",
         "--runs", "3",
     ]
-    main(args + ["--out", str(workspace / "a.csv")])
-    main(args + ["--out", str(workspace / "b.csv"), "--jobs", "4"])
+    assert main(args + ["--out", str(workspace / "a.csv")]) == 0
+    assert main(args + ["--out", str(workspace / "b.csv")]) == 0
     assert (workspace / "a.csv").read_bytes() == (workspace / "b.csv").read_bytes()
 
 
@@ -206,6 +206,46 @@ def test_exit_code_malformed_graph(workspace, capsys, graph):
         ]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize("n", [3_000_000_000, 10_000_000_000])
+def test_exit_code_graph_too_large(workspace, capsys, n):
+    """n * n bytes that numpy refuses before touching memory: above the
+    address space (MemoryError) and above the int64 size limit (ValueError)."""
+    (workspace / "big.json").write_text(json.dumps({"n": n, "negative_edges": []}))
+    rc = main(
+        [
+            "cluster",
+            "--graph", str(workspace / "big.json"),
+            "--algo", "cc",
+            "--out-clustering", str(workspace / "c.json"),
+            "--out-result", str(workspace / "r.json"),
+        ]
+    )
+    assert rc == 1
+    assert f"n={n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["faircc", "wmatch", "ufaircc", "ccmerge"])
+def test_exit_code_spec_misses_a_color(workspace, capsys, algo):
+    """A two-color ratio on a three-color instance is one infeasible spec
+    for every fair algorithm."""
+    g = random_graph(6, 0)
+    (workspace / "g.json").write_text(g.to_json())
+    (workspace / "c.csv").write_text(random_colors((2, 2, 2), 0).to_csv())
+    rc = main(
+        [
+            "cluster",
+            "--graph", str(workspace / "g.json"),
+            "--colors", str(workspace / "c.csv"),
+            "--algo", algo,
+            "--ratio", "1:1",
+            "--out-clustering", str(workspace / "c.json"),
+            "--out-result", str(workspace / "r.json"),
+        ]
+    )
+    assert rc == 2
+    assert "spec must bound every non-base color" in capsys.readouterr().err
 
 
 def write_planted(workspace, n, counts, seed, blocks=8, noise=0.15):

@@ -10,9 +10,7 @@ from faircc import (
     SignedCompleteGraph,
     check_fairness,
     disagreements,
-    fair_cc_bounded,
-    fair_cc_multi,
-    fair_cc_two_colors,
+    fair_cc,
     matching_weight_bound_check,
     pair_cost,
 )
@@ -81,21 +79,21 @@ def test_pair_cost_table_matches_scalar_per_color(counts):
 def test_two_colors_pair_positive_edge():
     g = SignedCompleteGraph.from_negative_edges(2, [])
     colors = ColorAssignment((0, 1))
-    c = fair_cc_two_colors(g, colors, 1)
+    c = fair_cc(g, colors, FairnessSpec.exact({1: 1}))
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
 def test_two_colors_all_positive_four():
     g = SignedCompleteGraph.from_negative_edges(4, [])
     colors = ColorAssignment((0, 1, 0, 1))
-    c = fair_cc_two_colors(g, colors, 1)
+    c = fair_cc(g, colors, FairnessSpec.exact({1: 1}))
     assert disagreements(g, c) == 0
 
 
 def test_two_colors_bad_ratio():
     g = SignedCompleteGraph.from_negative_edges(3, [])
     with pytest.raises(InfeasibleSpecError):
-        fair_cc_two_colors(g, ColorAssignment((0, 1, 1)), 1)
+        fair_cc(g, ColorAssignment((0, 1, 1)), FairnessSpec.exact({1: 1}))
 
 
 def test_two_colors_cost_within_thirteen_opt_fair():
@@ -103,7 +101,7 @@ def test_two_colors_cost_within_thirteen_opt_fair():
     for seed in range(25):
         g = random_graph(6, seed + 500)
         colors = random_colors((3, 3), seed)
-        c = fair_cc_two_colors(g, colors, 1, PivotRun(seed, 25))
+        c = fair_cc(g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 13 * brute_opt_fair(g, colors, spec)
 
@@ -112,7 +110,7 @@ def test_multi_trivial_three_singleton_colors():
     g = SignedCompleteGraph.from_negative_edges(3, [])
     colors = ColorAssignment((0, 1, 2))
     spec = FairnessSpec.exact({1: 1, 2: 1})
-    c = fair_cc_multi(g, colors, spec)
+    c = fair_cc(g, colors, spec)
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
@@ -120,7 +118,7 @@ def test_multi_trivial_ratio_two():
     g = SignedCompleteGraph.from_negative_edges(8, [])
     colors = ColorAssignment((0, 0, 1, 1, 2, 2, 2, 2))
     spec = FairnessSpec.exact({1: 1, 2: 2})
-    c = fair_cc_multi(g, colors, spec)
+    c = fair_cc(g, colors, spec)
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
@@ -131,15 +129,9 @@ def test_multi_bound_constant():
     for seed in range(15):
         g = random_graph(6, seed + 800)
         colors = random_colors((2, 2, 2), seed)
-        c = fair_cc_multi(g, colors, spec, PivotRun(seed, 25))
+        c = fair_cc(g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 34 * brute_opt_fair(g, colors, spec)
-
-
-def test_multi_requires_exact_spec():
-    g = random_graph(4, 0)
-    with pytest.raises(InvalidInputError):
-        fair_cc_multi(g, ColorAssignment((0, 0, 1, 1)), FairnessSpec(0, {1: (1, 2)}))
 
 
 def test_multi_infeasible_names_color():
@@ -147,14 +139,14 @@ def test_multi_infeasible_names_color():
     colors = ColorAssignment((0, 1, 2, 2))
     spec = FairnessSpec.exact({1: 1, 2: 1})
     with pytest.raises(InfeasibleSpecError, match="color 2"):
-        fair_cc_multi(g, colors, spec)
+        fair_cc(g, colors, spec)
 
 
 def test_bounded_trivial():
     g = SignedCompleteGraph.from_negative_edges(2, [])
     colors = ColorAssignment((0, 1))
     spec = FairnessSpec(0, {1: (1, 2)})
-    c = fair_cc_bounded(g, colors, spec)
+    c = fair_cc(g, colors, spec)
     assert check_fairness(colors, c, spec).overall_pass
 
 
@@ -162,7 +154,7 @@ def test_bounded_all_positive_two_three():
     g = SignedCompleteGraph.from_negative_edges(5, [])
     colors = ColorAssignment((0, 0, 1, 1, 1))
     spec = FairnessSpec(0, {1: (1, 2)})
-    c = fair_cc_bounded(g, colors, spec)
+    c = fair_cc(g, colors, spec)
     assert disagreements(g, c) == 0
     assert check_fairness(colors, c, spec).overall_pass
 
@@ -174,7 +166,7 @@ def test_bounded_constant_q2():
     for seed in range(20):
         g = random_graph(5, seed + 900)
         colors = random_colors((2, 3), seed)
-        c = fair_cc_bounded(g, colors, spec, PivotRun(seed, 25))
+        c = fair_cc(g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 40 * brute_opt_fair(g, colors, spec)
 
@@ -183,7 +175,7 @@ def test_bounded_global_ratio_out_of_range():
     g = SignedCompleteGraph.from_negative_edges(5, [])
     colors = ColorAssignment((0, 1, 1, 1, 1))
     with pytest.raises(InfeasibleSpecError):
-        fair_cc_bounded(g, colors, FairnessSpec(0, {1: (1, 2)}))
+        fair_cc(g, colors, FairnessSpec(0, {1: (1, 2)}))
 
 
 def test_hyper_node_members_share_cluster():
@@ -193,7 +185,7 @@ def test_hyper_node_members_share_cluster():
         colors = random_colors((3, 6), seed)
         matchings = build_matchings(g, colors, spec)
         nodes = hyper_nodes(matchings, colors.vertices_of(0))
-        c = fair_cc_multi(g, colors, spec, PivotRun(seed, 5))
+        c = fair_cc(g, colors, spec, PivotRun(seed, 5))
         for node in nodes:
             ids = {c.cluster_of[v] for v in node.members}
             assert len(node.attached) == 2
@@ -220,13 +212,46 @@ def test_try_all_bases_never_worse():
     for seed in range(10):
         g = random_graph(6, seed + 60)
         colors = random_colors((2, 2, 2), seed)
-        fixed = fair_cc_multi(g, colors, spec, PivotRun(seed, 10))
-        swept = fair_cc_multi(g, colors, spec, PivotRun(seed, 10), try_all_bases=True)
+        fixed = fair_cc(g, colors, spec, PivotRun(seed, 10))
+        swept = fair_cc(g, colors, spec, PivotRun(seed, 10), try_all_bases=True)
         assert disagreements(g, swept) <= disagreements(g, fixed)
     with pytest.raises(InvalidInputError):
-        fair_cc_multi(
+        fair_cc(
             random_graph(6, 0),
             random_colors((2, 4), 0),
             FairnessSpec.exact({1: 2}),
             try_all_bases=True,
         )
+    with pytest.raises(InvalidInputError):
+        fair_cc(
+            random_graph(6, 0),
+            random_colors((3, 3), 0),
+            FairnessSpec(0, {1: (1, 2)}),
+            try_all_bases=True,
+        )
+
+
+
+def test_fair_cc_pinned_labels():
+    """Labels recorded from the per-case entry points that fair_cc replaced
+    (1:2 two-color, 1:1:1 with and without the base sweep, 1:1..1:2)."""
+    g, colors = random_graph(24, 301), random_colors((8, 16), 1)
+    c = fair_cc(g, colors, FairnessSpec.exact({1: 2}), PivotRun(3, 10))
+    assert c.cluster_of == (
+        0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1
+    )
+    g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
+    spec = FairnessSpec.exact({1: 1, 2: 1})
+    c = fair_cc(g, colors, spec, PivotRun(4, 10))
+    assert c.cluster_of == (
+        0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0
+    )
+    c = fair_cc(g, colors, spec, PivotRun(4, 10), try_all_bases=True)
+    assert c.cluster_of == (
+        0, 1, 0, 1, 1, 2, 0, 0, 2, 1, 2, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1
+    )
+    g, colors = random_graph(24, 303), random_colors((10, 14), 3)
+    c = fair_cc(g, colors, FairnessSpec(0, {1: (1, 2)}), PivotRun(5, 10))
+    assert c.cluster_of == (
+        0, 1, 1, 2, 2, 1, 1, 1, 1, 1, 0, 0, 2, 1, 0, 2, 1, 1, 1, 1, 0, 1, 2, 1
+    )

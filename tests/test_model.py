@@ -162,6 +162,8 @@ def test_graph_json_roundtrip():
         {"n": 3, "negative_edges": None},
         {"n": 3, "negative_edges": [[0, 1], [0, 1]]},
         {"n": 4, "negative_edges": [[0, 1], [2, 3], [0, 1]]},
+        {"n": 3, "negative_edges": [[True, 2]]},
+        {"n": 3, "negative_edges": [[0, False]]},
     ],
 )
 def test_graph_json_malformed_is_parse_error(obj):

@@ -15,7 +15,10 @@ from faircc import (
     opt_cc,
     opt_fair,
 )
-from conftest import brute_opt, brute_opt_fair, random_colors, random_graph
+from faircc.oracle import best_partition
+from conftest import all_partitions, brute_opt, brute_opt_fair, random_colors, random_graph
+
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
 
 def all_positive(n):
@@ -26,6 +29,38 @@ def all_negative(n):
     return SignedCompleteGraph.from_negative_edges(
         n, [(u, v) for u in range(n) for v in range(u + 1, n)]
     )
+
+
+def negative_rows(g):
+    return (g.signs < 0).astype(np.uint8).tolist()
+
+
+@pytest.mark.parametrize("n,count", sorted(BELL.items()))
+def test_enumerator_counts_match_bell_numbers(n, count):
+    assert sum(1 for _ in all_partitions(n)) == count
+
+
+def test_python_kernel_matches_enumeration():
+    for seed in range(20):
+        g = random_graph(6, seed)
+        cost, assign = best_partition(negative_rows(g), [0] * 6, 0, [1], [1], False)
+        assert cost == brute_opt(g)
+        assert tuple(assign) in set(all_partitions(6))
+
+
+def test_lexicographic_tie_break():
+    # +,+,- triangle: optima are [0,0,0], [0,0,1], [0,1,0], all cost 1
+    signs = np.array([[0, 1, 1], [1, 0, -1], [1, -1, 0]], dtype=np.int8)
+    g = SignedCompleteGraph(3, signs)
+    cost, assign = best_partition(negative_rows(g), [0] * 3, 0, [1], [1], False)
+    assert (cost, assign) == (1, [0, 0, 0])
+
+
+def test_fair_infeasible_returns_sentinel():
+    g = random_graph(4, 1)
+    # 1 base vertex, 3 others, exact ratio 1:1 is unsatisfiable
+    cost, assign = best_partition(negative_rows(g), [0, 1, 1, 1], 0, [1, 1], [1, 1], True)
+    assert cost == -1 and assign is None
 
 
 def test_opt_cc_extremes():

@@ -5,8 +5,8 @@ clustering.
 
 from __future__ import annotations
 
-from .errors import InfeasibleSpecError
-from .fair_clustering import build_matchings, check_spec, hyper_nodes, run_pipeline
+from .errors import InfeasibleSpecError, InvalidInputError
+from .fair_clustering import build_fairlets, check_spec, run_pipeline
 from .model import (
     Clustering,
     ColorAssignment,
@@ -27,13 +27,16 @@ def run_wmatch(
     colors: ColorAssignment,
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
+    fairlets: tuple | None = None,
 ) -> Clustering:
-    """Each matching component (hyper-node) becomes its own cluster."""
-    matchings = build_matchings(g, colors, spec)
-    lefts = colors.vertices_of(spec.base_color)
+    """Each fairlet (matching component) becomes its own cluster; the
+    result needs no seed. ``fairlets`` stands in for
+    build_fairlets(g, colors, spec)."""
+    if fairlets is None:
+        fairlets = build_fairlets(g, colors, spec)
     label = {}
-    for idx, node in enumerate(hyper_nodes(matchings, lefts)):
-        for v in node.members:
+    for idx, fairlet in enumerate(fairlets):
+        for v in fairlet.members:
             label[v] = idx
     return Clustering.from_labels([label[v] for v in range(g.n)])
 
@@ -43,9 +46,11 @@ def run_ufaircc(
     colors: ColorAssignment,
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
+    fairlets: tuple | None = None,
 ) -> Clustering:
-    """Fairlet pipeline with every matching cost set to 1."""
-    return run_pipeline(g, colors, spec, pivot, unit_costs=True)
+    """Fairlet pipeline with every matching cost set to 1. ``fairlets``
+    stands in for build_fairlets(g, colors, spec, unit_costs=True)."""
+    return run_pipeline(g, colors, spec, pivot, unit_costs=True, fairlets=fairlets)
 
 
 def _pos_degree_to(g, v, members):
@@ -61,9 +66,10 @@ def run_ccmerge(
     g: SignedCompleteGraph,
     colors: ColorAssignment,
     spec: FairnessSpec,
-    pivot: PivotRun = PivotRun(),
+    clustering: Clustering,
 ) -> Clustering:
-    """Unconstrained pivot clustering followed by greedy fairness repair.
+    """Greedy fairness repair of an unconstrained ``clustering``, in the
+    baseline usually run_cc(g, pivot).
 
     Clusters are processed in decreasing size; each keeps its largest fair
     sub-multiset (members ranked by positive degree inside the cluster),
@@ -74,9 +80,11 @@ def run_ccmerge(
     constraint still has room.
     """
     check_spec(colors, spec)
+    if clustering.n != g.n:
+        raise InvalidInputError("clustering length does not match graph")
     base = spec.base_color
     non_base = sorted(spec.bounds)
-    initial = run_cc(g, pivot).clusters()
+    initial = clustering.clusters()
     initial.sort(key=lambda m: (-len(m), min(m)))
 
     pool = {c: [] for c in [base] + non_base}

@@ -58,20 +58,39 @@ def parse_spec(ratio, bounds):
     return None
 
 
-def run_algorithm(algo, g, colors, spec, pivot, try_all_bases=False):
+def run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases=False):
+    """Run one algorithm on one instance.
+
+    ``memo`` is a dict the caller keeps for this instance (and spec). The
+    seed-free fairlets, per ``unit_costs``, and the ``cc`` clustering, per
+    PivotRun, are computed on first use and reused by every later call
+    with the same memo; ``ccmerge`` repairs the ``cc`` clustering of its
+    seed.
+    """
     if algo == "cc":
-        return baselines.run_cc(g, pivot)
+        if ("cc", pivot) not in memo:
+            memo["cc", pivot] = baselines.run_cc(g, pivot)
+        return memo["cc", pivot]
     if spec is None:
         raise ParseError(f"algorithm {algo!r} needs --ratio or --bounds")
-    if algo == "wmatch":
-        return baselines.run_wmatch(g, colors, spec, pivot)
-    if algo == "ufaircc":
-        return baselines.run_ufaircc(g, colors, spec, pivot)
     if algo == "ccmerge":
-        return baselines.run_ccmerge(g, colors, spec, pivot)
-    if algo == "faircc":
-        return fair_clustering.fair_cc(g, colors, spec, pivot, try_all_bases=try_all_bases)
-    raise ParseError(f"unknown algorithm {algo!r}")
+        cc = run_algorithm("cc", g, colors, spec, pivot, memo)
+        return baselines.run_ccmerge(g, colors, spec, cc)
+    if algo == "faircc" and try_all_bases:
+        return fair_clustering.fair_cc(g, colors, spec, pivot, try_all_bases=True)
+    if algo not in ("wmatch", "ufaircc", "faircc"):
+        raise ParseError(f"unknown algorithm {algo!r}")
+    unit_costs = algo == "ufaircc"
+    if ("fairlets", unit_costs) not in memo:
+        memo["fairlets", unit_costs] = fair_clustering.build_fairlets(
+            g, colors, spec, unit_costs
+        )
+    fairlets = memo["fairlets", unit_costs]
+    if algo == "wmatch":
+        return baselines.run_wmatch(g, colors, spec, fairlets=fairlets)
+    if algo == "ufaircc":
+        return baselines.run_ufaircc(g, colors, spec, pivot, fairlets=fairlets)
+    return fair_clustering.fair_cc(g, colors, spec, pivot, fairlets=fairlets)
 
 
 def _load_instance(graph_path, colors_path):
@@ -84,6 +103,10 @@ def _load_instance(graph_path, colors_path):
         if colors.n != g.n:
             raise ParseError("colors file does not match graph size")
     return g, colors
+
+
+def _violations(colors, clustering, spec):
+    return check_fairness(colors, clustering, spec).describe_violations()
 
 
 def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
@@ -117,14 +140,22 @@ def cmd_ingest(args):
     ds, dropped = ingest.load_csv(args.csv, schema)
     if dropped:
         print(f"dropped {dropped} rows missing the protected attribute")
+    # a balanced sample takes its ratio terms in the full data's color order
+    ids = ingest.color_ids(ds)
     if args.sample is not None:
         ds = ingest.sample(ds, args.sample, args.seed, balance=args.balance)
-    g, colors = ingest.build_graph(ds, ingest.SimilarityConfig(tau=args.tau))
+        if args.balance is None:
+            ids = ingest.color_ids(ds)  # a plain sample may miss a color
+    g, colors = ingest.build_graph(ds, ingest.SimilarityConfig(tau=args.tau), ids)
     with open(args.out_graph, "w") as fh:
         fh.write(g.to_json() + "\n")
     with open(args.out_colors, "w") as fh:
         fh.write(colors.to_csv())
-    print(f"wrote {g.n} vertices, {len(g.negative_edges())} negative edges")
+    names = ", ".join(f"{value}={color}" for value, color in ids.items())
+    print(
+        f"wrote {g.n} vertices, {len(g.negative_edges())} negative edges, "
+        f"colors {names}"
+    )
     return 0
 
 
@@ -136,14 +167,17 @@ def cmd_cluster(args):
     pivot = PivotRun(args.seed, args.restarts)
     start = time.perf_counter()
     clustering = run_algorithm(
-        args.algo, g, colors, spec, pivot, try_all_bases=args.try_all_bases
+        args.algo, g, colors, spec, pivot, {}, try_all_bases=args.try_all_bases
     )
     millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
     row = _result_row(
         args.dataset, args.algo, args.seed, g, colors, spec, clustering, millis
     )
     if args.algo != "cc" and spec is not None and row["fair"] is False:
-        raise FairCCError("fairness-guaranteed algorithm produced an unfair clustering")
+        raise FairCCError(
+            "fairness-guaranteed algorithm produced an unfair clustering: "
+            + _violations(colors, clustering, spec)
+        )
     with open(args.out_clustering, "w") as fh:
         fh.write(clustering.to_json() + "\n")
     with open(args.out_result, "w") as fh:
@@ -185,19 +219,20 @@ def cmd_experiment(args):
         raise ParseError("fair algorithms need --ratio or --bounds")
     seeds = [args.seed + k for k in range(args.runs)]
     rows = []
+    memo = {}
     for algo in algos:
         for seed in seeds:
             start = time.perf_counter()
-            clustering = run_algorithm(algo, g, colors, spec, PivotRun(seed, args.restarts))
+            pivot = PivotRun(seed, args.restarts)
+            clustering = run_algorithm(algo, g, colors, spec, pivot, memo)
             millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
-            rows.append(
-                _result_row(args.dataset, algo, seed, g, colors, spec, clustering, millis)
-            )
-    for row in rows:
-        if row["algo"] != "cc" and spec is not None and row["fair"] is False:
-            raise FairCCError(
-                f"{row['algo']} seed {row['seed']}: fairness invariant violated"
-            )
+            row = _result_row(args.dataset, algo, seed, g, colors, spec, clustering, millis)
+            if algo != "cc" and spec is not None and row["fair"] is False:
+                raise FairCCError(
+                    f"{algo} seed {seed}: fairness invariant violated: "
+                    + _violations(colors, clustering, spec)
+                )
+            rows.append(row)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -242,7 +277,7 @@ def _verify_instance(g, colors, spec, pivot, limit):
             "<=",
             report.budgets[color],
         )
-    clustering = run_algorithm("faircc", g, colors, spec, pivot)
+    clustering = run_algorithm("faircc", g, colors, spec, pivot, {})
     cost = disagreements(g, clustering)
     budget = fair_clustering.approximation_budget(spec, colors.num_colors)
     ok &= _print_check(

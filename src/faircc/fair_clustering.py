@@ -113,22 +113,39 @@ def hyper_nodes(matchings, lefts) -> list:
     return [HyperNode(v, tuple(sorted(attached[v]))) for v in lefts]
 
 
-def run_pipeline(g, colors, spec, pivot, unit_costs=False):
-    """Match, pivot on the base color, attach. Shared by every fair
-    variant; ``unit_costs`` swaps the pair costs for constant 1 entries."""
+def build_fairlets(g, colors, spec, unit_costs=False) -> tuple:
+    """The seed-free first stage: match every non-base color to the base
+    color and fold the matchings into one HyperNode per base vertex.
+    ``unit_costs`` swaps the pair costs for constant 1 entries."""
     matchings = build_matchings(g, colors, spec, unit_costs=unit_costs)
-    lefts = colors.vertices_of(spec.base_color)
-    nodes = hyper_nodes(matchings, lefts)
-    run = PivotRun(pivot.seed, pivot.restarts, tuple(lefts))
+    return tuple(hyper_nodes(matchings, colors.vertices_of(spec.base_color)))
+
+
+def cluster_fairlets(g, colors, spec, fairlets, pivot) -> Clustering:
+    """The seeded second stage: pivot on the fairlet representatives, give
+    every fairlet its representative's cluster, and check fairness."""
+    run = PivotRun(pivot.seed, pivot.restarts, tuple(f.representative for f in fairlets))
     label = best_of_restarts(g, run)
     cluster_label = {}
-    for node in nodes:
-        for v in node.members:
-            cluster_label[v] = label[node.representative]
+    for fairlet in fairlets:
+        for v in fairlet.members:
+            cluster_label[v] = label[fairlet.representative]
     c = Clustering.from_labels([cluster_label[v] for v in range(g.n)])
-    if not check_fairness(colors, c, spec).overall_pass:
-        raise FairCCError("internal error: pipeline produced an unfair clustering")
+    report = check_fairness(colors, c, spec)
+    if not report.overall_pass:
+        raise FairCCError(
+            "internal error: pipeline produced an unfair clustering: "
+            + report.describe_violations()
+        )
     return c
+
+
+def run_pipeline(g, colors, spec, pivot, unit_costs=False, fairlets=None):
+    """Both stages. Shared by every fair variant; pass ``fairlets`` when
+    build_fairlets(g, colors, spec, unit_costs) is already at hand."""
+    if fairlets is None:
+        fairlets = build_fairlets(g, colors, spec, unit_costs)
+    return cluster_fairlets(g, colors, spec, fairlets, pivot)
 
 
 def fair_cc(
@@ -137,15 +154,19 @@ def fair_cc(
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
     try_all_bases: bool = False,
+    fairlets: tuple | None = None,
 ) -> Clustering:
     """Fair clustering for any number of colors under an exact (1:p_i) or
     interval (1:p_i..1:q_i) spec.
 
     With ``try_all_bases`` (only valid when every ratio is 1:1) the pipeline
     runs once per candidate base color and keeps the cheapest result.
+    ``fairlets``, if given, are build_fairlets(g, colors, spec) and stand in
+    for that build (with ``try_all_bases``, for the base-color pass whose
+    spec equals ``spec``).
     """
     if not try_all_bases:
-        return run_pipeline(g, colors, spec, pivot)
+        return run_pipeline(g, colors, spec, pivot, fairlets=fairlets)
     if any(bounds != (1, 1) for bounds in spec.bounds.values()):
         raise InvalidInputError("try_all_bases requires all ratios 1:1")
     best = None
@@ -153,7 +174,8 @@ def fair_cc(
         alt = FairnessSpec.exact(
             {c: 1 for c in range(colors.num_colors) if c != base}, base_color=base
         )
-        c = run_pipeline(g, colors, alt, pivot)
+        own = fairlets if alt == spec else None
+        c = run_pipeline(g, colors, alt, pivot, fairlets=own)
         cost = disagreements(g, c)
         if best is None or cost < best[0]:
             best = (cost, c)

@@ -116,9 +116,20 @@ def _parse_ratio(text):
     return parts
 
 
+def color_ids(ds: TabularDataset) -> dict:
+    """Protected value -> color id, numbered by first appearance in ``ds``.
+    ``sample`` assigns the terms of its balance ratio in this order, so the
+    map of the full dataset gives a balanced sample's base color id 0."""
+    ids = {}
+    for v in ds.protected_values():
+        ids.setdefault(v, len(ids))
+    return ids
+
+
 def sample(ds: TabularDataset, n, seed, balance=None) -> TabularDataset:
     """Deterministic sample of n rows: a seeded permutation, prefix-taken
-    per color when ``balance`` (a '1:p...' ratio string) is given."""
+    per color when ``balance`` (a '1:p...' ratio string) is given, its
+    terms matched to the protected values in color_ids(ds) order."""
     if n > ds.n:
         raise InvalidInputError(f"cannot sample {n} of {ds.n} rows")
     order = list(range(ds.n))
@@ -128,10 +139,7 @@ def sample(ds: TabularDataset, n, seed, balance=None) -> TabularDataset:
         return TabularDataset(tuple(ds.rows[i] for i in picked), ds.schema)
     ratio = _parse_ratio(balance)
     values = ds.protected_values()
-    first_seen = []
-    for v in values:
-        if v not in first_seen:
-            first_seen.append(v)
+    first_seen = list(color_ids(ds))
     if len(first_seen) != len(ratio):
         raise InfeasibleSpecError(
             f"balance {balance!r} names {len(ratio)} colors, dataset has {len(first_seen)}"
@@ -165,8 +173,11 @@ class SimilarityConfig:
             raise InvalidInputError("tau must lie in [0, 1]")
 
 
-def build_graph(ds: TabularDataset, cfg: SimilarityConfig = SimilarityConfig()):
-    """Signed complete graph plus colors from the protected attribute.
+def build_graph(
+    ds: TabularDataset, cfg: SimilarityConfig = SimilarityConfig(), ids=None
+):
+    """Signed complete graph plus colors from the protected attribute,
+    numbered by ``ids`` (value -> color id, default color_ids(ds)).
 
     similarity(u, v) = mean over feature columns; positive sign iff
     similarity >= tau. Deterministic, no randomness anywhere.
@@ -197,11 +208,5 @@ def build_graph(ds: TabularDataset, cfg: SimilarityConfig = SimilarityConfig()):
     np.fill_diagonal(signs, 0)
     g = SignedCompleteGraph(n, signs)
 
-    values = ds.protected_values()
-    ids = {}
-    color_of = []
-    for v in values:
-        if v not in ids:
-            ids[v] = len(ids)
-        color_of.append(ids[v])
-    return g, ColorAssignment(tuple(color_of))
+    ids = color_ids(ds) if ids is None else ids
+    return g, ColorAssignment(tuple(ids[v] for v in ds.protected_values()))

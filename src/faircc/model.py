@@ -286,6 +286,18 @@ class FairnessReport:
     cluster_pass: tuple
     overall_pass: bool
 
+    def describe_violations(self, limit=3):
+        """'cluster i {color: count, ...}' for the first ``limit`` failing
+        clusters, plus how many more fail."""
+        bad = [i for i, ok in enumerate(self.cluster_pass) if not ok]
+        text = "; ".join(
+            f"cluster {i} {dict(sorted(self.cluster_color_counts[i].items()))}"
+            for i in bad[:limit]
+        )
+        if len(bad) > limit:
+            text += f"; and {len(bad) - limit} more"
+        return text
+
 
 def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
     """Negative edges trapped inside a cluster plus positive edges cut

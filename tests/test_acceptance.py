@@ -27,6 +27,7 @@ from faircc import (
     mirror_graph,
     opt_bmatching,
     opt_fair,
+    run_cc,
     run_ccmerge,
     run_ufaircc,
     run_wmatch,
@@ -70,7 +71,7 @@ def test_fairness_hard_invariant():
             outputs = [
                 run_wmatch(g, colors, spec, pivot),
                 run_ufaircc(g, colors, spec, pivot),
-                run_ccmerge(g, colors, spec, pivot),
+                run_ccmerge(g, colors, spec, run_cc(g, pivot)),
             ]
             outputs.append(fair_cc(g, colors, spec, pivot))
             for c in outputs:

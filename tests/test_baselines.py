@@ -107,7 +107,7 @@ def test_ccmerge_keeps_already_fair_clusters():
     )
     colors = ColorAssignment((0, 1, 0, 1))
     spec = FairnessSpec.exact({1: 1})
-    c = run_ccmerge(g, colors, spec, PivotRun(0, 25))
+    c = run_ccmerge(g, colors, spec, run_cc(g, PivotRun(0, 25)))
     assert disagreements(g, c) == 0
     assert c.cluster_of[0] == c.cluster_of[1]
     assert c.cluster_of[2] == c.cluster_of[3]
@@ -118,7 +118,7 @@ def test_ccmerge_all_negative_pairs_cost_two():
     # edge inside plus nothing cut
     g = all_negative(4)
     colors = ColorAssignment((0, 0, 1, 1))
-    c = run_ccmerge(g, colors, FairnessSpec.exact({1: 1}))
+    c = run_ccmerge(g, colors, FairnessSpec.exact({1: 1}), run_cc(g))
     assert check_fairness(colors, c, FairnessSpec.exact({1: 1})).overall_pass
     assert disagreements(g, c) == 2
 
@@ -128,7 +128,7 @@ def test_ccmerge_fairness_sweep():
         g = random_graph(9, seed + 600)
         colors = random_colors((3, 6), seed)
         spec = FairnessSpec.exact({1: 2})
-        c = run_ccmerge(g, colors, spec, PivotRun(seed, 5))
+        c = run_ccmerge(g, colors, spec, run_cc(g, PivotRun(seed, 5)))
         assert check_fairness(colors, c, spec).overall_pass
 
 
@@ -137,7 +137,7 @@ def test_ccmerge_interval_spec_sweep():
     for seed in range(30):
         g = random_graph(7, seed + 700)
         colors = random_colors((3, 4), seed)
-        c = run_ccmerge(g, colors, spec, PivotRun(seed, 5))
+        c = run_ccmerge(g, colors, spec, run_cc(g, PivotRun(seed, 5)))
         assert check_fairness(colors, c, spec).overall_pass
 
 
@@ -146,7 +146,7 @@ def test_ccmerge_three_colors():
     for seed in range(20):
         g = random_graph(9, seed + 750)
         colors = random_colors((3, 3, 3), seed)
-        c = run_ccmerge(g, colors, spec, PivotRun(seed, 5))
+        c = run_ccmerge(g, colors, spec, run_cc(g, PivotRun(seed, 5)))
         assert check_fairness(colors, c, spec).overall_pass
 
 
@@ -154,14 +154,17 @@ def test_ccmerge_globally_infeasible():
     g = all_positive(3)
     colors = ColorAssignment((0, 1, 1))
     with pytest.raises(InfeasibleSpecError):
-        run_ccmerge(g, colors, FairnessSpec.exact({1: 1}))
+        run_ccmerge(g, colors, FairnessSpec.exact({1: 1}), run_cc(g))
 
 
 def test_baselines_deterministic():
     g = random_graph(8, seed=11)
     colors = random_colors((4, 4), 11)
     spec = FairnessSpec.exact({1: 1})
-    for fn in (run_wmatch, run_ufaircc, run_ccmerge):
+    def ccmerge(g, colors, spec, pivot):
+        return run_ccmerge(g, colors, spec, run_cc(g, pivot))
+
+    for fn in (run_wmatch, run_ufaircc, ccmerge):
         a = fn(g, colors, spec, PivotRun(3, 10))
         b = fn(g, colors, spec, PivotRun(3, 10))
         assert a == b

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from faircc import Clustering, ColorAssignment, SignedCompleteGraph, check_fairness
+from faircc import cli
 from faircc.cli import main, parse_spec
+from faircc.fair_clustering import HyperNode
 from conftest import random_colors, random_graph
 
 
@@ -364,3 +366,151 @@ def test_ingest_with_balanced_sample(workspace, capsys):
     assert rc == 0
     colors = ColorAssignment.from_csv((workspace / "c.csv").read_text())
     assert colors.counts == (8, 8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ingest_balanced_sample_round_trip(workspace, capsys, seed):
+    """A balanced sample numbers its colors in the order the balance ratio
+    was applied, so the same ratio clusters it; numbering by first
+    appearance in the sample made M (four of six rows) the base color."""
+    rows = [(f"v{i}", i, "x", "F" if i % 3 == 0 else "M") for i in range(40)]
+    (workspace / "every3.csv").write_text(make_csv(rows))
+    rc = main(
+        [
+            "ingest",
+            "--csv", str(workspace / "every3.csv"),
+            "--schema", str(workspace / "schema.json"),
+            "--sample", "6",
+            "--balance", "1:2",
+            "--seed", str(seed),
+            "--out-graph", str(workspace / "g.json"),
+            "--out-colors", str(workspace / "c.csv"),
+        ]
+    )
+    assert rc == 0
+    summary = capsys.readouterr().out
+    rc = main(
+        [
+            "cluster",
+            "--graph", str(workspace / "g.json"),
+            "--colors", str(workspace / "c.csv"),
+            "--algo", "faircc",
+            "--ratio", "1:2",
+            "--out-clustering", str(workspace / "k.json"),
+            "--out-result", str(workspace / "r.json"),
+        ]
+    )
+    assert rc == 0, capsys.readouterr().err
+    assert "colors F=0, M=1" in summary
+
+
+def split_by_color(g, colors, spec, *args, **kwargs):
+    """An unfair clustering: one cluster per color."""
+    return Clustering.from_labels(colors.color_of)
+
+
+def lopsided_fairlets(g, colors, spec, unit_costs=False):
+    """Fairlets that glue every non-base vertex to the first base vertex."""
+    lefts = colors.vertices_of(spec.base_color)
+    rest = tuple(v for v in range(g.n) if v not in lefts)
+    return (HyperNode(lefts[0], rest),) + tuple(HyperNode(v, ()) for v in lefts[1:])
+
+
+@pytest.mark.parametrize(
+    "command,target,replacement,message,counts",
+    [
+        ("cluster", "baselines.run_wmatch", split_by_color,
+         "fairness-guaranteed algorithm produced an unfair clustering",
+         ["cluster 0 {0: 4}", "cluster 1 {1: 4}"]),
+        ("experiment", "baselines.run_wmatch", split_by_color,
+         "wmatch seed 0: fairness invariant violated",
+         ["cluster 0 {0: 4}", "cluster 1 {1: 4}"]),
+        ("cluster", "fair_clustering.build_fairlets", lopsided_fairlets,
+         "internal error: pipeline produced an unfair clustering",
+         ["{0: 1, 1: 4}", "{0: 1}"]),
+    ],
+    ids=["cluster", "experiment", "pipeline"],
+)
+def test_unfair_result_names_the_clusters(
+    workspace, capsys, monkeypatch, command, target, replacement, message, counts
+):
+    module, name = target.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, replacement)
+    g = SignedCompleteGraph.from_negative_edges(
+        8, [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    )
+    (workspace / "g.json").write_text(g.to_json())
+    (workspace / "c.csv").write_text(ColorAssignment((0,) * 4 + (1,) * 4).to_csv())
+    argv = [
+        command,
+        "--graph", str(workspace / "g.json"),
+        "--colors", str(workspace / "c.csv"),
+        "--ratio", "1:1",
+    ]
+    if command == "cluster":
+        algo = "wmatch" if name == "run_wmatch" else "faircc"
+        argv += ["--algo", algo, "--out-clustering", str(workspace / "k.json"),
+                 "--out-result", str(workspace / "r.json")]
+    else:
+        argv += ["--algos", "cc,wmatch", "--runs", "2", "--out", str(workspace / "x.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    for text in counts:
+        assert text in err
+
+
+@pytest.mark.parametrize("spec", [["--ratio", "1:2"], ["--bounds", "1:1..1:2"]])
+def test_experiment_cells_match_cluster(workspace, capsys, spec):
+    """Sharing fairlets and cc clusterings across the matrix changes no
+    cell: each row equals a fresh ``cluster`` run of the same algo and
+    seed."""
+    write_planted(workspace, 60, (20, 40), seed=3, blocks=4)
+    files = ["--graph", str(workspace / "g.json"), "--colors", str(workspace / "c.csv")]
+    rc = main(
+        ["experiment", *files, *spec, "--algos", ",".join(cli.ALGORITHMS),
+         "--seed", "2", "--runs", "3", "--restarts", "7",
+         "--out", str(workspace / "x.csv")]
+    )
+    assert rc == 0
+    with open(workspace / "x.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["seed"] != "mean"]
+    assert len(rows) == 3 * len(cli.ALGORITHMS)
+    for row in rows:
+        rc = main(
+            ["cluster", *files, *spec, "--algo", row["algo"], "--seed", row["seed"],
+             "--restarts", "7", "--out-clustering", str(workspace / "k.json"),
+             "--out-result", str(workspace / "r.json")]
+        )
+        assert rc == 0
+        single = json.loads((workspace / "r.json").read_text())
+        assert (int(row["disagreements"]), int(row["clusters"])) == (
+            single["disagreements"], single["clusters"]
+        ), (row["algo"], row["seed"])
+
+
+def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
+    """Five algorithms by five seeds: two fairlet builds (pair costs and
+    unit costs) and one cc clustering per seed, which ccmerge reuses."""
+    calls = {"build_matchings": 0, "run_cc": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli.fair_clustering, "build_matchings")
+    counted(cli.baselines, "run_cc")
+    write_planted(workspace, 60, (20, 40), seed=3, blocks=4)
+    rc = main(
+        ["experiment", "--graph", str(workspace / "g.json"),
+         "--colors", str(workspace / "c.csv"), "--bounds", "1:1..1:2",
+         "--algos", "cc,faircc,wmatch,ufaircc,ccmerge", "--runs", "5",
+         "--restarts", "5", "--out", str(workspace / "x.csv")]
+    )
+    assert rc == 0
+    assert calls == {"build_matchings": 2, "run_cc": 5}

@@ -16,7 +16,9 @@ from faircc import (
 )
 from faircc.fair_clustering import (
     approximation_budget,
+    build_fairlets,
     build_matchings,
+    cluster_fairlets,
     hyper_nodes,
     pair_cost_table,
 )
@@ -255,3 +257,22 @@ def test_fair_cc_pinned_labels():
     assert c.cluster_of == (
         0, 1, 1, 2, 2, 1, 1, 1, 1, 1, 0, 0, 2, 1, 0, 2, 1, 1, 1, 1, 0, 1, 2, 1
     )
+
+
+def test_two_stages_compose_to_fair_cc():
+    """build_fairlets is seed-free and cluster_fairlets consumes it: one
+    build serves every seed, and passing it to fair_cc (also with the base
+    sweep) gives what fair_cc builds itself."""
+    g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
+    spec = FairnessSpec.exact({1: 1, 2: 1})
+    fairlets = build_fairlets(g, colors, spec)
+    assert fairlets == build_fairlets(g, colors, spec)
+    assert [f.representative for f in fairlets] == colors.vertices_of(0)
+    for seed in range(4):
+        pivot = PivotRun(seed, 5)
+        c = cluster_fairlets(g, colors, spec, fairlets, pivot)
+        assert c == fair_cc(g, colors, spec, pivot)
+        assert c == fair_cc(g, colors, spec, pivot, fairlets=fairlets)
+        assert fair_cc(g, colors, spec, pivot, try_all_bases=True) == fair_cc(
+            g, colors, spec, pivot, try_all_bases=True, fairlets=fairlets
+        )

@@ -11,6 +11,7 @@ from faircc import (
     sample,
     TabularDataset,
 )
+from faircc.ingest import color_ids
 
 SCHEMA = Schema(
     (
@@ -184,3 +185,15 @@ def test_build_graph_needs_two_rows_and_features():
 def test_similarity_config_validation():
     with pytest.raises(InvalidInputError):
         SimilarityConfig(tau=1.5)
+
+
+def test_balanced_sample_keeps_the_ratio_color_order():
+    """Numbered by the full dataset's map, the first ratio term is color 0
+    in every balanced sample, whichever value the sample shows first."""
+    ds = make_dataset(["F", "M", "M"] * 10)
+    ids = color_ids(ds)
+    assert ids == {"F": 0, "M": 1}
+    for seed in range(6):
+        got = sample(ds, 6, seed, balance="1:2")
+        _, colors = build_graph(got, SimilarityConfig(), ids)
+        assert colors.counts == (2, 4)

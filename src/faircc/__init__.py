@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
 )
 from .fair_clustering import (
-    HyperNode,
     approximation_budget,
     fair_cc,
     matching_weight_bound_check,
@@ -41,6 +40,6 @@ from .model import (
     disagreements,
 )
 from .oracle import OracleLimit, mirror_graph, opt_bmatching, opt_cc, opt_fair
-from .pivot import PivotRun, best_of_restarts, pivot_cluster, pivot_clustering
+from .pivot import PivotRun, best_of_restarts, pivot_cluster
 
 __version__ = "0.1.0"

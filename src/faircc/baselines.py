@@ -13,13 +13,13 @@ from .model import (
     FairnessSpec,
     SignedCompleteGraph,
 )
-from .pivot import PivotRun, pivot_clustering
+from .pivot import PivotRun, best_of_restarts
 
 
 def run_cc(g: SignedCompleteGraph, pivot: PivotRun = PivotRun()) -> Clustering:
     """Unconstrained best-of-restarts pivot clustering; no fairness
     guarantee."""
-    return pivot_clustering(g, PivotRun(pivot.seed, pivot.restarts, None))
+    return best_of_restarts(g, pivot)
 
 
 def run_wmatch(
@@ -27,18 +27,14 @@ def run_wmatch(
     colors: ColorAssignment,
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
-    fairlets: tuple | None = None,
+    fairlets=None,
 ) -> Clustering:
     """Each fairlet (matching component) becomes its own cluster; the
     result needs no seed. ``fairlets`` stands in for
     build_fairlets(g, colors, spec)."""
     if fairlets is None:
         fairlets = build_fairlets(g, colors, spec)
-    label = {}
-    for idx, fairlet in enumerate(fairlets):
-        for v in fairlet.members:
-            label[v] = idx
-    return Clustering.from_labels([label[v] for v in range(g.n)])
+    return Clustering.from_labels(fairlets.tolist())
 
 
 def run_ufaircc(
@@ -46,7 +42,7 @@ def run_ufaircc(
     colors: ColorAssignment,
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
-    fairlets: tuple | None = None,
+    fairlets=None,
 ) -> Clustering:
     """Fairlet pipeline with every matching cost set to 1. ``fairlets``
     stands in for build_fairlets(g, colors, spec, unit_costs=True)."""

@@ -21,7 +21,6 @@ import numpy as np
 from . import baselines, fair_clustering, ingest, oracle
 from .errors import FairCCError, ParseError
 from .model import (
-    Clustering,
     ColorAssignment,
     FairnessSpec,
     SignedCompleteGraph,
@@ -37,6 +36,27 @@ ALGORITHMS = ("cc", "wmatch", "ufaircc", "ccmerge", "faircc")
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(message)
+
+
+def _at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _read(path):
+    """Text of an input file; one that cannot be read is a ParseError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def parse_spec(ratio, bounds):
@@ -94,19 +114,13 @@ def run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases=False):
 
 
 def _load_instance(graph_path, colors_path):
-    with open(graph_path) as fh:
-        g = SignedCompleteGraph.from_json(fh.read())
+    g = SignedCompleteGraph.from_json(_read(graph_path))
     colors = None
     if colors_path:
-        with open(colors_path) as fh:
-            colors = ColorAssignment.from_csv(fh.read())
+        colors = ColorAssignment.from_csv(_read(colors_path))
         if colors.n != g.n:
             raise ParseError("colors file does not match graph size")
     return g, colors
-
-
-def _violations(colors, clustering, spec):
-    return check_fairness(colors, clustering, spec).describe_violations()
 
 
 def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
@@ -135,8 +149,7 @@ def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
 
 
 def cmd_ingest(args):
-    with open(args.schema) as fh:
-        schema = ingest.Schema.from_json(fh.read())
+    schema = ingest.Schema.from_json(_read(args.schema))
     ds, dropped = ingest.load_csv(args.csv, schema)
     if dropped:
         print(f"dropped {dropped} rows missing the protected attribute")
@@ -176,7 +189,7 @@ def cmd_cluster(args):
     if args.algo != "cc" and spec is not None and row["fair"] is False:
         raise FairCCError(
             "fairness-guaranteed algorithm produced an unfair clustering: "
-            + _violations(colors, clustering, spec)
+            + check_fairness(colors, clustering, spec).describe_violations()
         )
     with open(args.out_clustering, "w") as fh:
         fh.write(clustering.to_json() + "\n")
@@ -215,8 +228,8 @@ def cmd_experiment(args):
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ParseError(f"unknown algorithm {algo!r}")
-    if any(a != "cc" for a in algos) and spec is None:
-        raise ParseError("fair algorithms need --ratio or --bounds")
+    if any(a != "cc" for a in algos) and (spec is None or colors is None):
+        raise ParseError("fair algorithms need --colors and --ratio or --bounds")
     seeds = [args.seed + k for k in range(args.runs)]
     rows = []
     memo = {}
@@ -230,7 +243,7 @@ def cmd_experiment(args):
             if algo != "cc" and spec is not None and row["fair"] is False:
                 raise FairCCError(
                     f"{algo} seed {seed}: fairness invariant violated: "
-                    + _violations(colors, clustering, spec)
+                    + check_fairness(colors, clustering, spec).describe_violations()
                 )
             rows.append(row)
     buf = io.StringIO()
@@ -290,15 +303,14 @@ def cmd_verify(args):
     limit = oracle.OracleLimit.default()
     pivot = PivotRun(args.seed, args.restarts)
     if args.mirror:
-        with open(args.mirror) as fh:
-            g = SignedCompleteGraph.from_json(fh.read())
+        g = SignedCompleteGraph.from_json(_read(args.mirror))
         _, opt_g = oracle.opt_cc(g, limit=limit)
         h, colors = oracle.mirror_graph(g)
         spec = FairnessSpec.exact({1: 1})
         _, opt_h = oracle.opt_fair(h, colors, spec, limit=limit)
         ok = _print_check("opt_fair(mirror) == 4*opt_cc", opt_h, "==", 4 * opt_g)
         return 0 if ok else 1
-    if args.random:
+    if args.random is not None:
         rng = random.Random(args.seed)
         ok = True
         for _ in range(args.random):
@@ -319,6 +331,8 @@ def cmd_verify(args):
             spec = FairnessSpec.exact({1: 1})
             ok &= _verify_instance(g, colors, spec, pivot, limit)
         return 0 if ok else 1
+    if args.graph is None:
+        raise ParseError("verify needs --graph, --mirror or --random")
     g, colors = _load_instance(args.graph, args.colors)
     spec = parse_spec(args.ratio, args.bounds)
     if spec is None or colors is None:
@@ -327,8 +341,7 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
-    with open(args.mirror) as fh:
-        g = SignedCompleteGraph.from_json(fh.read())
+    g = SignedCompleteGraph.from_json(_read(args.mirror))
     h, colors = oracle.mirror_graph(g)
     with open(args.out_graph, "w") as fh:
         fh.write(h.to_json() + "\n")
@@ -375,7 +388,7 @@ def build_parser():
     p.add_argument("--ratio", default=None)
     p.add_argument("--bounds", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=5)
+    p.add_argument("--runs", type=_at_least(1), default=5)
     p.add_argument("--restarts", type=int, default=25)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--dataset", default="instance")
@@ -388,8 +401,8 @@ def build_parser():
     p.add_argument("--ratio", default=None)
     p.add_argument("--bounds", default=None)
     p.add_argument("--mirror", default=None, help="base graph for the mirror identity")
-    p.add_argument("--random", type=int, default=None, help="random instance sweep")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--random", type=_at_least(1), default=None, help="random instance sweep")
+    p.add_argument("--max-n", type=_at_least(2), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=25)
     p.set_defaults(func=cmd_verify)

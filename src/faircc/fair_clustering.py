@@ -1,5 +1,5 @@
-"""Fairlet pipeline: pair costs, per-color b-matchings, hyper-node
-formation, pivot clustering on the base color, and attachment.
+"""Fairlet pipeline: pair costs, per-color b-matchings, fairlet ids,
+pivot clustering on the base color, and attachment.
 
 The pair cost of clustering a non-base vertex u with a base vertex v is the
 number of third vertices whose edge labels to u and v disagree, plus one if
@@ -25,18 +25,6 @@ from .model import (
 )
 from .oracle import OracleLimit, opt_fair
 from .pivot import PivotRun, best_of_restarts
-
-
-@dataclass(frozen=True)
-class HyperNode:
-    """A base-color vertex plus the non-base vertices matched to it."""
-
-    representative: int
-    attached: tuple
-
-    @property
-    def members(self):
-        return (self.representative,) + self.attached
 
 
 def pair_cost(g: SignedCompleteGraph, u: int, v: int) -> int:
@@ -104,33 +92,30 @@ def build_matchings(
     return out
 
 
-def hyper_nodes(matchings, lefts) -> list:
-    """Fold the per-color matchings into one HyperNode per base vertex."""
-    attached = {v: [] for v in lefts}
-    for _, (matching, left_list, right_list) in sorted(matchings.items()):
-        for r, l in enumerate(matching.assign):
-            attached[left_list[l]].append(right_list[r])
-    return [HyperNode(v, tuple(sorted(attached[v]))) for v in lefts]
-
-
-def build_fairlets(g, colors, spec, unit_costs=False) -> tuple:
+def build_fairlets(g, colors, spec, unit_costs=False) -> np.ndarray:
     """The seed-free first stage: match every non-base color to the base
-    color and fold the matchings into one HyperNode per base vertex.
-    ``unit_costs`` swaps the pair costs for constant 1 entries."""
+    color. Returns the read-only fairlet id of every vertex: the i-th base
+    vertex and every vertex matched to it get id i. ``unit_costs`` swaps
+    the pair costs for constant 1 entries."""
     matchings = build_matchings(g, colors, spec, unit_costs=unit_costs)
-    return tuple(hyper_nodes(matchings, colors.vertices_of(spec.base_color)))
+    lefts = colors.vertices_of(spec.base_color)
+    # check_spec has made the base and the matched colors cover every vertex
+    fairlets = np.empty(colors.n, np.int64)
+    fairlets[lefts] = np.arange(len(lefts))
+    for matching, _, rights in matchings.values():
+        fairlets[rights] = matching.assign
+    fairlets.setflags(write=False)
+    return fairlets
 
 
 def cluster_fairlets(g, colors, spec, fairlets, pivot) -> Clustering:
-    """The seeded second stage: pivot on the fairlet representatives, give
-    every fairlet its representative's cluster, and check fairness."""
-    run = PivotRun(pivot.seed, pivot.restarts, tuple(f.representative for f in fairlets))
-    label = best_of_restarts(g, run)
-    cluster_label = {}
-    for fairlet in fairlets:
-        for v in fairlet.members:
-            cluster_label[v] = label[fairlet.representative]
-    c = Clustering.from_labels([cluster_label[v] for v in range(g.n)])
+    """The seeded second stage: pivot on the graph induced by the base
+    color, give every fairlet its base vertex's cluster, and check
+    fairness."""
+    lefts = colors.vertices_of(spec.base_color)
+    induced = SignedCompleteGraph(len(lefts), g.signs[np.ix_(lefts, lefts)])
+    base = best_of_restarts(induced, pivot)
+    c = Clustering.from_labels(np.asarray(base.cluster_of)[fairlets].tolist())
     report = check_fairness(colors, c, spec)
     if not report.overall_pass:
         raise FairCCError(
@@ -154,7 +139,7 @@ def fair_cc(
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
     try_all_bases: bool = False,
-    fairlets: tuple | None = None,
+    fairlets: np.ndarray | None = None,
 ) -> Clustering:
     """Fair clustering for any number of colors under an exact (1:p_i) or
     interval (1:p_i..1:q_i) spec.
@@ -169,17 +154,15 @@ def fair_cc(
         return run_pipeline(g, colors, spec, pivot, fairlets=fairlets)
     if any(bounds != (1, 1) for bounds in spec.bounds.values()):
         raise InvalidInputError("try_all_bases requires all ratios 1:1")
-    best = None
-    for base in range(colors.num_colors):
+
+    def from_base(base):
         alt = FairnessSpec.exact(
             {c: 1 for c in range(colors.num_colors) if c != base}, base_color=base
         )
-        own = fairlets if alt == spec else None
-        c = run_pipeline(g, colors, alt, pivot, fairlets=own)
-        cost = disagreements(g, c)
-        if best is None or cost < best[0]:
-            best = (cost, c)
-    return best[1]
+        return run_pipeline(g, colors, alt, pivot, fairlets=fairlets if alt == spec else None)
+
+    # min keeps the first of equally cheap results: the smallest base color
+    return min(map(from_base, range(colors.num_colors)), key=lambda c: disagreements(g, c))
 
 
 def approximation_budget(spec: FairnessSpec, num_colors: int, alpha: int = 3) -> int:

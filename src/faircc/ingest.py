@@ -73,7 +73,11 @@ def load_csv(path, schema: Schema):
     Rows with a missing protected attribute are dropped; returns
     (dataset, dropped_count).
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -211,10 +211,6 @@ class FairnessSpec:
     def is_exact(self):
         return all(p == q for p, q in self.bounds.values())
 
-    def colors(self):
-        """All color ids the spec constrains, base first."""
-        return [self.base_color] + sorted(self.bounds)
-
     @classmethod
     def exact(cls, ratios, base_color=0):
         """Spec with p_i = q_i = ratios[i] for non-base colors 1..k-1."""
@@ -315,39 +311,34 @@ def agreements(g: SignedCompleteGraph, c: Clustering) -> int:
     return g.n * (g.n - 1) // 2 - disagreements(g, c)
 
 
+def _color_counts(colors: ColorAssignment, c: Clustering) -> list:
+    """Color histogram ({color: count}) of every cluster, indexed by
+    cluster id."""
+    if colors.n != c.n:
+        raise InvalidInputError("colors and clustering length mismatch")
+    counts = [{} for _ in range(c.num_clusters)]
+    for cluster, color in zip(c.cluster_of, colors.color_of):
+        hist = counts[cluster]
+        hist[color] = hist.get(color, 0) + 1
+    return counts
+
+
 def check_fairness(colors: ColorAssignment, c: Clustering, spec: FairnessSpec) -> FairnessReport:
     """A cluster with n1 base vertices and n_i of color i passes iff n1 >= 1
     and n1*p_i <= n_i <= n1*q_i for every constrained color i."""
-    if colors.n != c.n:
-        raise InvalidInputError("colors and clustering length mismatch")
-    counts = []
+    counts = _color_counts(colors, c)
+    bounds = spec.bounds.items()
     verdicts = []
-    for members in c.clusters():
-        hist = {}
-        for v in members:
-            col = colors.color_of[v]
-            hist[col] = hist.get(col, 0) + 1
+    for hist in counts:
         n1 = hist.get(spec.base_color, 0)
-        ok = n1 >= 1
-        for color, (p, q) in spec.bounds.items():
-            ni = hist.get(color, 0)
-            ok = ok and n1 * p <= ni <= n1 * q
-        counts.append(hist)
-        verdicts.append(ok)
+        verdicts.append(n1 >= 1 and all(n1 * p <= hist.get(i, 0) <= n1 * q for i, (p, q) in bounds))
     return FairnessReport(tuple(counts), tuple(verdicts), all(verdicts))
 
 
 def color_distribution(colors: ColorAssignment, c: Clustering):
     """Per-cluster color histograms, largest cluster first; ties broken by
     the smallest contained vertex id."""
-    if colors.n != c.n:
-        raise InvalidInputError("colors and clustering length mismatch")
-    rows = []
-    for members in c.clusters():
-        hist = {}
-        for v in members:
-            col = colors.color_of[v]
-            hist[col] = hist.get(col, 0) + 1
-        rows.append((-len(members), min(members), hist))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return [hist for _, _, hist in rows]
+    counts = _color_counts(colors, c)
+    labels = np.asarray(c.cluster_of)
+    _, smallest = np.unique(labels, return_index=True)
+    return [counts[i] for i in np.lexsort((smallest, -np.bincount(labels)))]

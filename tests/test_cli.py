@@ -7,7 +7,6 @@ import pytest
 from faircc import Clustering, ColorAssignment, SignedCompleteGraph, check_fairness
 from faircc import cli
 from faircc.cli import main, parse_spec
-from faircc.fair_clustering import HyperNode
 from conftest import random_colors, random_graph
 
 
@@ -185,6 +184,46 @@ def test_exit_code_parse_error(workspace, capsys):
         ]
     )
     assert rc == 3
+
+
+OUTS = "--out-clustering {ws}/k.json --out-result {ws}/r.json"
+INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("experiment --graph {ws}/g.json --algos cc,faircc --ratio 1:1 --out {ws}/x.csv",
+         "need --colors"),
+        ("experiment --graph {ws}/g.json --colors {ws}/c.csv --algos cc --runs 0 "
+         "--out {ws}/x.csv", "--runs: must be at least 1"),
+        ("verify --random 0", "--random: must be at least 1"),
+        ("verify", "verify needs --graph, --mirror or --random"),
+        ("verify --random 2 --max-n 1", "--max-n: must be at least 2"),
+        ("cluster --graph {ws}/missing.json --algo cc " + OUTS, "{ws}/missing.json"),
+        ("cluster --graph {ws}/g.json --colors {ws}/missing.csv --algo cc " + OUTS,
+         "{ws}/missing.csv"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/missing.json " + INGEST_OUTS,
+         "{ws}/missing.json"),
+        ("ingest --csv {ws}/missing.csv --schema {ws}/schema.json " + INGEST_OUTS,
+         "{ws}/missing.csv"),
+    ],
+    ids=[
+        "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
+        "verify-max-n-1", "missing-graph", "missing-colors", "missing-schema",
+        "missing-csv",
+    ],
+)
+def test_argument_errors_exit_3(workspace, capsys, argv, message):
+    """Bad arguments and unreadable input files exit 3 with the reason on
+    stderr, before any output file is written."""
+    g = random_graph(4, seed=1)
+    (workspace / "g.json").write_text(g.to_json())
+    (workspace / "c.csv").write_text(ColorAssignment((0, 1, 0, 1)).to_csv())
+    before = sorted(workspace.iterdir())
+    assert main(argv.format(ws=workspace).split()) == 3
+    assert message.format(ws=workspace) in capsys.readouterr().err
+    assert sorted(workspace.iterdir()) == before
 
 
 @pytest.mark.parametrize(
@@ -411,9 +450,10 @@ def split_by_color(g, colors, spec, *args, **kwargs):
 
 def lopsided_fairlets(g, colors, spec, unit_costs=False):
     """Fairlets that glue every non-base vertex to the first base vertex."""
+    fairlets = np.zeros(g.n, np.int64)
     lefts = colors.vertices_of(spec.base_color)
-    rest = tuple(v for v in range(g.n) if v not in lefts)
-    return (HyperNode(lefts[0], rest),) + tuple(HyperNode(v, ()) for v in lefts[1:])
+    fairlets[lefts] = np.arange(len(lefts))
+    return fairlets
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-import random
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircc import (
     ColorAssignment,
@@ -13,13 +14,16 @@ from faircc import (
     fair_cc,
     matching_weight_bound_check,
     pair_cost,
+    run_cc,
+    run_ccmerge,
+    run_ufaircc,
+    run_wmatch,
 )
 from faircc.fair_clustering import (
     approximation_budget,
     build_fairlets,
-    build_matchings,
+    check_spec,
     cluster_fairlets,
-    hyper_nodes,
     pair_cost_table,
 )
 from faircc.pivot import PivotRun
@@ -27,8 +31,6 @@ from conftest import brute_opt_fair, random_colors, random_graph
 
 
 def graph_from_signs(rows):
-    import numpy as np
-
     return SignedCompleteGraph(len(rows), np.array(rows, dtype="int8"))
 
 
@@ -181,16 +183,19 @@ def test_bounded_global_ratio_out_of_range():
 
 
 def test_hyper_node_members_share_cluster():
+    """Fairlet i holds the i-th base vertex and p = 2 vertices of color 1,
+    and fair_cc puts all three in one cluster."""
     spec = FairnessSpec.exact({1: 2})
     for seed in range(10):
         g = random_graph(9, seed + 40)
         colors = random_colors((3, 6), seed)
-        matchings = build_matchings(g, colors, spec)
-        nodes = hyper_nodes(matchings, colors.vertices_of(0))
+        fairlets = build_fairlets(g, colors, spec)
         c = fair_cc(g, colors, spec, PivotRun(seed, 5))
-        for node in nodes:
-            ids = {c.cluster_of[v] for v in node.members}
-            assert len(node.attached) == 2
+        for i, base in enumerate(colors.vertices_of(0)):
+            members = np.flatnonzero(fairlets == i).tolist()
+            assert sorted(colors.color_of[v] for v in members) == [0, 1, 1]
+            assert base in members
+            assert len({c.cluster_of[v] for v in members}) == 1
 
 
 def test_matching_weight_bound_all_positive():
@@ -266,8 +271,9 @@ def test_two_stages_compose_to_fair_cc():
     g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
     spec = FairnessSpec.exact({1: 1, 2: 1})
     fairlets = build_fairlets(g, colors, spec)
-    assert fairlets == build_fairlets(g, colors, spec)
-    assert [f.representative for f in fairlets] == colors.vertices_of(0)
+    assert not fairlets.flags.writeable
+    assert fairlets.tolist() == build_fairlets(g, colors, spec).tolist()
+    assert fairlets[colors.vertices_of(0)].tolist() == list(range(8))
     for seed in range(4):
         pivot = PivotRun(seed, 5)
         c = cluster_fairlets(g, colors, spec, fairlets, pivot)
@@ -276,3 +282,50 @@ def test_two_stages_compose_to_fair_cc():
         assert fair_cc(g, colors, spec, pivot, try_all_bases=True) == fair_cc(
             g, colors, spec, pivot, try_all_bases=True, fairlets=fairlets
         )
+
+
+@st.composite
+def fair_instances(draw):
+    """A random graph on 2 or 3 colors with a random base color and an
+    exact or interval spec whose global color counts fit it."""
+    num_colors = draw(st.integers(2, 3))
+    base = draw(st.integers(0, num_colors - 1))
+    lefts = draw(st.integers(1, 4))
+    counts, bounds = [], {}
+    for color in range(num_colors):
+        if color == base:
+            counts.append(lefts)
+            continue
+        p = draw(st.integers(1, 3))
+        q = draw(st.sampled_from([p, p + 1, p + 3]))
+        bounds[color] = (p, q)
+        counts.append(draw(st.integers(p * lefts, q * lefts)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    neg_prob = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    colors = random_colors(counts, seed)
+    return random_graph(colors.n, seed, neg_prob), colors, FairnessSpec(base, bounds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fair_instances(), st.integers(0, 1000))
+def test_fairness_invariant_over_random_specs(instance, seed):
+    """Every fair algorithm's output passes check_fairness, and every base
+    vertex's fairlet holds p_i..q_i vertices of each color i."""
+    g, colors, spec = instance
+    check_spec(colors, spec)
+    pivot = PivotRun(seed, 3)
+    results = {
+        "faircc": fair_cc(g, colors, spec, pivot),
+        "ufaircc": run_ufaircc(g, colors, spec, pivot),
+        "wmatch": run_wmatch(g, colors, spec),
+        "ccmerge": run_ccmerge(g, colors, spec, run_cc(g, pivot)),
+    }
+    for algo, c in results.items():
+        report = check_fairness(colors, c, spec)
+        assert report.overall_pass, (algo, report.describe_violations())
+    fairlets = build_fairlets(g, colors, spec)
+    lefts = colors.vertices_of(spec.base_color)
+    assert fairlets[lefts].tolist() == list(range(len(lefts)))
+    for color, (p, q) in spec.bounds.items():
+        partners = np.bincount(fairlets[colors.vertices_of(color)], minlength=len(lefts))
+        assert p <= partners.min() and partners.max() <= q, color

@@ -114,6 +114,18 @@ def test_color_distribution_singletons():
     assert rows == [{0: 1}, {1: 1}]
 
 
+def test_color_distribution_order_ignores_cluster_ids():
+    """Largest cluster first, then the one holding the smaller vertex,
+    whatever the ids: cluster 1 holds vertex 0 and comes before cluster 0.
+    The fairness report keeps the same counts indexed by cluster id."""
+    colors = ColorAssignment((0, 1, 1, 0, 0, 1, 1))
+    c = Clustering((1, 0, 0, 1, 2, 2, 2))
+    assert color_distribution(colors, c) == [{0: 1, 1: 2}, {0: 2}, {1: 2}]
+    report = check_fairness(colors, c, FairnessSpec(0, {1: (1, 2)}))
+    assert report.cluster_color_counts == ({1: 2}, {0: 2}, {0: 1, 1: 2})
+    assert report.cluster_pass == (False, False, True)
+
+
 def test_color_distribution_matches_direct_count():
     rng = random.Random(9)
     colors = ColorAssignment(tuple(rng.randrange(2) for _ in range(6)))

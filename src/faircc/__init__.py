@@ -18,7 +18,6 @@ from .fair_clustering import (
     approximation_budget,
     fair_cc,
     matching_weight_bound_check,
-    pair_cost,
 )
 from .ingest import (
     Schema,
@@ -34,7 +33,6 @@ from .model import (
     FairnessReport,
     FairnessSpec,
     SignedCompleteGraph,
-    agreements,
     check_fairness,
     color_distribution,
     disagreements,

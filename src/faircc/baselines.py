@@ -6,7 +6,13 @@ clustering.
 from __future__ import annotations
 
 from .errors import InfeasibleSpecError, InvalidInputError
-from .fair_clustering import build_fairlets, check_spec, run_pipeline
+from .fair_clustering import (
+    build_fairlets,
+    build_matchings,
+    check_spec,
+    pivot_base,
+    run_pipeline,
+)
 from .model import (
     Clustering,
     ColorAssignment,
@@ -22,18 +28,10 @@ def run_cc(g: SignedCompleteGraph, pivot: PivotRun = PivotRun()) -> Clustering:
     return best_of_restarts(g, pivot)
 
 
-def run_wmatch(
-    g: SignedCompleteGraph,
-    colors: ColorAssignment,
-    spec: FairnessSpec,
-    pivot: PivotRun = PivotRun(),
-    fairlets=None,
-) -> Clustering:
+def run_wmatch(fairlets) -> Clustering:
     """Each fairlet (matching component) becomes its own cluster; the
-    result needs no seed. ``fairlets`` stands in for
-    build_fairlets(g, colors, spec)."""
-    if fairlets is None:
-        fairlets = build_fairlets(g, colors, spec)
+    result needs no seed. ``fairlets`` are build_fairlets(colors, spec,
+    build_matchings(g, colors, spec))."""
     return Clustering.from_labels(fairlets.tolist())
 
 
@@ -42,11 +40,10 @@ def run_ufaircc(
     colors: ColorAssignment,
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
-    fairlets=None,
 ) -> Clustering:
-    """Fairlet pipeline with every matching cost set to 1. ``fairlets``
-    stands in for build_fairlets(g, colors, spec, unit_costs=True)."""
-    return run_pipeline(g, colors, spec, pivot, unit_costs=True, fairlets=fairlets)
+    """Fairlet pipeline with every matching cost set to 1."""
+    fairlets = build_fairlets(colors, spec, build_matchings(g, colors, spec, unit_costs=True))
+    return run_pipeline(colors, spec, fairlets, pivot_base(g, colors, spec, pivot))
 
 
 def _pos_degree_to(g, v, members):

@@ -77,14 +77,6 @@ class BMatchingInstance:
     def right_size(self):
         return self.cost.shape[1]
 
-    def to_dict(self):
-        """JSON-ready mirror for debug dumps."""
-        return {
-            "cost": self.cost.tolist(),
-            "degree_lo": list(self.degree_lo),
-            "degree_hi": list(self.degree_hi),
-        }
-
 
 @dataclass(frozen=True)
 class BMatching:
@@ -92,12 +84,6 @@ class BMatching:
 
     assign: tuple
     weight: int
-
-    def degrees(self, left_size):
-        deg = [0] * left_size
-        for l in self.assign:
-            deg[l] += 1
-        return deg
 
 
 def _assign(rows, owner, offset):

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -59,6 +60,14 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _check_out_dirs(*paths):
+    """Raise a ParseError, before any input is read, for an output path
+    whose directory does not exist."""
+    for path in paths:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ParseError(f"cannot write {path}: no such directory")
+
+
 def parse_spec(ratio, bounds):
     """--ratio '1:p[:p3...]' or --bounds '1:p[:p3...]..1:q[:q3...]'."""
     if ratio and bounds:
@@ -81,11 +90,12 @@ def parse_spec(ratio, bounds):
 def run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases=False):
     """Run one algorithm on one instance.
 
-    ``memo`` is a dict the caller keeps for this instance (and spec). The
-    seed-free fairlets, per ``unit_costs``, and the ``cc`` clustering, per
-    PivotRun, are computed on first use and reused by every later call
-    with the same memo; ``ccmerge`` repairs the ``cc`` clustering of its
-    seed.
+    ``memo`` is a dict the caller keeps for this instance (and spec). It
+    carries the layers that several calls share, each computed on first
+    use: the seed-free matchings per ``unit_costs`` (``faircc`` and
+    ``wmatch`` use pair costs, ``ufaircc`` unit costs), and per PivotRun
+    the base-color pivot (``faircc`` and ``ufaircc``) and the ``cc``
+    clustering, which ``ccmerge`` repairs.
     """
     if algo == "cc":
         if ("cc", pivot) not in memo:
@@ -101,16 +111,16 @@ def run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases=False):
     if algo not in ("wmatch", "ufaircc", "faircc"):
         raise ParseError(f"unknown algorithm {algo!r}")
     unit_costs = algo == "ufaircc"
-    if ("fairlets", unit_costs) not in memo:
-        memo["fairlets", unit_costs] = fair_clustering.build_fairlets(
+    if ("matchings", unit_costs) not in memo:
+        memo["matchings", unit_costs] = fair_clustering.build_matchings(
             g, colors, spec, unit_costs
         )
-    fairlets = memo["fairlets", unit_costs]
+    fairlets = fair_clustering.build_fairlets(colors, spec, memo["matchings", unit_costs])
     if algo == "wmatch":
-        return baselines.run_wmatch(g, colors, spec, fairlets=fairlets)
-    if algo == "ufaircc":
-        return baselines.run_ufaircc(g, colors, spec, pivot, fairlets=fairlets)
-    return fair_clustering.fair_cc(g, colors, spec, pivot, fairlets=fairlets)
+        return baselines.run_wmatch(fairlets)
+    if ("base", pivot) not in memo:
+        memo["base", pivot] = fair_clustering.pivot_base(g, colors, spec, pivot)
+    return fair_clustering.run_pipeline(colors, spec, fairlets, memo["base", pivot])
 
 
 def _load_instance(graph_path, colors_path):
@@ -149,6 +159,7 @@ def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
 
 
 def cmd_ingest(args):
+    _check_out_dirs(args.out_graph, args.out_colors)
     schema = ingest.Schema.from_json(_read(args.schema))
     ds, dropped = ingest.load_csv(args.csv, schema)
     if dropped:
@@ -173,6 +184,7 @@ def cmd_ingest(args):
 
 
 def cmd_cluster(args):
+    _check_out_dirs(args.out_clustering, args.out_result)
     g, colors = _load_instance(args.graph, args.colors)
     spec = parse_spec(args.ratio, args.bounds)
     if args.algo != "cc" and colors is None:
@@ -222,6 +234,7 @@ def _csv_cell(value):
 
 
 def cmd_experiment(args):
+    _check_out_dirs(args.out)
     g, colors = _load_instance(args.graph, args.colors)
     spec = parse_spec(args.ratio, args.bounds)
     algos = args.algos.split(",")
@@ -281,7 +294,10 @@ def _print_check(label, lhs, rel, rhs):
 
 def _verify_instance(g, colors, spec, pivot, limit):
     ok = True
-    report = fair_clustering.matching_weight_bound_check(g, colors, spec, limit=limit)
+    matchings = fair_clustering.build_matchings(g, colors, spec)
+    report = fair_clustering.matching_weight_bound_check(
+        g, colors, spec, matchings, limit=limit
+    )
     for color in sorted(report.weights):
         q = spec.bounds[color][1]
         ok &= _print_check(
@@ -290,7 +306,8 @@ def _verify_instance(g, colors, spec, pivot, limit):
             "<=",
             report.budgets[color],
         )
-    clustering = run_algorithm("faircc", g, colors, spec, pivot, {})
+    memo = {("matchings", False): matchings}
+    clustering = run_algorithm("faircc", g, colors, spec, pivot, memo)
     cost = disagreements(g, clustering)
     budget = fair_clustering.approximation_budget(spec, colors.num_colors)
     ok &= _print_check(
@@ -341,6 +358,7 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
+    _check_out_dirs(args.out_graph, args.out_colors)
     g = SignedCompleteGraph.from_json(_read(args.mirror))
     h, colors = oracle.mirror_graph(g)
     with open(args.out_graph, "w") as fh:
@@ -373,7 +391,7 @@ def build_parser():
     p.add_argument("--ratio", default=None)
     p.add_argument("--bounds", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=25)
+    p.add_argument("--restarts", type=_at_least(1), default=25)
     p.add_argument("--try-all-bases", action="store_true")
     p.add_argument("--timing", action="store_true", help="record real wall time")
     p.add_argument("--dataset", default="instance")
@@ -389,7 +407,7 @@ def build_parser():
     p.add_argument("--bounds", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=_at_least(1), default=5)
-    p.add_argument("--restarts", type=int, default=25)
+    p.add_argument("--restarts", type=_at_least(1), default=25)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--dataset", default="instance")
     p.add_argument("--out", required=True)
@@ -404,7 +422,7 @@ def build_parser():
     p.add_argument("--random", type=_at_least(1), default=None, help="random instance sweep")
     p.add_argument("--max-n", type=_at_least(2), default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=25)
+    p.add_argument("--restarts", type=_at_least(1), default=25)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit derived instances")

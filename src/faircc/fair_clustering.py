@@ -1,6 +1,11 @@
 """Fairlet pipeline: pair costs, per-color b-matchings, fairlet ids,
 pivot clustering on the base color, and attachment.
 
+The stages take values, so a caller that runs several of them on one
+instance (the CLI's memo) builds each seed-free or per-seed layer once:
+``build_matchings`` -> ``build_fairlets`` is seed-free, ``pivot_base`` is
+seeded, and ``run_pipeline`` attaches the fairlets to the base clusters.
+
 The pair cost of clustering a non-base vertex u with a base vertex v is the
 number of third vertices whose edge labels to u and v disagree, plus one if
 (u, v) itself is negative, i.e. exactly how much the total disagreement
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bmatching import BMatching, BMatchingInstance, solve
+from .bmatching import BMatchingInstance, solve
 from .errors import FairCCError, InfeasibleSpecError, InvalidInputError
 from .model import (
     Clustering,
@@ -25,17 +30,6 @@ from .model import (
 )
 from .oracle import OracleLimit, opt_fair
 from .pivot import PivotRun, best_of_restarts
-
-
-def pair_cost(g: SignedCompleteGraph, u: int, v: int) -> int:
-    """Disagreement increase from forcing u and v into one cluster."""
-    if u == v:
-        raise InvalidInputError("pair cost needs two distinct vertices")
-    cost = 1 if g.signs[u, v] < 0 else 0
-    for w in range(g.n):
-        if w != u and w != v and g.signs[u, w] != g.signs[v, w]:
-            cost += 1
-    return cost
 
 
 def pair_cost_table(g: SignedCompleteGraph, lefts, rights) -> np.ndarray:
@@ -92,12 +86,10 @@ def build_matchings(
     return out
 
 
-def build_fairlets(g, colors, spec, unit_costs=False) -> np.ndarray:
-    """The seed-free first stage: match every non-base color to the base
-    color. Returns the read-only fairlet id of every vertex: the i-th base
-    vertex and every vertex matched to it get id i. ``unit_costs`` swaps
-    the pair costs for constant 1 entries."""
-    matchings = build_matchings(g, colors, spec, unit_costs=unit_costs)
+def build_fairlets(colors: ColorAssignment, spec: FairnessSpec, matchings: dict) -> np.ndarray:
+    """The seed-free first stage: the read-only fairlet id of every vertex,
+    from ``matchings`` = build_matchings(g, colors, spec, unit_costs). The
+    i-th base vertex and every vertex matched to it get id i."""
     lefts = colors.vertices_of(spec.base_color)
     # check_spec has made the base and the matched colors cover every vertex
     fairlets = np.empty(colors.n, np.int64)
@@ -108,13 +100,17 @@ def build_fairlets(g, colors, spec, unit_costs=False) -> np.ndarray:
     return fairlets
 
 
-def cluster_fairlets(g, colors, spec, fairlets, pivot) -> Clustering:
-    """The seeded second stage: pivot on the graph induced by the base
-    color, give every fairlet its base vertex's cluster, and check
-    fairness."""
+def pivot_base(g, colors, spec, pivot) -> Clustering:
+    """The seeded second stage: best-of-restarts pivot on the graph induced
+    by the base color, one label per base vertex in vertex order."""
     lefts = colors.vertices_of(spec.base_color)
     induced = SignedCompleteGraph(len(lefts), g.signs[np.ix_(lefts, lefts)])
-    base = best_of_restarts(induced, pivot)
+    return best_of_restarts(induced, pivot)
+
+
+def run_pipeline(colors, spec, fairlets, base: Clustering) -> Clustering:
+    """Give every fairlet its base vertex's cluster in ``base`` and check
+    fairness."""
     c = Clustering.from_labels(np.asarray(base.cluster_of)[fairlets].tolist())
     report = check_fairness(colors, c, spec)
     if not report.overall_pass:
@@ -125,44 +121,34 @@ def cluster_fairlets(g, colors, spec, fairlets, pivot) -> Clustering:
     return c
 
 
-def run_pipeline(g, colors, spec, pivot, unit_costs=False, fairlets=None):
-    """Both stages. Shared by every fair variant; pass ``fairlets`` when
-    build_fairlets(g, colors, spec, unit_costs) is already at hand."""
-    if fairlets is None:
-        fairlets = build_fairlets(g, colors, spec, unit_costs)
-    return cluster_fairlets(g, colors, spec, fairlets, pivot)
-
-
 def fair_cc(
     g: SignedCompleteGraph,
     colors: ColorAssignment,
     spec: FairnessSpec,
     pivot: PivotRun = PivotRun(),
     try_all_bases: bool = False,
-    fairlets: np.ndarray | None = None,
 ) -> Clustering:
     """Fair clustering for any number of colors under an exact (1:p_i) or
     interval (1:p_i..1:q_i) spec.
 
     With ``try_all_bases`` (only valid when every ratio is 1:1) the pipeline
     runs once per candidate base color and keeps the cheapest result.
-    ``fairlets``, if given, are build_fairlets(g, colors, spec) and stand in
-    for that build (with ``try_all_bases``, for the base-color pass whose
-    spec equals ``spec``).
     """
+
+    def stages(one):
+        fairlets = build_fairlets(colors, one, build_matchings(g, colors, one))
+        return run_pipeline(colors, one, fairlets, pivot_base(g, colors, one, pivot))
+
     if not try_all_bases:
-        return run_pipeline(g, colors, spec, pivot, fairlets=fairlets)
+        return stages(spec)
     if any(bounds != (1, 1) for bounds in spec.bounds.values()):
         raise InvalidInputError("try_all_bases requires all ratios 1:1")
-
-    def from_base(base):
-        alt = FairnessSpec.exact(
-            {c: 1 for c in range(colors.num_colors) if c != base}, base_color=base
-        )
-        return run_pipeline(g, colors, alt, pivot, fairlets=fairlets if alt == spec else None)
-
+    specs = (
+        FairnessSpec.exact({c: 1 for c in range(colors.num_colors) if c != base}, base_color=base)
+        for base in range(colors.num_colors)
+    )
     # min keeps the first of equally cheap results: the smallest base color
-    return min(map(from_base, range(colors.num_colors)), key=lambda c: disagreements(g, c))
+    return min(map(stages, specs), key=lambda c: disagreements(g, c))
 
 
 def approximation_budget(spec: FairnessSpec, num_colors: int, alpha: int = 3) -> int:
@@ -194,11 +180,12 @@ def matching_weight_bound_check(
     g: SignedCompleteGraph,
     colors: ColorAssignment,
     spec: FairnessSpec,
+    matchings: dict,
     limit: OracleLimit | None = None,
 ) -> MatchingBoundReport:
-    """Verify w(M_i) <= 2*q_i*OPT_fair for every per-color matching (with
-    q_i = p_i in exact-ratio mode this is the 2p bound, and 2*OPT at 1:1)."""
-    matchings = build_matchings(g, colors, spec)
+    """Verify w(M_i) <= 2*q_i*OPT_fair for every per-color matching of
+    ``matchings`` = build_matchings(g, colors, spec) (with q_i = p_i in
+    exact-ratio mode this is the 2p bound, and 2*OPT at 1:1)."""
     _, opt_value = opt_fair(g, colors, spec, limit=limit)
     weights, budgets, passes = {}, {}, {}
     for color, (matching, _, _) in matchings.items():

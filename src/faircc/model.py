@@ -74,11 +74,6 @@ class SignedCompleteGraph:
             raise repeat_error(f"{repeats} negative edges are listed more than once")
         return cls(n, signs)
 
-    def sign(self, u, v):
-        if u == v:
-            raise InvalidInputError("no sign on a self-pair")
-        return int(self.signs[u, v])
-
     def negative_edges(self):
         """Sorted list of negative pairs (u, v) with u < v."""
         iu, iv = np.triu_indices(self.n, k=1)
@@ -305,10 +300,6 @@ def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
     # diagonal entry (same, not positive) adds one, each pair two
     mismatched = np.count_nonzero((labels[:, None] == labels) != (g.signs > 0))
     return int(mismatched - g.n) // 2
-
-
-def agreements(g: SignedCompleteGraph, c: Clustering) -> int:
-    return g.n * (g.n - 1) // 2 - disagreements(g, c)
 
 
 def _color_counts(colors: ColorAssignment, c: Clustering) -> list:

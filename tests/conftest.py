@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from faircc import ColorAssignment, SignedCompleteGraph
+from faircc.fair_clustering import build_fairlets, build_matchings
 
 
 def random_graph(n, seed, neg_prob=0.5):
@@ -25,6 +26,23 @@ def random_colors(counts, seed):
     color_of = [c for c, k in enumerate(counts) for _ in range(k)]
     rng.shuffle(color_of)
     return ColorAssignment(tuple(color_of))
+
+
+def fairlets_of(g, colors, spec, unit_costs=False):
+    """Fairlet ids from both seed-free stages."""
+    return build_fairlets(colors, spec, build_matchings(g, colors, spec, unit_costs))
+
+
+def pair_cost(g, u, v):
+    """Disagreement increase from forcing u and v into one cluster, counted
+    pair by pair: the reference for ``pair_cost_table``."""
+    if u == v:
+        raise ValueError("pair cost needs two distinct vertices")
+    cost = 1 if g.signs[u, v] < 0 else 0
+    for w in range(g.n):
+        if w != u and w != v and g.signs[u, w] != g.signs[v, w]:
+            cost += 1
+    return cost
 
 
 def all_partitions(n):

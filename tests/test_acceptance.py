@@ -34,9 +34,9 @@ from faircc import (
     solve,
 )
 from faircc.cli import main as cli_main
-from faircc.fair_clustering import approximation_budget
+from faircc.fair_clustering import approximation_budget, build_matchings
 from faircc.pivot import PivotRun, best_of_restarts
-from conftest import brute_opt, brute_opt_fair, random_colors, random_graph
+from conftest import brute_opt, brute_opt_fair, fairlets_of, random_colors, random_graph
 
 
 def report(label, ok, detail=""):
@@ -69,7 +69,7 @@ def test_fairness_hard_invariant():
             colors = random_colors(counts, seed)
             pivot = PivotRun(seed, 5)
             outputs = [
-                run_wmatch(g, colors, spec, pivot),
+                run_wmatch(fairlets_of(g, colors, spec)),
                 run_ufaircc(g, colors, spec, pivot),
                 run_ccmerge(g, colors, spec, run_cc(g, pivot)),
             ]
@@ -144,7 +144,7 @@ def test_matching_weight_lemmas():
         for seed in range(reps):
             g = random_graph(sum(counts), seed * 13 + instances)
             colors = random_colors(counts, seed)
-            rep = matching_weight_bound_check(g, colors, spec)
+            rep = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec))
             if not rep.overall_pass:
                 violations += 1
             instances += 1

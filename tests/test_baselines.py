@@ -16,7 +16,7 @@ from faircc import (
     run_wmatch,
 )
 from faircc.pivot import PivotRun
-from conftest import brute_opt, random_colors, random_graph
+from conftest import brute_opt, fairlets_of, random_colors, random_graph
 
 
 def all_positive(n):
@@ -53,12 +53,12 @@ def test_wmatch_pair_and_fairness():
     g = SignedCompleteGraph.from_negative_edges(2, [])
     colors = ColorAssignment((0, 1))
     spec = FairnessSpec.exact({1: 1})
-    c = run_wmatch(g, colors, spec)
+    c = run_wmatch(fairlets_of(g, colors, spec))
     assert c.num_clusters == 1
     for seed in range(10):
         g = random_graph(8, seed + 300)
         colors = random_colors((4, 4), seed)
-        c = run_wmatch(g, colors, spec)
+        c = run_wmatch(fairlets_of(g, colors, spec))
         assert check_fairness(colors, c, spec).overall_pass
         assert c.num_clusters == 4  # one cluster per base vertex
 
@@ -66,7 +66,7 @@ def test_wmatch_pair_and_fairness():
 def test_wmatch_all_positive_four_pays_the_cut():
     g = all_positive(4)
     colors = ColorAssignment((0, 0, 1, 1))
-    c = run_wmatch(g, colors, FairnessSpec.exact({1: 1}))
+    c = run_wmatch(fairlets_of(g, colors, FairnessSpec.exact({1: 1})))
     # two pair clusters cut 4 of the 6 positive edges
     assert c.num_clusters == 2 and disagreements(g, c) == 4
 
@@ -161,10 +161,13 @@ def test_baselines_deterministic():
     g = random_graph(8, seed=11)
     colors = random_colors((4, 4), 11)
     spec = FairnessSpec.exact({1: 1})
+    def wmatch(g, colors, spec, pivot):
+        return run_wmatch(fairlets_of(g, colors, spec))
+
     def ccmerge(g, colors, spec, pivot):
         return run_ccmerge(g, colors, spec, run_cc(g, pivot))
 
-    for fn in (run_wmatch, run_ufaircc, ccmerge):
+    for fn in (wmatch, run_ufaircc, ccmerge):
         a = fn(g, colors, spec, PivotRun(3, 10))
         b = fn(g, colors, spec, PivotRun(3, 10))
         assert a == b

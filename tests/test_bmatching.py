@@ -89,7 +89,7 @@ def test_solver_equals_package_oracle_with_loose_intervals():
                 opt_bmatching(inst)
             continue
         assert got.weight == opt_bmatching(inst).weight
-        deg = got.degrees(L)
+        deg = np.bincount(got.assign, minlength=L)
         assert all(lo[l] <= deg[l] <= hi[l] for l in range(L))
         assert got.weight == sum(cost[l][r] for r, l in enumerate(got.assign))
         checked += 1
@@ -122,11 +122,6 @@ def test_validation():
         solve(BMatchingInstance([[1, 2, 3]], [0], [2]))  # sum hi < R
 
 
-def test_debug_dump_mirror():
-    inst = BMatchingInstance([[1, 2]], [2], [2])
-    assert inst.to_dict() == {"cost": [[1, 2]], "degree_lo": [2], "degree_hi": [2]}
-
-
 @st.composite
 def feasible_instances(draw):
     L = draw(st.integers(1, 4))
@@ -149,7 +144,7 @@ def test_solver_property_against_enumeration(case):
     inst = BMatchingInstance(cost, lo, hi)
     got = solve(inst)
     assert got.weight == opt_bmatching(inst).weight
-    deg = got.degrees(len(cost))
+    deg = np.bincount(got.assign, minlength=len(cost))
     assert all(lo[l] <= deg[l] <= hi[l] for l in range(len(cost)))
     assert got.weight == sum(cost[l][r] for r, l in enumerate(got.assign))
     assert all(isinstance(l, int) for l in got.assign) and isinstance(got.weight, int)
@@ -181,7 +176,7 @@ def test_loose_upper_bounds_are_clamped():
         inst = BMatchingInstance(cost, lo, [10**9] * L)
         got = solve(inst)
         assert got.weight == opt_bmatching(inst).weight
-        assert all(lo[l] <= d for l, d in enumerate(got.degrees(L)))
+        assert all(lo[l] <= d for l, d in enumerate(np.bincount(got.assign, minlength=L)))
     wide = np.arange(60 * 200).reshape(60, 200) % 97
     got = solve(BMatchingInstance(wide, [1] * 60, [10**30] * 60))
     assert sorted(set(got.assign)) == list(range(60))

@@ -200,6 +200,19 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         ("verify --random 0", "--random: must be at least 1"),
         ("verify", "verify needs --graph, --mirror or --random"),
         ("verify --random 2 --max-n 1", "--max-n: must be at least 2"),
+        ("cluster --graph {ws}/g.json --algo cc --restarts 0 " + OUTS,
+         "--restarts: must be at least 1"),
+        ("experiment --graph {ws}/g.json --algos cc --restarts 0 --out {ws}/x.csv",
+         "--restarts: must be at least 1"),
+        ("verify --random 1 --restarts 0", "--restarts: must be at least 1"),
+        ("cluster --graph {ws}/g.json --algo cc --out-clustering {ws}/nodir/k.json "
+         "--out-result {ws}/r.json", "cannot write {ws}/nodir/k.json"),
+        ("experiment --graph {ws}/g.json --algos cc --out {ws}/nodir/x.csv",
+         "cannot write {ws}/nodir/x.csv"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/schema.json --out-graph {ws}/g2.json "
+         "--out-colors {ws}/nodir/c2.csv", "cannot write {ws}/nodir/c2.csv"),
+        ("gen --mirror {ws}/g.json --out-graph {ws}/nodir/m.json --out-colors {ws}/mc.csv",
+         "cannot write {ws}/nodir/m.json"),
         ("cluster --graph {ws}/missing.json --algo cc " + OUTS, "{ws}/missing.json"),
         ("cluster --graph {ws}/g.json --colors {ws}/missing.csv --algo cc " + OUTS,
          "{ws}/missing.csv"),
@@ -210,7 +223,9 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
-        "verify-max-n-1", "missing-graph", "missing-colors", "missing-schema",
+        "verify-max-n-1", "cluster-restarts-0", "experiment-restarts-0",
+        "verify-restarts-0", "cluster-out-dir", "experiment-out-dir", "ingest-out-dir",
+        "gen-out-dir", "missing-graph", "missing-colors", "missing-schema",
         "missing-csv",
     ],
 )
@@ -443,14 +458,16 @@ def test_ingest_balanced_sample_round_trip(workspace, capsys, seed):
     assert "colors F=0, M=1" in summary
 
 
-def split_by_color(g, colors, spec, *args, **kwargs):
-    """An unfair clustering: one cluster per color."""
-    return Clustering.from_labels(colors.color_of)
+def split_by_color(fairlets):
+    """An unfair wmatch result on the instance below, whose first half is
+    color 0 and second half color 1: one cluster per color."""
+    half = len(fairlets) // 2
+    return Clustering.from_labels([0] * half + [1] * half)
 
 
-def lopsided_fairlets(g, colors, spec, unit_costs=False):
+def lopsided_fairlets(colors, spec, matchings):
     """Fairlets that glue every non-base vertex to the first base vertex."""
-    fairlets = np.zeros(g.n, np.int64)
+    fairlets = np.zeros(colors.n, np.int64)
     lefts = colors.vertices_of(spec.base_color)
     fairlets[lefts] = np.arange(len(lefts))
     return fairlets
@@ -529,10 +546,10 @@ def test_experiment_cells_match_cluster(workspace, capsys, spec):
         ), (row["algo"], row["seed"])
 
 
-def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
-    """Five algorithms by five seeds: two fairlet builds (pair costs and
-    unit costs) and one cc clustering per seed, which ccmerge reuses."""
-    calls = {"build_matchings": 0, "run_cc": 0}
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (module, name) binding; a name bound in
+    several modules counts the calls through all of them."""
+    calls = {name: 0 for _, name in targets}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -543,8 +560,24 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli.fair_clustering, "build_matchings")
-    counted(cli.baselines, "run_cc")
+    for module, name in targets:
+        counted(module, name)
+    return calls
+
+
+def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
+    """Five algorithms by five seeds: two matching builds (pair costs and
+    unit costs), one cc clustering per seed, which ccmerge reuses, and one
+    base-color pivot per seed, which faircc and ufaircc share."""
+    calls = count_calls(
+        monkeypatch,
+        [
+            (cli.fair_clustering, "build_matchings"),
+            (cli.baselines, "run_cc"),
+            (cli.fair_clustering, "best_of_restarts"),
+            (cli.baselines, "best_of_restarts"),
+        ],
+    )
     write_planted(workspace, 60, (20, 40), seed=3, blocks=4)
     rc = main(
         ["experiment", "--graph", str(workspace / "g.json"),
@@ -553,4 +586,13 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
          "--restarts", "5", "--out", str(workspace / "x.csv")]
     )
     assert rc == 0
-    assert calls == {"build_matchings": 2, "run_cc": 5}
+    assert calls == {"build_matchings": 2, "run_cc": 5, "best_of_restarts": 10}
+
+
+def test_verify_builds_matchings_once_per_instance(monkeypatch, capsys):
+    """The bound check and faircc of one verify instance share its
+    matchings."""
+    calls = count_calls(monkeypatch, [(cli.fair_clustering, "build_matchings")])
+    assert main(["verify", "--random", "3"]) == 0
+    assert calls == {"build_matchings": 3}
+    assert capsys.readouterr().out.count("PASS  cost(faircc)") == 3

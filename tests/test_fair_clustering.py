@@ -13,7 +13,6 @@ from faircc import (
     disagreements,
     fair_cc,
     matching_weight_bound_check,
-    pair_cost,
     run_cc,
     run_ccmerge,
     run_ufaircc,
@@ -22,12 +21,14 @@ from faircc import (
 from faircc.fair_clustering import (
     approximation_budget,
     build_fairlets,
+    build_matchings,
     check_spec,
-    cluster_fairlets,
     pair_cost_table,
+    pivot_base,
+    run_pipeline,
 )
 from faircc.pivot import PivotRun
-from conftest import brute_opt_fair, random_colors, random_graph
+from conftest import brute_opt_fair, fairlets_of, pair_cost, random_colors, random_graph
 
 
 def graph_from_signs(rows):
@@ -52,7 +53,7 @@ def test_pair_cost_witness_plus_negative_matched_edge():
 
 def test_pair_cost_rejects_self_pair():
     g = random_graph(3, 0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ValueError):
         pair_cost(g, 1, 1)
 
 
@@ -189,7 +190,7 @@ def test_hyper_node_members_share_cluster():
     for seed in range(10):
         g = random_graph(9, seed + 40)
         colors = random_colors((3, 6), seed)
-        fairlets = build_fairlets(g, colors, spec)
+        fairlets = fairlets_of(g, colors, spec)
         c = fair_cc(g, colors, spec, PivotRun(seed, 5))
         for i, base in enumerate(colors.vertices_of(0)):
             members = np.flatnonzero(fairlets == i).tolist()
@@ -201,14 +202,16 @@ def test_hyper_node_members_share_cluster():
 def test_matching_weight_bound_all_positive():
     g = SignedCompleteGraph.from_negative_edges(4, [])
     colors = ColorAssignment((0, 0, 1, 1))
-    report = matching_weight_bound_check(g, colors, FairnessSpec.exact({1: 1}))
+    spec = FairnessSpec.exact({1: 1})
+    report = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec))
     assert report.weights[1] == 0 and report.overall_pass
 
 
 def test_matching_weight_bound_forced_negative_pair():
     g = SignedCompleteGraph.from_negative_edges(2, [(0, 1)])
     colors = ColorAssignment((0, 1))
-    report = matching_weight_bound_check(g, colors, FairnessSpec.exact({1: 1}))
+    spec = FairnessSpec.exact({1: 1})
+    report = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec))
     assert report.weights[1] == 1
     assert report.opt_fair_value == 1
     assert report.overall_pass
@@ -265,23 +268,23 @@ def test_fair_cc_pinned_labels():
 
 
 def test_two_stages_compose_to_fair_cc():
-    """build_fairlets is seed-free and cluster_fairlets consumes it: one
-    build serves every seed, and passing it to fair_cc (also with the base
-    sweep) gives what fair_cc builds itself."""
+    """The matchings and fairlets are seed-free and the base pivot is
+    seeded: one fairlet build serves every seed, and run_pipeline on the
+    stages gives fair_cc's clustering."""
     g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
     spec = FairnessSpec.exact({1: 1, 2: 1})
-    fairlets = build_fairlets(g, colors, spec)
+    matchings = build_matchings(g, colors, spec)
+    fairlets = build_fairlets(colors, spec, matchings)
     assert not fairlets.flags.writeable
-    assert fairlets.tolist() == build_fairlets(g, colors, spec).tolist()
+    assert fairlets.tolist() == fairlets_of(g, colors, spec).tolist()
     assert fairlets[colors.vertices_of(0)].tolist() == list(range(8))
     for seed in range(4):
         pivot = PivotRun(seed, 5)
-        c = cluster_fairlets(g, colors, spec, fairlets, pivot)
+        base = pivot_base(g, colors, spec, pivot)
+        assert base.n == 8
+        c = run_pipeline(colors, spec, fairlets, base)
         assert c == fair_cc(g, colors, spec, pivot)
-        assert c == fair_cc(g, colors, spec, pivot, fairlets=fairlets)
-        assert fair_cc(g, colors, spec, pivot, try_all_bases=True) == fair_cc(
-            g, colors, spec, pivot, try_all_bases=True, fairlets=fairlets
-        )
+        assert run_wmatch(fairlets) == run_wmatch(fairlets_of(g, colors, spec))
 
 
 @st.composite
@@ -317,13 +320,13 @@ def test_fairness_invariant_over_random_specs(instance, seed):
     results = {
         "faircc": fair_cc(g, colors, spec, pivot),
         "ufaircc": run_ufaircc(g, colors, spec, pivot),
-        "wmatch": run_wmatch(g, colors, spec),
+        "wmatch": run_wmatch(fairlets_of(g, colors, spec)),
         "ccmerge": run_ccmerge(g, colors, spec, run_cc(g, pivot)),
     }
     for algo, c in results.items():
         report = check_fairness(colors, c, spec)
         assert report.overall_pass, (algo, report.describe_violations())
-    fairlets = build_fairlets(g, colors, spec)
+    fairlets = fairlets_of(g, colors, spec)
     lefts = colors.vertices_of(spec.base_color)
     assert fairlets[lefts].tolist() == list(range(len(lefts)))
     for color, (p, q) in spec.bounds.items():

@@ -132,7 +132,7 @@ def test_build_graph_all_different_rows_negative():
     )
     ds = TabularDataset(rows, SCHEMA)
     g, _ = build_graph(ds, SimilarityConfig(tau=0.9))
-    assert g.sign(0, 1) == -1 and g.sign(0, 2) == -1 and g.sign(1, 2) == -1
+    assert g.signs[0, 1] == -1 and g.signs[0, 2] == -1 and g.signs[1, 2] == -1
 
 
 def test_build_graph_hand_computed_signs():
@@ -150,7 +150,7 @@ def test_build_graph_hand_computed_signs():
     )
     ds = TabularDataset(rows, SCHEMA)
     g, colors = build_graph(ds, SimilarityConfig(tau=0.5))
-    neg = {(u, v) for u in range(4) for v in range(u + 1, 4) if g.sign(u, v) < 0}
+    neg = {(u, v) for u in range(4) for v in range(u + 1, 4) if g.signs[u, v] < 0}
     assert neg == {(0, 2), (0, 3), (1, 2), (1, 3)}
     assert colors.color_of == (0, 0, 1, 1)
 
@@ -170,7 +170,7 @@ def test_build_graph_fixed_scaling_overrides_minmax():
     ds = make_dataset(["R", "B"])
     # ages 0 and 1; with range (0, 100) the rows look nearly identical
     g, _ = build_graph(ds, SimilarityConfig(tau=0.9, numeric_scaling={"age": (0, 100)}))
-    assert g.sign(0, 1) == 1
+    assert g.signs[0, 1] == 1
 
 
 def test_build_graph_needs_two_rows_and_features():

@@ -144,11 +144,11 @@ def test_mirror_graph_structure():
     assert h.n == 8
     assert colors.color_of == (0, 0, 0, 0, 1, 1, 1, 1)
     for u in range(4):
-        assert h.sign(u, 4 + u) == 1
+        assert h.signs[u, 4 + u] == 1
         for v in range(4):
             if u != v:
-                assert h.sign(u, 4 + v) == g.sign(u, v)
-                assert h.sign(4 + u, 4 + v) == g.sign(u, v)
+                assert h.signs[u, 4 + v] == g.signs[u, v]
+                assert h.signs[4 + u, 4 + v] == g.signs[u, v]
 
 
 def test_mirror_of_single_positive_edge_is_all_positive_k4():

@@ -292,12 +292,10 @@ def _print_check(label, lhs, rel, rhs):
     return ok
 
 
-def _verify_instance(g, colors, spec, pivot, limit):
+def _verify_instance(g, colors, spec, pivot):
     ok = True
     matchings = fair_clustering.build_matchings(g, colors, spec)
-    report = fair_clustering.matching_weight_bound_check(
-        g, colors, spec, matchings, limit=limit
-    )
+    report = fair_clustering.matching_weight_bound_check(g, colors, spec, matchings)
     for color in sorted(report.weights):
         q = spec.bounds[color][1]
         ok &= _print_check(
@@ -317,14 +315,13 @@ def _verify_instance(g, colors, spec, pivot, limit):
 
 
 def cmd_verify(args):
-    limit = oracle.OracleLimit.default()
     pivot = PivotRun(args.seed, args.restarts)
     if args.mirror:
         g = SignedCompleteGraph.from_json(_read(args.mirror))
-        _, opt_g = oracle.opt_cc(g, limit=limit)
+        _, opt_g = oracle.opt_cc(g)
         h, colors = oracle.mirror_graph(g)
         spec = FairnessSpec.exact({1: 1})
-        _, opt_h = oracle.opt_fair(h, colors, spec, limit=limit)
+        _, opt_h = oracle.opt_fair(h, colors, spec)
         ok = _print_check("opt_fair(mirror) == 4*opt_cc", opt_h, "==", 4 * opt_g)
         return 0 if ok else 1
     if args.random is not None:
@@ -346,7 +343,7 @@ def cmd_verify(args):
                 color_of[v] = 1
             colors = ColorAssignment(tuple(color_of))
             spec = FairnessSpec.exact({1: 1})
-            ok &= _verify_instance(g, colors, spec, pivot, limit)
+            ok &= _verify_instance(g, colors, spec, pivot)
         return 0 if ok else 1
     if args.graph is None:
         raise ParseError("verify needs --graph, --mirror or --random")
@@ -354,7 +351,7 @@ def cmd_verify(args):
     spec = parse_spec(args.ratio, args.bounds)
     if spec is None or colors is None:
         raise ParseError("verify needs --colors and --ratio/--bounds")
-    return 0 if _verify_instance(g, colors, spec, pivot, limit) else 1
+    return 0 if _verify_instance(g, colors, spec, pivot) else 1
 
 
 def cmd_gen(args):
@@ -377,7 +374,7 @@ def build_parser():
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--balance", default=None, help="exact color ratio, e.g. 1:2")
     p.add_argument("--out-graph", required=True)

@@ -28,7 +28,7 @@ from .model import (
     check_fairness,
     disagreements,
 )
-from .oracle import OracleLimit, opt_fair
+from .oracle import opt_fair
 from .pivot import PivotRun, best_of_restarts
 
 
@@ -181,12 +181,11 @@ def matching_weight_bound_check(
     colors: ColorAssignment,
     spec: FairnessSpec,
     matchings: dict,
-    limit: OracleLimit | None = None,
 ) -> MatchingBoundReport:
     """Verify w(M_i) <= 2*q_i*OPT_fair for every per-color matching of
     ``matchings`` = build_matchings(g, colors, spec) (with q_i = p_i in
     exact-ratio mode this is the 2p bound, and 2*OPT at 1:1)."""
-    _, opt_value = opt_fair(g, colors, spec, limit=limit)
+    _, opt_value = opt_fair(g, colors, spec)
     weights, budgets, passes = {}, {}, {}
     for color, (matching, _, _) in matchings.items():
         _, q = spec.bounds[color]

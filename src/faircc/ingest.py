@@ -48,7 +48,7 @@ class Schema:
         try:
             obj = json.loads(text)
             cols = [(c["name"], c["kind"]) for c in obj["columns"]]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad schema JSON: {exc}") from exc
         return cls(tuple(cols))
 
@@ -134,7 +134,7 @@ def sample(ds: TabularDataset, n, seed, balance=None) -> TabularDataset:
     """Deterministic sample of n rows: a seeded permutation, prefix-taken
     per color when ``balance`` (a '1:p...' ratio string) is given, its
     terms matched to the protected values in color_ids(ds) order."""
-    if n > ds.n:
+    if not 1 <= n <= ds.n:
         raise InvalidInputError(f"cannot sample {n} of {ds.n} rows")
     order = list(range(ds.n))
     random.Random(seed).shuffle(order)

@@ -91,7 +91,7 @@ class SignedCompleteGraph:
             obj = json.loads(text)
             n = obj["n"]
             edges = obj["negative_edges"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from exc
         if type(n) is not int:
             raise ParseError(f"bad graph JSON: n must be an integer, got {n!r}")
@@ -142,6 +142,8 @@ class ColorAssignment:
         k = max(colors) + 1
         if min(colors) < 0:
             raise InvalidInputError("color ids must be nonnegative")
+        if k > len(colors):  # before allocating k counts: contiguous ids stay below n
+            raise InvalidInputError(f"color id {k - 1} is not below n={len(colors)}")
         counts = [0] * k
         for c in colors:
             counts[c] += 1
@@ -264,7 +266,7 @@ class Clustering:
         try:
             obj = json.loads(text)
             ids = obj["cluster_of"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad clustering JSON: {exc}") from exc
         return cls(tuple(ids))
 

@@ -5,150 +5,119 @@ over set partitions in restricted-growth-string order, b-matching optima
 from exhaustive assignment enumeration, and ``mirror_graph`` builds the
 vertex-duplication instance whose fair optimum equals four times the
 unconstrained optimum of the base graph.
+
+The partition searches take at most 10 vertices, or the positive integer in
+``FAIRCC_ORACLE_MAX_N``; ``opt_bmatching`` takes at most 8 right vertices.
+A larger instance raises OracleLimitError (exit 4), and an override that is
+not a positive integer raises InvalidInputError (exit 1).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bmatching
-from .errors import InfeasibleSpecError, OracleLimitError
+from .errors import InfeasibleSpecError, InvalidInputError, OracleLimitError
 from .model import Clustering, ColorAssignment, FairnessSpec, SignedCompleteGraph
 
 _ENV_MAX_N = "FAIRCC_ORACLE_MAX_N"
+_MAX_R = 8  # opt_bmatching's cap on the right side
 
 
-@dataclass(frozen=True)
-class OracleLimit:
-    """Size caps for the exhaustive searches."""
-
-    max_n: int = 10
-    max_right: int = 8
-
-    def __post_init__(self):
-        if self.max_n < 1 or self.max_right < 1:
-            raise ValueError("oracle limits must be >= 1")
-
-    @classmethod
-    def default(cls):
-        raw = os.environ.get(_ENV_MAX_N)
-        return cls(max_n=int(raw)) if raw else cls()
+def _check_size(n):
+    """Raise OracleLimitError when n exceeds the cap on the exhaustive
+    partition searches, $FAIRCC_ORACLE_MAX_N or else 10, and
+    InvalidInputError when that variable holds no positive integer."""
+    raw = os.environ.get(_ENV_MAX_N) or "10"
+    cap = int(raw) if raw.strip().isdecimal() else 0
+    if cap < 1:
+        raise InvalidInputError(f"{_ENV_MAX_N} must be a positive integer, got {raw!r}")
+    if n > cap:
+        raise OracleLimitError(f"n={n} exceeds oracle limit {cap}")
 
 
-def best_partition(neg, color_of, base_color, p_bound, q_bound, fair):
-    """Minimum-disagreement partition of an n-vertex signed complete graph,
-    by branch and bound over restricted growth strings in lexicographic
-    order.
+def best_partition(g: SignedCompleteGraph, colors=None, spec=None):
+    """Minimum-disagreement partition of ``g``, by branch and bound over
+    restricted growth strings in lexicographic order.
 
-    neg[u][v] is 1 for a negative pair, 0 for positive. When ``fair`` is
-    true, only partitions whose every block has n1 >= 1 base-color vertices
-    and n1*p_c <= n_c <= n1*q_c for every non-base color c are considered.
+    With ``colors`` and ``spec``, only partitions whose every block has
+    n1 >= 1 base-color vertices and n1*p_c <= n_c <= n1*q_c for every
+    bounded color c count.
 
     Returns (cost, assignment) where assignment is the lexicographically
     smallest restricted growth string among the optima, or (-1, None) when
-    no feasible partition exists.
+    no partition is fair.
     """
-    n = len(neg)
-    neg = [list(map(int, row)) for row in neg]
-    color_of = list(map(int, color_of))
-    num_colors = len(p_bound)
-    best_cost = -1
-    best_assign = None
+    n = g.n
+    neg = (g.signs < 0).tolist()
+    cut = np.tril(g.signs > 0).sum(axis=1).tolist()  # positive edges to earlier vertices
+    fair = spec is not None
+    if fair:
+        color_of, base, bounds = colors.color_of, spec.base_color, list(spec.bounds.items())
+        hist = [[0] * colors.num_colors for _ in range(n)]  # per block, color counts
+    best_cost, best_assign = -1, None
     assign = [0] * n
-
-    def fair_ok(num_blocks):
-        for b in range(num_blocks):
-            hist = [0] * num_colors
-            for v in range(n):
-                if assign[v] == b:
-                    hist[color_of[v]] += 1
-            n1 = hist[base_color]
-            if n1 < 1:
-                return False
-            for c in range(num_colors):
-                if c == base_color:
-                    continue
-                if not n1 * p_bound[c] <= hist[c] <= n1 * q_bound[c]:
-                    return False
-        return True
 
     def walk(v, num_blocks, cost):
         nonlocal best_cost, best_assign
         if v == n:
-            if not fair or fair_ok(num_blocks):
-                if best_cost < 0 or cost < best_cost:
-                    best_cost = cost
-                    best_assign = list(assign)
+            # the prune below lets only strict improvements reach a leaf
+            if fair and not all(
+                h[base] >= 1 and all(h[base] * p <= h[c] <= h[base] * q for c, (p, q) in bounds)
+                for h in hist[:num_blocks]
+            ):
+                return
+            best_cost, best_assign = cost, list(assign)
             return
         row = neg[v]
+        inside = [0] * (num_blocks + 1)  # v's negative edges into each block
+        size = [0] * (num_blocks + 1)
+        for u in range(v):
+            b = assign[u]
+            size[b] += 1
+            inside[b] += row[u]
         for b in range(num_blocks + 1):
-            delta = 0
-            for u in range(v):
-                if assign[u] == b:
-                    delta += row[u]
-                else:
-                    delta += 1 - row[u]
-            new_cost = cost + delta
+            # v pays its negative edges inside b and its positive edges out of b
+            new_cost = cost + 2 * inside[b] + cut[v] - size[b]
             if best_cost >= 0 and new_cost >= best_cost:
                 continue
             assign[v] = b
+            if fair:
+                hist[b][color_of[v]] += 1
             walk(v + 1, max(num_blocks, b + 1), new_cost)
-        assign[v] = 0
+            if fair:
+                hist[b][color_of[v]] -= 1
 
     walk(0, 0, 0)
     return best_cost, best_assign
 
 
-def _negative_rows(g: SignedCompleteGraph):
-    return (g.signs < 0).astype(np.uint8).tolist()
-
-
-def opt_cc(g: SignedCompleteGraph, limit: OracleLimit | None = None):
+def opt_cc(g: SignedCompleteGraph):
     """Exhaustive minimum-disagreement clustering; ties resolve to the
     lexicographically smallest restricted growth string."""
-    limit = limit or OracleLimit.default()
-    if g.n > limit.max_n:
-        raise OracleLimitError(f"n={g.n} exceeds oracle limit {limit.max_n}")
-    cost, assign = best_partition(_negative_rows(g), [0] * g.n, 0, [1], [1], False)
+    _check_size(g.n)
+    cost, assign = best_partition(g)
     return Clustering(tuple(assign)), cost
 
 
-def opt_fair(
-    g: SignedCompleteGraph,
-    colors: ColorAssignment,
-    spec: FairnessSpec,
-    limit: OracleLimit | None = None,
-):
+def opt_fair(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec):
     """Exhaustive minimum over partitions whose every block passes the
     fairness check."""
-    limit = limit or OracleLimit.default()
-    if g.n > limit.max_n:
-        raise OracleLimitError(f"n={g.n} exceeds oracle limit {limit.max_n}")
-    num_colors = colors.num_colors
-    p = [1] * num_colors
-    q = [1] * num_colors
-    for c, (pc, qc) in spec.bounds.items():
-        p[c], q[c] = pc, qc
-    cost, assign = best_partition(
-        _negative_rows(g), list(colors.color_of), spec.base_color, p, q, True
-    )
+    _check_size(g.n)
+    cost, assign = best_partition(g, colors, spec)
     if cost < 0:
         raise InfeasibleSpecError("no clustering satisfies the fairness spec")
     return Clustering(tuple(assign)), cost
 
 
-def opt_bmatching(
-    inst: bmatching.BMatchingInstance, limit: OracleLimit | None = None
-) -> bmatching.BMatching:
+def opt_bmatching(inst: bmatching.BMatchingInstance) -> bmatching.BMatching:
     """Exhaustive minimum over all right-to-left assignments meeting the
     degree intervals. Independent verifier for ``bmatching.solve``."""
-    limit = limit or OracleLimit.default()
     L, R = inst.left_size, inst.right_size
-    if R > limit.max_right:
-        raise OracleLimitError(f"R={R} exceeds oracle limit {limit.max_right}")
+    if R > _MAX_R:
+        raise OracleLimitError(f"R={R} exceeds oracle limit {_MAX_R}")
     cost = inst.cost.tolist()
     best = None
     assign = [0] * R
@@ -187,14 +156,9 @@ def mirror_graph(g: SignedCompleteGraph):
     cross edges copy the sign of the underlying pair.
     """
     n = g.n
-    signs = np.empty((2 * n, 2 * n), dtype=np.int8)
-    signs[:n, :n] = g.signs
-    signs[n:, n:] = g.signs
-    signs[:n, n:] = g.signs
-    signs[n:, :n] = g.signs
-    for u in range(n):
-        signs[u, n + u] = signs[n + u, u] = 1
-    np.fill_diagonal(signs, 0)
+    signs = np.tile(g.signs, (2, 2))
+    u = np.arange(n)
+    signs[u, n + u] = signs[n + u, u] = 1
     h = SignedCompleteGraph(2 * n, signs)
     colors = ColorAssignment(tuple([0] * n + [1] * n))
     return h, colors

@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,13 +222,15 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          "{ws}/missing.json"),
         ("ingest --csv {ws}/missing.csv --schema {ws}/schema.json " + INGEST_OUTS,
          "{ws}/missing.csv"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/schema.json --sample -1 " + INGEST_OUTS,
+         "--sample: must be at least 1"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
         "verify-max-n-1", "cluster-restarts-0", "experiment-restarts-0",
         "verify-restarts-0", "cluster-out-dir", "experiment-out-dir", "ingest-out-dir",
         "gen-out-dir", "missing-graph", "missing-colors", "missing-schema",
-        "missing-csv",
+        "missing-csv", "ingest-sample-negative",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):
@@ -370,6 +374,33 @@ def test_exit_code_oracle_limit(workspace, capsys):
     (workspace / "big.json").write_text(g.to_json())
     rc = main(["verify", "--mirror", str(workspace / "big.json")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
+def test_malformed_oracle_cap_exits_1(monkeypatch, capsys, cap):
+    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", cap)
+    assert main(["verify", "--random", "1", "--max-n", "4"]) == 1
+    assert f"FAIRCC_ORACLE_MAX_N must be a positive integer, got {cap!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("color", [99999999999999999999, 10000000000])
+def test_exit_code_huge_color_id(workspace, capsys, color):
+    """A color id no contiguous range of n ids reaches is rejected before
+    any per-color list is allocated."""
+    (workspace / "g.json").write_text(random_graph(4, 0).to_json())
+    (workspace / "c.csv").write_text(f"0,0\n1,{color}\n2,0\n3,1\n")
+    rc = main(
+        [
+            "cluster",
+            "--graph", str(workspace / "g.json"),
+            "--colors", str(workspace / "c.csv"),
+            "--algo", "cc",
+            "--out-clustering", str(workspace / "k.json"),
+            "--out-result", str(workspace / "r.json"),
+        ]
+    )
+    assert rc == 1
+    assert f"color id {color} is not below n=4" in capsys.readouterr().err
 
 
 def test_verify_mirror_identity(workspace, capsys):
@@ -596,3 +627,22 @@ def test_verify_builds_matchings_once_per_instance(monkeypatch, capsys):
     assert main(["verify", "--random", "3"]) == 0
     assert calls == {"build_matchings": 3}
     assert capsys.readouterr().out.count("PASS  cost(faircc)") == 3
+
+
+def test_traced_layer_names_exist(capsys):
+    """Every function the benchmark's tracer wraps still exists, and its
+    argument extras still read: a rename fails here, not only in the
+    traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("pipebench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "--random", "2", "--max-n", "6"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert tracer.absent_extras == set()
+    assert {"oracle.opt_fair", "oracle.best_partition", "bmatching.solve"} <= set(tracer.summary())

@@ -118,6 +118,13 @@ def test_sample_infeasible_names_color():
         sample(ds, 20, seed=0, balance="2:1")
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_needs_at_least_one_row(n):
+    ds = make_dataset(["R"] * 10 + ["B"] * 30)
+    with pytest.raises(InvalidInputError, match=f"cannot sample {n} of 40"):
+        sample(ds, n, seed=0)
+
+
 def test_build_graph_identical_rows_positive():
     ds = make_dataset(["R", "B", "R"])  # ages differ, job constant
     g, colors = build_graph(ds, SimilarityConfig(tau=0.0))

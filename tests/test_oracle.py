@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from faircc import (
     ColorAssignment,
     FairnessSpec,
     InfeasibleSpecError,
-    OracleLimit,
     OracleLimitError,
     SignedCompleteGraph,
     disagreements,
@@ -16,7 +17,15 @@ from faircc import (
     opt_fair,
 )
 from faircc.oracle import best_partition
-from conftest import all_partitions, brute_opt, brute_opt_fair, random_colors, random_graph
+from conftest import (
+    all_partitions,
+    brute_opt,
+    brute_opt_fair,
+    is_fair_partition,
+    partition_cost,
+    random_colors,
+    random_graph,
+)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -31,10 +40,6 @@ def all_negative(n):
     )
 
 
-def negative_rows(g):
-    return (g.signs < 0).astype(np.uint8).tolist()
-
-
 @pytest.mark.parametrize("n,count", sorted(BELL.items()))
 def test_enumerator_counts_match_bell_numbers(n, count):
     assert sum(1 for _ in all_partitions(n)) == count
@@ -43,7 +48,7 @@ def test_enumerator_counts_match_bell_numbers(n, count):
 def test_python_kernel_matches_enumeration():
     for seed in range(20):
         g = random_graph(6, seed)
-        cost, assign = best_partition(negative_rows(g), [0] * 6, 0, [1], [1], False)
+        cost, assign = best_partition(g)
         assert cost == brute_opt(g)
         assert tuple(assign) in set(all_partitions(6))
 
@@ -52,15 +57,38 @@ def test_lexicographic_tie_break():
     # +,+,- triangle: optima are [0,0,0], [0,0,1], [0,1,0], all cost 1
     signs = np.array([[0, 1, 1], [1, 0, -1], [1, -1, 0]], dtype=np.int8)
     g = SignedCompleteGraph(3, signs)
-    cost, assign = best_partition(negative_rows(g), [0] * 3, 0, [1], [1], False)
+    cost, assign = best_partition(g)
     assert (cost, assign) == (1, [0, 0, 0])
 
 
 def test_fair_infeasible_returns_sentinel():
     g = random_graph(4, 1)
     # 1 base vertex, 3 others, exact ratio 1:1 is unsatisfiable
-    cost, assign = best_partition(negative_rows(g), [0, 1, 1, 1], 0, [1, 1], [1, 1], True)
+    cost, assign = best_partition(g, ColorAssignment((0, 1, 1, 1)), FairnessSpec.exact({1: 1}))
     assert cost == -1 and assign is None
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_fair_search_is_first_fair_optimum_of_enumeration(seed):
+    """Three colors, a random base color and interval bounds: the search
+    returns the lexicographically first fair optimum, or the sentinel."""
+    rng = random.Random(seed)
+    base = rng.randrange(3)
+    lefts = rng.randrange(1, 3)
+    bounds, counts = {}, [lefts] * 3
+    for c in {0, 1, 2} - {base}:
+        p = rng.choice((1, 1, 1, 2))
+        bounds[c] = (p, p + rng.randrange(2))
+        counts[c] = rng.randrange(lefts, min(bounds[c][1] * lefts, 3) + 1)
+    g = random_graph(sum(counts), seed + 200)
+    colors = random_colors(counts, seed)
+    spec = FairnessSpec(base, bounds)
+    fair = [a for a in all_partitions(g.n) if is_fair_partition(colors, spec, a)]
+    expected = (-1, None)
+    if fair:
+        best = min(partition_cost(g, a) for a in fair)
+        expected = (best, list(next(a for a in fair if partition_cost(g, a) == best)))
+    assert best_partition(g, colors, spec) == expected
 
 
 def test_opt_cc_extremes():
@@ -114,10 +142,11 @@ def test_opt_fair_infeasible_spec():
         opt_fair(g, colors, FairnessSpec.exact({1: 1}))
 
 
-def test_size_limits():
+def test_size_limits(monkeypatch):
     with pytest.raises(OracleLimitError):
         opt_cc(all_positive(11))
-    assert opt_cc(all_positive(11), OracleLimit(max_n=11))[1] == 0
+    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "11")
+    assert opt_cc(all_positive(11))[1] == 0
     inst = BMatchingInstance([[0] * 9], [9], [9])
     with pytest.raises(OracleLimitError):
         opt_bmatching(inst)
@@ -125,9 +154,13 @@ def test_size_limits():
 
 def test_env_override(monkeypatch):
     monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "12")
-    assert OracleLimit.default().max_n == 12
+    assert opt_cc(all_positive(12))[1] == 0
+    with pytest.raises(OracleLimitError, match="limit 12"):
+        opt_cc(all_positive(13))
     monkeypatch.delenv("FAIRCC_ORACLE_MAX_N")
-    assert OracleLimit.default().max_n == 10
+    assert opt_cc(all_positive(10))[1] == 0
+    with pytest.raises(OracleLimitError, match="limit 10"):
+        opt_cc(all_positive(11))
 
 
 def test_opt_bmatching_basics():

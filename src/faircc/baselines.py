@@ -1,23 +1,26 @@
 """Comparison algorithms: plain pivot clustering, matching-components,
 unit-weight matching pipeline, and greedy fairness repair of an unfair
 clustering.
+
+The repair (``ccmerge``) edits one per-vertex label array in which -1 marks
+the pool of removed vertices. A pooled base vertex that no fair group can
+be formed around joins the cluster with the most positive edges to it,
+which is always able to take it.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InfeasibleSpecError, InvalidInputError
-from .fair_clustering import (
-    build_fairlets,
-    build_matchings,
-    check_spec,
-    pivot_base,
-    run_pipeline,
-)
+from .fair_clustering import build_fairlets, build_matchings, pivot_base, run_pipeline
 from .model import (
     Clustering,
     ColorAssignment,
     FairnessSpec,
     SignedCompleteGraph,
+    check_fairness,
+    check_spec,
 )
 from .pivot import PivotRun, best_of_restarts
 
@@ -46,15 +49,6 @@ def run_ufaircc(
     return run_pipeline(colors, spec, fairlets, pivot_base(g, colors, spec, pivot))
 
 
-def _pos_degree_to(g, v, members):
-    return sum(1 for u in members if u != v and g.signs[v, u] > 0)
-
-
-def _ordered_by_pos_degree(g, vertices, members):
-    """Highest positive degree into ``members`` first, ties by smaller id."""
-    return sorted(vertices, key=lambda v: (-_pos_degree_to(g, v, members), v))
-
-
 def run_ccmerge(
     g: SignedCompleteGraph,
     colors: ColorAssignment,
@@ -64,153 +58,113 @@ def run_ccmerge(
     """Greedy fairness repair of an unconstrained ``clustering``, in the
     baseline usually run_cc(g, pivot).
 
-    Clusters are processed in decreasing size; each keeps its largest fair
-    sub-multiset (members ranked by positive degree inside the cluster),
-    surplus vertices go to a donor pool. Pool vertices are then appended to
-    the processed clusters, largest first, in minimal fair groups chosen to
-    maximize positive edges into the target; leftover groups become new
-    clusters and any remaining slack vertices go wherever the interval
-    constraint still has room.
+    Every unfair cluster keeps its largest run of minimal fair groups (one
+    base vertex plus p_c of each color c, members ranked by positive degree
+    inside the cluster) and pools the rest. The clusters, renumbered largest
+    first, each take one minimal fair group from the pool, chosen to
+    maximize positive edges into the cluster. Pooled base vertices then
+    form new groups while the pool holds one, or else join the friendliest
+    cluster, whose raised lower bounds are met from the pool and then from
+    the other clusters' surplus. Leftover slack vertices go to the
+    friendliest cluster whose upper bound still has room. Every rank and
+    choice breaks ties toward the smaller id.
     """
     check_spec(colors, spec)
     if clustering.n != g.n:
         raise InvalidInputError("clustering length does not match graph")
-    base = spec.base_color
+    pos = g.signs > 0
+    color = np.asarray(colors.color_of)
+    base, k = spec.base_color, colors.num_colors
     non_base = sorted(spec.bounds)
-    initial = clustering.clusters()
-    initial.sort(key=lambda m: (-len(m), min(m)))
+    # the fewest vertices of each color per base vertex
+    least = np.array([spec.bounds.get(c, (1, 1))[0] for c in range(k)])
+    label = np.array(clustering.cluster_of, np.int64)  # -1: pooled
 
-    pool = {c: [] for c in [base] + non_base}
-    kept = []
-    for members in initial:
-        by_color = {
-            c: _ordered_by_pos_degree(
-                g, [v for v in members if colors.color_of[v] == c], members
-            )
-            for c in pool
-        }
-        n1 = len(by_color[base])
-        already_fair = n1 >= 1 and all(
-            n1 * p <= len(by_color[c]) <= n1 * q for c, (p, q) in spec.bounds.items()
-        )
-        if already_fair:
-            kept.append(list(members))
-            continue
-        k = n1
-        for c in non_base:
-            k = min(k, len(by_color[c]) // spec.bounds[c][0])
-        if k >= 1:
-            # keep minimal fair groups: k base plus k*p_i of each color
-            keep = list(by_color[base][:k])
-            for c in non_base:
-                keep.extend(by_color[c][: k * spec.bounds[c][0]])
-            kept.append(keep)
-            keep_set = set(keep)
-        else:
-            keep_set = set()
-        for c in pool:
-            pool[c].extend(v for v in by_color[c] if v not in keep_set)
+    def ranked(vertices, anchor):
+        """``vertices`` by positive degree into ``anchor``, highest first,
+        ties to the smaller id."""
+        deg = pos[np.ix_(vertices, anchor)].sum(1)
+        return vertices[np.lexsort((vertices, -deg))]
 
-    def pop_group(target_members):
-        """Remove one minimal fair group from the pool, greedily maximizing
-        positive edges into ``target_members`` (or mutual cohesion when the
-        target is empty)."""
-        if not pool[base]:
-            return None
-        if any(len(pool[c]) < spec.bounds[c][0] for c in non_base):
-            return None
-        if target_members:
-            b = _ordered_by_pos_degree(g, pool[base], target_members)[0]
-        else:
-            b = min(pool[base])
-        group = [b]
-        pool[base].remove(b)
-        for c in non_base:
-            anchor = target_members if target_members else group
-            picks = _ordered_by_pos_degree(g, pool[c], anchor)[: spec.bounds[c][0]]
-            for v in picks:
-                pool[c].remove(v)
-            group.extend(picks)
-        return group
+    def members(cluster, c):
+        return np.flatnonzero((label == cluster) & (color == c))
 
-    def color_count(members, c):
-        return sum(1 for u in members if colors.color_of[u] == c)
+    def counts():
+        """Color counts of the pool, then of every cluster."""
+        rows = label.max() + 2
+        return np.bincount((label + 1) * k + color, minlength=rows * k).reshape(rows, k)
+
+    def friendliness(v):
+        """Positive edges from ``v`` into every cluster."""
+        placed = label >= 0
+        return np.bincount(label[placed], pos[v, placed], minlength=label.max() + 1)
+
+    def add_group(cluster):
+        """Move one minimal fair group from the pool into ``cluster`` and
+        say whether the pool held one. Each color is ranked against the
+        cluster's members, or in a new cluster against the group so far,
+        which so starts from the smallest pooled base vertex."""
+        if (counts()[0] < least).any():
+            return False
+        anchor = np.flatnonzero(label == cluster)
+        grows = not anchor.size
+        for c in [base] + non_base:
+            label[ranked(members(-1, c), anchor)[: least[c]]] = cluster
+            if grows:
+                anchor = np.flatnonzero(label == cluster)
+        return True
 
     def place_base(v):
-        """Host a lone base vertex: pick the friendliest cluster and cover
-        its per-color deficits from the pool, stealing surplus vertices
-        from other clusters when the pool runs dry."""
-        pool[base].remove(v)
-        order = sorted(
-            range(len(kept)), key=lambda i: (-_pos_degree_to(g, v, kept[i]), i)
-        )
-        for idx in order:
-            host = kept[idx]
-            n1 = color_count(host, base)
-            moves = []
-            feasible = True
-            for c in non_base:
-                # a host already above the new lower bound needs nothing
-                need = max((n1 + 1) * spec.bounds[c][0] - color_count(host, c), 0)
-                take = _ordered_by_pos_degree(g, pool[c], host)[:need]
-                need -= len(take)
-                moves.extend(("pool", c, u) for u in take)
-                if need > 0:
-                    for jdx in order:
-                        if jdx == idx or need <= 0:
-                            continue
-                        donor = kept[jdx]
-                        d1 = color_count(donor, base)
-                        surplus = color_count(donor, c) - d1 * spec.bounds[c][0]
-                        grab = _ordered_by_pos_degree(
-                            g, [u for u in donor if colors.color_of[u] == c], host
-                        )[: min(surplus, need)]
-                        moves.extend(("steal", jdx, u) for u in grab)
-                        need -= len(grab)
-                if need > 0:
-                    feasible = False
+        """Host pooled base vertex ``v`` in the friendliest cluster and meet
+        the host's raised lower bounds from the pool, then from the other
+        clusters' surplus, friendliest first. Every cluster meets its lower
+        bounds and check_spec gave N_c >= p_c * B, so the pool and that
+        surplus hold at least p_c * (pooled bases + host bases) minus the
+        host's count of c: all the host needs."""
+        order = np.argsort(-friendliness(v), kind="stable")
+        host = order[0]
+        anchor = np.flatnonzero(label == host)
+        cnt = counts()
+        surplus = cnt - cnt[:, [base]] * least
+        surplus[0] = cnt[0]  # the pool gives all it holds
+        for c in non_base:
+            need = least[c] - surplus[host + 1, c]
+            for donor in [-1, *order[1:]]:
+                if need <= 0:
                     break
-            if not feasible:
-                continue
-            for kind, where, u in moves:
-                if kind == "pool":
-                    pool[where].remove(u)
-                else:
-                    kept[where].remove(u)
-                host.append(u)
-            host.append(v)
-            return
-        raise InfeasibleSpecError("cannot place a base vertex fairly")
+                take = ranked(members(donor, c), anchor)[: min(surplus[donor + 1, c], need)]
+                label[take] = host
+                need -= len(take)
+            if need > 0:
+                raise InfeasibleSpecError("cannot place a base vertex fairly")
+        label[v] = host
 
-    kept.sort(key=lambda m: (-len(m), min(m)))
-    for members in kept:
-        group = pop_group(members)
-        if group:
-            members.extend(group)
-    while pool[base]:
-        group = pop_group(None)
-        if group is not None:
-            kept.append(group)
-        else:
-            place_base(min(pool[base]))
+    fair = check_fairness(colors, clustering, spec).cluster_pass
+    for cluster, cnt in enumerate(counts()[1:]):
+        if not fair[cluster]:
+            inside = np.flatnonzero(label == cluster)
+            groups = (cnt // least).min()
+            for c in range(k):
+                label[ranked(inside[color[inside] == c], inside)[groups * least[c] :]] = -1
+    # renumber the kept clusters largest first, ties by smallest member
+    placed = label >= 0
+    ids, first, sizes = np.unique(label[placed], return_index=True, return_counts=True)
+    rank = np.empty(clustering.num_clusters, np.int64)
+    rank[ids[np.lexsort((first, -sizes))]] = np.arange(len(ids))
+    label[placed] = rank[label[placed]]
+
+    for cluster in range(len(ids)):
+        add_group(cluster)
+    while (pooled := members(-1, base)).size:
+        if not add_group(label.max() + 1):
+            place_base(pooled[0])
     # interval slack: leftover non-base vertices go to clusters with room
     for c in non_base:
         q = spec.bounds[c][1]
-        for v in sorted(pool[c]):
-            candidates = []
-            for idx, members in enumerate(kept):
-                n1 = sum(1 for u in members if colors.color_of[u] == base)
-                nc = sum(1 for u in members if colors.color_of[u] == c)
-                if nc < n1 * q:
-                    candidates.append(idx)
-            if not candidates:
+        for v in members(-1, c):
+            cnt = counts()[1:]
+            room = cnt[:, c] < cnt[:, base] * q
+            if not room.any():
                 raise InfeasibleSpecError(f"no cluster can absorb leftover color {c}")
-            best = max(candidates, key=lambda i: (_pos_degree_to(g, v, kept[i]), -i))
-            kept[best].append(v)
-        pool[c] = []
-
-    label = {}
-    for idx, members in enumerate(kept):
-        for v in members:
-            label[v] = idx
-    return Clustering.from_labels([label[v] for v in range(g.n)])
+            label[v] = np.argmax(np.where(room, friendliness(v), -1))
+    return Clustering.from_labels(label.tolist())

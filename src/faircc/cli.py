@@ -83,6 +83,9 @@ def parse_spec(ratio, bounds):
         hi = ingest._parse_ratio(hi_text)
         if len(lo) != len(hi):
             raise ParseError("bounds sides must name the same colors")
+        for color, (p, q) in enumerate(zip(lo, hi)):
+            if p > q:
+                raise ParseError(f"bounds for color {color}: lower 1:{p} exceeds upper 1:{q}")
         return FairnessSpec(0, {i: (lo[i], hi[i]) for i in range(1, len(lo))})
     return None
 
@@ -159,6 +162,8 @@ def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
 
 
 def cmd_ingest(args):
+    if args.balance is not None and args.sample is None:
+        raise ParseError("--balance needs --sample")
     _check_out_dirs(args.out_graph, args.out_colors)
     schema = ingest.Schema.from_json(_read(args.schema))
     ds, dropped = ingest.load_csv(args.csv, schema)
@@ -376,7 +381,7 @@ def build_parser():
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--sample", type=_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--balance", default=None, help="exact color ratio, e.g. 1:2")
+    p.add_argument("--balance", default=None, help="exact color ratio of the --sample, e.g. 1:2")
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-colors", required=True)
     p.set_defaults(func=cmd_ingest)

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bmatching import BMatchingInstance, solve
-from .errors import FairCCError, InfeasibleSpecError, InvalidInputError
+from .errors import FairCCError, InvalidInputError
 from .model import (
     Clustering,
     ColorAssignment,
     FairnessSpec,
     SignedCompleteGraph,
     check_fairness,
+    check_spec,
     disagreements,
 )
 from .oracle import opt_fair
@@ -44,22 +45,6 @@ def pair_cost_table(g: SignedCompleteGraph, lefts, rights) -> np.ndarray:
     dot = S[lefts].astype(np.float32) @ S[rights].astype(np.float32).T
     diff = (g.n - 2 - dot.astype(np.int64)) // 2
     return diff + (S[np.ix_(lefts, rights)] < 0)
-
-
-def check_spec(colors: ColorAssignment, spec: FairnessSpec):
-    """Raise InfeasibleSpecError unless ``spec`` bounds exactly the non-base
-    colors and each color's global count fits its ratio to the base color,
-    the two conditions a per-color b-matching needs."""
-    if set(spec.bounds) != set(range(colors.num_colors)) - {spec.base_color}:
-        raise InfeasibleSpecError("spec must bound every non-base color")
-    lefts = len(colors.vertices_of(spec.base_color))
-    for color, (p, q) in sorted(spec.bounds.items()):
-        rights = colors.counts[color]
-        if not p * lefts <= rights <= q * lefts:
-            raise InfeasibleSpecError(
-                f"color {color}: {rights} vertices cannot match {lefts} base vertices "
-                f"at ratio 1:{p}..1:{q}"
-            )
 
 
 def build_matchings(

@@ -1,5 +1,6 @@
 """Domain types for signed complete graphs, colors, fairness specs and
-clusterings, plus the disagreement objective and the fairness checker.
+clusterings, plus the disagreement objective and the spec and fairness
+checkers.
 
 All types are frozen after construction; every operation here is a pure
 function, so instances can be shared freely between threads.
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
+from .errors import InfeasibleSpecError, InvalidInputError, ParseError
 
 
 @dataclass(frozen=True)
@@ -244,13 +245,6 @@ class Clustering:
     def num_clusters(self):
         return max(self.cluster_of) + 1
 
-    def clusters(self):
-        """Member lists indexed by cluster id."""
-        out = [[] for _ in range(self.num_clusters)]
-        for v, c in enumerate(self.cluster_of):
-            out[c].append(v)
-        return out
-
     @classmethod
     def from_labels(cls, labels):
         """Canonicalize arbitrary labels: ids assigned in order of first
@@ -314,6 +308,23 @@ def _color_counts(colors: ColorAssignment, c: Clustering) -> list:
         hist = counts[cluster]
         hist[color] = hist.get(color, 0) + 1
     return counts
+
+
+def check_spec(colors: ColorAssignment, spec: FairnessSpec):
+    """Raise InfeasibleSpecError unless ``spec`` bounds exactly the non-base
+    colors and each color's global count fits its ratio to the base color,
+    the two conditions that any fair clustering and a per-color b-matching
+    need."""
+    if set(spec.bounds) != set(range(colors.num_colors)) - {spec.base_color}:
+        raise InfeasibleSpecError("spec must bound every non-base color")
+    lefts = len(colors.vertices_of(spec.base_color))
+    for color, (p, q) in sorted(spec.bounds.items()):
+        rights = colors.counts[color]
+        if not p * lefts <= rights <= q * lefts:
+            raise InfeasibleSpecError(
+                f"color {color}: {rights} vertices cannot match {lefts} base vertices "
+                f"at ratio 1:{p}..1:{q}"
+            )
 
 
 def check_fairness(colors: ColorAssignment, c: Clustering, spec: FairnessSpec) -> FairnessReport:

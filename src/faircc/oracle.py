@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bmatching
 from .errors import InfeasibleSpecError, InvalidInputError, OracleLimitError
-from .model import Clustering, ColorAssignment, FairnessSpec, SignedCompleteGraph
+from .model import Clustering, ColorAssignment, FairnessSpec, SignedCompleteGraph, check_spec
 
 _ENV_MAX_N = "FAIRCC_ORACLE_MAX_N"
 _MAX_R = 8  # opt_bmatching's cap on the right side
@@ -104,7 +104,8 @@ def opt_cc(g: SignedCompleteGraph):
 
 def opt_fair(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec):
     """Exhaustive minimum over partitions whose every block passes the
-    fairness check."""
+    fairness check; a spec that fails check_spec raises first."""
+    check_spec(colors, spec)
     _check_size(g.n)
     cost, assign = best_partition(g, colors, spec)
     if cost < 0:

@@ -3,6 +3,7 @@ import statistics
 import pytest
 
 from faircc import (
+    Clustering,
     ColorAssignment,
     FairnessSpec,
     InfeasibleSpecError,
@@ -155,6 +156,64 @@ def test_ccmerge_globally_infeasible():
     colors = ColorAssignment((0, 1, 1))
     with pytest.raises(InfeasibleSpecError):
         run_ccmerge(g, colors, FairnessSpec.exact({1: 1}), run_cc(g))
+
+
+# Labels recorded from the earlier member-list implementation of the repair,
+# which the label-array one reproduced on every input compared. Per case: color counts, negative-edge probability,
+# seed, bounds, base color, the input clustering (run_cc with the seed and 5
+# restarts, or a given one with ids 2, 1, 0, 2, 1, 0, ...) and the repaired
+# labels. The comments name the repair branches each case reaches.
+CCMERGE_PINS = [
+    ((4, 8), 0.6, 35, {1: (2, 2)}, 0, "cc", (0, 0, 1, 1, 2, 2, 1, 0, 3, 3, 3, 2)),
+    ((4, 4, 4), 0.6, 49, {1: (1, 1), 2: (1, 1)}, 0, "cc", (0, 0, 1, 2, 0, 1, 1, 3, 2, 2, 3, 3)),
+    # a base vertex placed in a host
+    ((5, 8), 0.35, 11, {1: (1, 2)}, 0, "cc", (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0)),
+    # a host, and 4 slack vertices
+    (
+        (4, 5, 9), 0.5, 2, {1: (1, 2), 2: (1, 3)}, 0, "cc",
+        (0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0),
+    ),
+    # base color 1; 2 slack vertices
+    (
+        (6, 3, 5), 0.5, 1, {0: (2, 2), 2: (1, 2)}, 1, "cc",
+        (0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0),
+    ),
+    # 2 hosts, one stolen vertex
+    ((6, 6), 0.6, 9, {1: (1, 3)}, 0, "cc", (0, 1, 1, 2, 0, 1, 3, 2, 1, 2, 2, 3)),
+    # a host, 2 stolen vertices
+    (
+        (5, 5, 10), 0.5, 5, {1: (1, 2), 2: (2, 4)}, 0, "cc",
+        (0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 1, 2, 2),
+    ),
+    # 3 hosts, 3 stolen vertices, donors taken friendliest first
+    (
+        (8, 8), 0.6, 9, {1: (1, 3)}, 0, "cc",
+        (0, 1, 0, 0, 2, 0, 3, 0, 1, 2, 0, 0, 3, 0, 0, 0),
+    ),
+    # a host chosen from equally friendly clusters, one stolen vertex
+    ((6, 6), 0.4, 7, {1: (1, 3)}, 0, "cc", (0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1)),
+    # non-canonical input ids; 2 slack vertices
+    (
+        (6, 6, 9), 0.4, 3, {1: (1, 1), 2: (1, 2)}, 0, "given",
+        (0, 0, 1, 2, 0, 1, 0, 0, 1, 2, 0, 1, 2, 0, 1, 0, 0, 1, 0, 0, 0),
+    ),
+]
+
+
+@pytest.mark.parametrize("counts,neg,seed,bounds,base,start,labels", CCMERGE_PINS)
+def test_ccmerge_pinned_labels(counts, neg, seed, bounds, base, start, labels):
+    """Every tie rule of the repair shows in these labels."""
+    n = sum(counts)
+    g = random_graph(n, seed, neg)
+    colors = random_colors(counts, seed)
+    spec = FairnessSpec(base, bounds)
+    if start == "cc":
+        clustering = run_cc(g, PivotRun(seed, 5))
+    else:
+        clustering = Clustering(tuple(2 - v % 3 for v in range(n)))
+    c = run_ccmerge(g, colors, spec, clustering)
+    assert c.cluster_of == labels
+    assert check_fairness(colors, c, spec).overall_pass
 
 
 def test_baselines_deterministic():

@@ -224,13 +224,18 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          "{ws}/missing.csv"),
         ("ingest --csv {ws}/data.csv --schema {ws}/schema.json --sample -1 " + INGEST_OUTS,
          "--sample: must be at least 1"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/schema.json --balance 1:5 " + INGEST_OUTS,
+         "--balance needs --sample"),
+        ("cluster --graph {ws}/g.json --colors {ws}/c.csv --algo faircc --bounds 1:2..1:1 "
+         + OUTS, "bounds for color 1: lower 1:2 exceeds upper 1:1"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
         "verify-max-n-1", "cluster-restarts-0", "experiment-restarts-0",
         "verify-restarts-0", "cluster-out-dir", "experiment-out-dir", "ingest-out-dir",
         "gen-out-dir", "missing-graph", "missing-colors", "missing-schema",
-        "missing-csv", "ingest-sample-negative",
+        "missing-csv", "ingest-sample-negative", "ingest-balance-without-sample",
+        "cluster-bounds-reversed",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):

@@ -142,6 +142,20 @@ def test_opt_fair_infeasible_spec():
         opt_fair(g, colors, FairnessSpec.exact({1: 1}))
 
 
+@pytest.mark.parametrize(
+    "colors,bounds",
+    [
+        ((0, 1, 1), {1: (1, 2), 5: (1, 1)}),  # bounds a color the colors lack
+        ((0, 1, 2), {1: (1, 1)}),  # leaves color 2 unbounded
+    ],
+    ids=["unknown-color", "unbounded-color"],
+)
+def test_opt_fair_checks_the_spec(colors, bounds):
+    g = all_positive(3)
+    with pytest.raises(InfeasibleSpecError, match="spec must bound every non-base color"):
+        opt_fair(g, ColorAssignment(colors), FairnessSpec(0, bounds))
+
+
 def test_size_limits(monkeypatch):
     with pytest.raises(OracleLimitError):
         opt_cc(all_positive(11))

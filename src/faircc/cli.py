@@ -162,8 +162,10 @@ def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
 
 
 def cmd_ingest(args):
-    if args.balance is not None and args.sample is None:
-        raise ParseError("--balance needs --sample")
+    if args.balance is not None:
+        if args.sample is None:
+            raise ParseError("--balance needs --sample")
+        ingest._parse_ratio(args.balance)  # a bad ratio exits before any input is read
     _check_out_dirs(args.out_graph, args.out_colors)
     schema = ingest.Schema.from_json(_read(args.schema))
     ds, dropped = ingest.load_csv(args.csv, schema)
@@ -182,7 +184,7 @@ def cmd_ingest(args):
         fh.write(colors.to_csv())
     names = ", ".join(f"{value}={color}" for value, color in ids.items())
     print(
-        f"wrote {g.n} vertices, {len(g.negative_edges())} negative edges, "
+        f"wrote {g.n} vertices, {np.count_nonzero(g.signs < 0) // 2} negative edges, "
         f"colors {names}"
     )
     return 0

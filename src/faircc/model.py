@@ -9,6 +9,8 @@ function, so instances can be shared freely between threads.
 from __future__ import annotations
 
 import json
+import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +54,19 @@ class SignedCompleteGraph:
     @classmethod
     def _from_edge_blocks(cls, n, blocks, repeat_error=InvalidInputError):
         """``from_negative_edges`` over an iterable of E_i x 2 int64 blocks;
-        a pair listed twice raises ``repeat_error``."""
+        a pair listed twice raises ``repeat_error``. An n x n sign matrix
+        larger than physical memory is refused before it is allocated."""
         if n < 1:
             raise InvalidInputError("graph needs at least one vertex")
+        memory = _physical_memory()
+        if n * n > memory:
+            raise InvalidInputError(
+                f"a graph with n={n} vertices is too large: its {n * n} sign bytes "
+                f"exceed the {memory} bytes of physical memory"
+            )
         try:
             signs = np.ones((n, n), dtype=np.int8)
-        except (MemoryError, ValueError) as exc:  # ValueError: n * n overflows
+        except MemoryError as exc:  # physical memory that is in use elsewhere
             raise InvalidInputError(f"a graph with n={n} vertices is too large") from exc
         np.fill_diagonal(signs, 0)
         listed = 0
@@ -77,17 +86,30 @@ class SignedCompleteGraph:
 
     def negative_edges(self):
         """Sorted list of negative pairs (u, v) with u < v."""
-        iu, iv = np.triu_indices(self.n, k=1)
-        neg = self.signs[iu, iv] < 0
-        return [(int(u), int(v)) for u, v in zip(iu[neg], iv[neg])]
+        iu, iv = np.nonzero(np.triu(self.signs < 0, 1))
+        return list(zip(iu.tolist(), iv.tolist()))
 
     def to_json(self):
-        return json.dumps(
-            {"n": self.n, "negative_edges": [list(e) for e in self.negative_edges()]}
-        )
+        """``{"n": N, "negative_edges": [[u, v], ...]}``, byte for byte the
+        text ``json.dumps`` gives for that object."""
+        pairs = ", ".join([f"[{u}, {v}]" for u, v in self.negative_edges()])
+        return f'{{"n": {self.n}, "negative_edges": [{pairs}]}}'
 
     @classmethod
     def from_json(cls, text):
+        """Read graph JSON, ``{"n": N, "negative_edges": [[u, v], ...]}``.
+
+        Text in exactly the shape ``to_json`` writes, with any JSON
+        whitespace, is read by a byte scan (``_canonical_edge_blocks``)
+        that builds no Python object per edge. Any other text, and any
+        scanned graph that fails a check, goes through ``json.loads``, so
+        every error has one source and one message."""
+        if isinstance(text, str):
+            try:
+                n, blocks = _canonical_edge_blocks(text)
+                return cls._from_edge_blocks(n, blocks)
+            except (_NotCanonical, InvalidInputError):
+                pass
         try:
             obj = json.loads(text)
             n = obj["n"]
@@ -127,6 +149,101 @@ def _edge_blocks(edges, chunk=8192):
             raise ParseError("bad graph JSON: negative_edges must be [u, v] integer pairs")
         del edges[start:]
         yield block
+
+
+def _physical_memory():
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+class _NotCanonical(Exception):
+    """The text is not in the shape ``_canonical_edge_blocks`` reads."""
+
+
+# JSON whitespace is exactly these four characters; regex \s would also
+# take \f and \v, which json.loads rejects.
+_WS = "[ \t\n\r]*"
+# The ids are decimal integers of at most 18 digits, so that every value
+# fits in int64; a longer or zero-padded number is left to json.loads.
+_HEAD = re.compile(
+    _WS + _WS.join([r"\{", '"n"', ":", "(0|[1-9][0-9]{0,17})", ",", '"negative_edges"', ":", r"\["])
+)
+_TAIL = re.compile(_WS.join([r"\]", r"\}", r"\Z"]))
+# Byte classes of the body between the edge list's brackets.
+_OTHER, _DIGIT, _OPEN, _CLOSE, _COMMA, _SPACE = range(6)
+_CLASS = np.full(256, _OTHER, np.uint8)
+_CLASS[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
+_CLASS[ord("[")], _CLASS[ord("]")], _CLASS[ord(",")] = _OPEN, _CLOSE, _COMMA
+_CLASS[np.frombuffer(b" \t\n\r", np.uint8)] = _SPACE
+# The body's tokens, once each digit run is one token, are ", [ d , d ]"
+# repeated, the first comma left out.
+_PAIR = np.array([_COMMA, _OPEN, _DIGIT, _COMMA, _DIGIT, _CLOSE], np.uint8)
+
+
+def _canonical_edge_blocks(text, window=1 << 18):
+    """(n, blocks of k x 2 int64 pairs) of graph JSON in the canonical
+    shape, scanning the edge list in windows of about ``window``
+    characters, each cut after a pair's closing bracket; raise
+    ``_NotCanonical`` when the text has any other shape, as soon as the
+    scan finds that out.
+
+    The blocks are a generator: the scan of each window runs when the
+    caller asks for its block, so a window's temporaries are freed before
+    the next one is made, and ``_NotCanonical`` can come from any block."""
+    head = _HEAD.match(text)
+    # only the last 4 KB are searched for the closing "]}", so that the
+    # search never walks the edge list; longer trailing space is left to
+    # json.loads
+    tail = _TAIL.search(text, max(head.end(), len(text) - 4096)) if head else None
+    if tail is None:
+        raise _NotCanonical
+    return int(head.group(1)), _scan_windows(text, head.end(), tail.start(), window)
+
+
+def _scan_windows(text, pos, stop, window):
+    """Pairs of the body ``text[pos:stop]``, one block per window."""
+    first = True
+    while pos < stop:
+        cut = stop
+        if pos + window < stop:
+            cut = text.rfind("]", pos, pos + window) + 1
+            if cut == 0:  # a run of over ``window`` characters without a pair
+                raise _NotCanonical
+        try:
+            raw = np.frombuffer(text[pos:cut].encode("ascii"), np.uint8)
+        except UnicodeEncodeError:
+            raise _NotCanonical from None
+        yield _scan_pairs(raw, first)
+        pos, first = cut, False
+
+
+def _scan_pairs(raw, first):
+    """k x 2 int64 pairs of one window of the body, which starts at the
+    body's start (``first``) or right after a pair's ``]``."""
+    cls = _CLASS.take(raw)
+    if (cls == _OTHER).any():
+        raise _NotCanonical
+    digit = cls == _DIGIT
+    run_start = digit.copy()
+    run_start[1:] &= ~digit[:-1]
+    tokens = cls[(cls != _SPACE) & (run_start | ~digit)]
+    if first and len(tokens):
+        tokens = np.concatenate(([_COMMA], tokens))
+    if len(tokens) % 6 or not (tokens.reshape(-1, 6) == _PAIR).all():
+        raise _NotCanonical
+    run_end = digit.copy()
+    run_end[:-1] &= ~digit[1:]
+    starts = np.flatnonzero(run_start)
+    if len(starts) == 0:
+        return np.zeros((0, 2), np.int64)
+    lengths = np.flatnonzero(run_end) + 1 - starts
+    if lengths.max() > 18 or ((lengths > 1) & (raw[starts] == ord("0"))).any():
+        raise _NotCanonical
+    values = np.zeros(len(starts), np.int64)
+    for k in range(lengths.max()):
+        digits = raw.take(np.minimum(starts + k, len(raw) - 1)).astype(np.int64) - ord("0")
+        values = np.where(lengths > k, values * 10 + digits, values)
+    return values.reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,8 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          "--balance needs --sample"),
         ("cluster --graph {ws}/g.json --colors {ws}/c.csv --algo faircc --bounds 1:2..1:1 "
          + OUTS, "bounds for color 1: lower 1:2 exceeds upper 1:1"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/missing.json --sample 4 --balance 1:x "
+         + INGEST_OUTS, "bad ratio '1:x'"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
@@ -235,7 +237,7 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         "verify-restarts-0", "cluster-out-dir", "experiment-out-dir", "ingest-out-dir",
         "gen-out-dir", "missing-graph", "missing-colors", "missing-schema",
         "missing-csv", "ingest-sample-negative", "ingest-balance-without-sample",
-        "cluster-bounds-reversed",
+        "cluster-bounds-reversed", "ingest-balance-bad-ratio",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):

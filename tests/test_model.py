@@ -15,6 +15,7 @@ from faircc import (
     color_distribution,
     disagreements,
 )
+from faircc import model
 from conftest import random_graph
 
 
@@ -207,6 +208,34 @@ def test_from_negative_edges_matches_pairwise_signs():
         SignedCompleteGraph.from_negative_edges(0, [])
     with pytest.raises(InvalidInputError, match="more than once"):
         SignedCompleteGraph.from_negative_edges(3, [(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "n,seed,neg_prob",
+    [(1, 0, 0.5), (2, 0, 1.0), (2, 1, 0.0), (7, 2, 0.0), (7, 3, 1.0), (9, 4, 0.5), (40, 5, 0.3)],
+)
+def test_negative_edges_and_to_json_match_the_reference(n, seed, neg_prob):
+    """``negative_edges`` lists the pairs the per-pair loop finds, in order,
+    and ``to_json`` is byte for byte ``json.dumps`` of the graph object."""
+    g = random_graph(n, seed, neg_prob)
+    loop = [(u, v) for u in range(n) for v in range(u + 1, n) if g.signs[u, v] < 0]
+    assert g.negative_edges() == loop
+    assert all(type(u) is int and type(v) is int for u, v in g.negative_edges())
+    assert g.to_json() == json.dumps({"n": n, "negative_edges": [list(e) for e in loop]})
+
+
+def test_graph_larger_than_memory_is_refused_before_allocating(monkeypatch):
+    """Every way to build a graph from edges refuses n * n sign bytes above
+    physical memory, naming n; 100 * 100 bytes fit in 10000."""
+    monkeypatch.setattr(model, "_physical_memory", lambda: 10_000)
+    assert SignedCompleteGraph.from_negative_edges(100, []).n == 100
+    for build in (
+        lambda: SignedCompleteGraph.from_negative_edges(101, []),
+        lambda: SignedCompleteGraph.from_json('{"n": 101, "negative_edges": []}'),
+        lambda: SignedCompleteGraph.from_json('{"negative_edges": [], "n": 101}'),
+    ):
+        with pytest.raises(InvalidInputError, match="n=101 "):
+            build()
 
 
 def test_colors_csv_roundtrip():

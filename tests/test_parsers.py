@@ -4,11 +4,14 @@ a FairCCError, which the CLI maps to a documented exit code; any other
 exception would end the CLI in a traceback."""
 
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircc import model
 from faircc import (
     Clustering,
     ColorAssignment,
@@ -19,6 +22,7 @@ from faircc import (
 )
 from faircc.cli import parse_spec
 from faircc.ingest import KINDS
+from conftest import random_graph
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 JSON = st.recursive(
@@ -90,3 +94,102 @@ def test_schema_json_gives_a_schema_or_an_exit_code(text):
 def test_deeply_nested_json_is_a_parse_error(parse):
     with pytest.raises(ParseError):
         parse("[" * 100_000)
+
+
+# Graph JSON in the shape every writer emits, as a token list that the
+# test joins with random JSON whitespace, and the near misses of it that
+# the byte scan must hand to json.loads.
+JSON_SPACE = st.text(" \t\n\r", max_size=2)
+NEAR_MISSES = (
+    "f-space", "v-space", "leading-zero", "19-digits", "minus", "float", "true",
+    "list-comma", "pair-comma", "short-pair", "long-pair", "garbage", "reordered", "extra-key",
+)
+
+
+@st.composite
+def graph_edges(draw):
+    """(n, edges): distinct pairs u < v < n in random order, sometimes
+    followed by one pair that is out of range, reversed or repeated."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    return n, edges + draw(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=1))
+
+
+def graph_tokens(n, edges):
+    body = [t for u, v in edges for t in (",", "[", str(u), ",", str(v), "]")][1:]
+    return ["{", '"n"', ":", str(n), ",", '"negative_edges"', ":", "[", *body, "]", "}"]
+
+
+def mutate(tokens, edges, kind, k):
+    """``tokens`` with one near miss of kind ``kind``; ``k`` picks where."""
+    ids = [i for i, t in enumerate(tokens) if t.isdigit()]
+    i = ids[k % len(ids)]
+    pair = 8  # the first pair's "[", when there are edges
+    if kind in ("leading-zero", "19-digits", "minus", "float", "true"):
+        new = {"leading-zero": "0" + tokens[i], "19-digits": "9" * 19, "minus": "-1",
+               "float": tokens[i] + ".0", "true": "true"}[kind]
+        return tokens[:i] + [new] + tokens[i + 1 :]
+    if kind == "list-comma":
+        return tokens[:-2] + [",", "]", "}"]
+    if kind == "pair-comma" and edges:
+        return tokens[: pair + 4] + [","] + tokens[pair + 4 :]
+    if kind == "short-pair" and edges:
+        return tokens[: pair + 2] + tokens[pair + 4 :]
+    if kind == "long-pair" and edges:
+        return tokens[: pair + 4] + [",", "2"] + tokens[pair + 4 :]
+    if kind == "garbage":
+        return tokens + [["x", "]", "}", "0"][k % 4]]
+    if kind == "reordered":
+        return ["{"] + tokens[5:-1] + [",", '"n"', ":", tokens[3], "}"]
+    if kind == "extra-key":
+        return tokens[:-1] + [",", '"m"', ":", "1", "}"]
+    return tokens
+
+
+def outcome(parse, text):
+    try:
+        return "graph", parse(text).signs.tobytes()
+    except Exception as exc:  # compared, not handled: any type must match
+        return type(exc), str(exc)
+
+
+def json_loads_path(text):
+    with mock.patch.object(model, "_canonical_edge_blocks", side_effect=model._NotCanonical):
+        return SignedCompleteGraph.from_json(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(graph_edges(), st.none() | st.sampled_from(NEAR_MISSES), st.integers(0, 99), st.data())
+def test_byte_scan_agrees_with_json_loads(graph, near_miss, k, data):
+    """Canonical graph JSON with random whitespace, and near misses of it,
+    read the same with and without the byte scan: the same signs or the
+    same exception and message. At any window size the scan itself gives
+    json.loads's n and pairs, or declines the text."""
+    n, edges = graph
+    tokens = graph_tokens(n, edges)
+    if near_miss:
+        tokens = mutate(tokens, edges, near_miss, k)
+    space = [data.draw(JSON_SPACE) for _ in range(len(tokens) + 1)]
+    if near_miss in ("f-space", "v-space"):
+        space[k % len(space)] += "\f" if near_miss == "f-space" else "\v"
+    text = "".join(s + t for s, t in zip(space, tokens + [""]))
+    assert outcome(SignedCompleteGraph.from_json, text) == outcome(json_loads_path, text)
+    try:
+        n_scanned, blocks = model._canonical_edge_blocks(text, window=data.draw(st.integers(1, 40)))
+        pairs = np.concatenate([np.zeros((0, 2), np.int64), *blocks])
+    except model._NotCanonical:
+        return
+    obj = json.loads(text)
+    assert n_scanned == obj["n"]
+    assert pairs.tolist() == obj["negative_edges"]
+
+
+def test_canonical_text_is_read_without_json_loads():
+    """The writers' shape at n = 800 (about 2 MB, so several scan windows)
+    is read by the byte scan alone."""
+    g = random_graph(800, seed=3)
+    text = g.to_json() + "\n"
+    with mock.patch.object(model.json, "loads", side_effect=AssertionError("json.loads called")):
+        again = SignedCompleteGraph.from_json(text)
+    assert np.array_equal(again.signs, g.signs)

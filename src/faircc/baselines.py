@@ -35,7 +35,7 @@ def run_wmatch(fairlets) -> Clustering:
     """Each fairlet (matching component) becomes its own cluster; the
     result needs no seed. ``fairlets`` are build_fairlets(colors, spec,
     build_matchings(g, colors, spec))."""
-    return Clustering.from_labels(fairlets.tolist())
+    return Clustering.from_labels(fairlets)
 
 
 def run_ufaircc(
@@ -73,12 +73,12 @@ def run_ccmerge(
     if clustering.n != g.n:
         raise InvalidInputError("clustering length does not match graph")
     pos = g.signs > 0
-    color = np.asarray(colors.color_of)
+    color = colors.color_of
     base, k = spec.base_color, colors.num_colors
     non_base = sorted(spec.bounds)
     # the fewest vertices of each color per base vertex
     least = np.array([spec.bounds.get(c, (1, 1))[0] for c in range(k)])
-    label = np.array(clustering.cluster_of, np.int64)  # -1: pooled
+    label = clustering.cluster_of.copy()  # -1: pooled
 
     def ranked(vertices, anchor):
         """``vertices`` by positive degree into ``anchor``, highest first,
@@ -139,13 +139,12 @@ def run_ccmerge(
                 raise InfeasibleSpecError("cannot place a base vertex fairly")
         label[v] = host
 
-    fair = check_fairness(colors, clustering, spec).cluster_pass
-    for cluster, cnt in enumerate(counts()[1:]):
-        if not fair[cluster]:
-            inside = np.flatnonzero(label == cluster)
-            groups = (cnt // least).min()
-            for c in range(k):
-                label[ranked(inside[color[inside] == c], inside)[groups * least[c] :]] = -1
+    report = check_fairness(colors, clustering, spec)
+    for cluster in np.flatnonzero(~report.cluster_pass):
+        inside = np.flatnonzero(label == cluster)
+        groups = (report.cluster_color_counts[cluster] // least).min()
+        for c in range(k):
+            label[ranked(inside[color[inside] == c], inside)[groups * least[c] :]] = -1
     # renumber the kept clusters largest first, ties by smallest member
     placed = label >= 0
     ids, first, sizes = np.unique(label[placed], return_index=True, return_counts=True)
@@ -167,4 +166,4 @@ def run_ccmerge(
             if not room.any():
                 raise InfeasibleSpecError(f"no cluster can absorb leftover color {c}")
             label[v] = np.argmax(np.where(room, friendliness(v), -1))
-    return Clustering.from_labels(label.tolist())
+    return Clustering.from_labels(label)

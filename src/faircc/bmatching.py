@@ -78,12 +78,18 @@ class BMatchingInstance:
         return self.cost.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BMatching:
-    """Solved assignment: per-right-node left index plus total cost."""
+    """Solved assignment: per-right-node left index, a read-only int64
+    array, plus total cost."""
 
-    assign: tuple
+    assign: np.ndarray
     weight: int
+
+    def __post_init__(self):
+        assign = np.array(self.assign, np.int64)
+        assign.setflags(write=False)
+        object.__setattr__(self, "assign", assign)
 
 
 def _assign(rows, owner, offset):
@@ -154,5 +160,5 @@ def solve(inst: BMatchingInstance) -> BMatching:
         offset[rank < lo[owner]] = -(int(inst.cost.sum()) + 1)
     assign = owner[_assign(np.ascontiguousarray(inst.cost.T), owner, offset)]
     weight = int(inst.cost[assign, np.arange(R)].sum())
-    return BMatching(tuple(assign.tolist()), weight)
+    return BMatching(assign, weight)
 

@@ -51,6 +51,17 @@ def _at_least(low):
     return integer
 
 
+def _unit_interval(text):
+    """argparse type: a number in [0, 1], not nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _read(path):
     """Text of an input file; one that cannot be read is a ParseError."""
     try:
@@ -345,10 +356,9 @@ def cmd_verify(args):
             g = SignedCompleteGraph(n, signs)
             order = list(range(n))
             rng.shuffle(order)
-            color_of = [0] * n
-            for v in order[half:]:
-                color_of[v] = 1
-            colors = ColorAssignment(tuple(color_of))
+            color_of = np.zeros(n, np.int64)
+            color_of[order[half:]] = 1
+            colors = ColorAssignment(color_of)
             spec = FairnessSpec.exact({1: 1})
             ok &= _verify_instance(g, colors, spec, pivot)
         return 0 if ok else 1
@@ -380,7 +390,7 @@ def build_parser():
     p = sub.add_parser("ingest", help="CSV -> signed graph + colors")
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--tau", type=_unit_interval, default=0.5)
     p.add_argument("--sample", type=_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--balance", default=None, help="exact color ratio of the --sample, e.g. 1:2")

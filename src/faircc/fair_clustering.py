@@ -55,7 +55,7 @@ def build_matchings(
 ) -> dict:
     """One min-cost b-matching per non-base color against the base color.
 
-    Returns color -> (BMatching, base vertex list, color vertex list).
+    Returns color -> (BMatching, base vertex ids, color vertex ids).
     """
     check_spec(colors, spec)
     lefts = colors.vertices_of(spec.base_color)
@@ -96,7 +96,7 @@ def pivot_base(g, colors, spec, pivot) -> Clustering:
 def run_pipeline(colors, spec, fairlets, base: Clustering) -> Clustering:
     """Give every fairlet its base vertex's cluster in ``base`` and check
     fairness."""
-    c = Clustering.from_labels(np.asarray(base.cluster_of)[fairlets].tolist())
+    c = Clustering.from_labels(base.cluster_of[fairlets])
     report = check_fairness(colors, c, spec)
     if not report.overall_pass:
         raise FairCCError(

@@ -48,7 +48,8 @@ class Schema:
         try:
             obj = json.loads(text)
             cols = [(c["name"], c["kind"]) for c in obj["columns"]]
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer of too many digits
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad schema JSON: {exc}") from exc
         return cls(tuple(cols))
 
@@ -213,4 +214,4 @@ def build_graph(
     g = SignedCompleteGraph(n, signs)
 
     ids = color_ids(ds) if ids is None else ids
-    return g, ColorAssignment(tuple(ids[v] for v in ds.protected_values()))
+    return g, ColorAssignment([ids[v] for v in ds.protected_values()])

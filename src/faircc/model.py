@@ -84,15 +84,12 @@ class SignedCompleteGraph:
             raise repeat_error(f"{repeats} negative edges are listed more than once")
         return cls(n, signs)
 
-    def negative_edges(self):
-        """Sorted list of negative pairs (u, v) with u < v."""
-        iu, iv = np.nonzero(np.triu(self.signs < 0, 1))
-        return list(zip(iu.tolist(), iv.tolist()))
-
     def to_json(self):
-        """``{"n": N, "negative_edges": [[u, v], ...]}``, byte for byte the
-        text ``json.dumps`` gives for that object."""
-        pairs = ", ".join([f"[{u}, {v}]" for u, v in self.negative_edges()])
+        """``{"n": N, "negative_edges": [[u, v], ...]}``, the negative pairs
+        with u < v in sorted order, byte for byte the text ``json.dumps``
+        gives for that object."""
+        iu, iv = np.nonzero(np.triu(self.signs < 0, 1))
+        pairs = ", ".join([f"[{u}, {v}]" for u, v in zip(iu.tolist(), iv.tolist())])
         return f'{{"n": {self.n}, "negative_edges": [{pairs}]}}'
 
     @classmethod
@@ -114,7 +111,8 @@ class SignedCompleteGraph:
             obj = json.loads(text)
             n = obj["n"]
             edges = obj["negative_edges"]
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer of too many digits
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from exc
         if type(n) is not int:
             raise ParseError(f"bad graph JSON: n must be an integer, got {n!r}")
@@ -246,29 +244,30 @@ def _scan_pairs(raw, first):
     return values.reshape(-1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorAssignment:
-    """Per-vertex color ids in 0..k-1 plus per-color counts."""
+    """Per-vertex color ids in 0..k-1, a read-only int64 array, plus the
+    count of every color."""
 
-    color_of: tuple
+    color_of: np.ndarray
     counts: tuple = field(init=False)
 
     def __post_init__(self):
-        colors = tuple(int(c) for c in self.color_of)
-        if not colors:
+        ids = np.asarray(self.color_of)
+        if not ids.size:
             raise InvalidInputError("empty color assignment")
-        k = max(colors) + 1
-        if min(colors) < 0:
+        # bounds before the cast: numpy keeps an id beyond int64 as a Python int
+        if ids.min() < 0:
             raise InvalidInputError("color ids must be nonnegative")
-        if k > len(colors):  # before allocating k counts: contiguous ids stay below n
-            raise InvalidInputError(f"color id {k - 1} is not below n={len(colors)}")
-        counts = [0] * k
-        for c in colors:
-            counts[c] += 1
-        if any(cnt == 0 for cnt in counts):
+        if ids.max() >= len(ids):  # before allocating counts: contiguous ids stay below n
+            raise InvalidInputError(f"color id {int(ids.max())} is not below n={len(ids)}")
+        colors = ids.astype(np.int64)
+        counts = np.bincount(colors)
+        if not counts.all():
             raise InvalidInputError("color ids must form a contiguous range")
+        colors.setflags(write=False)
         object.__setattr__(self, "color_of", colors)
-        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "counts", tuple(counts.tolist()))
 
     @property
     def n(self):
@@ -279,10 +278,10 @@ class ColorAssignment:
         return len(self.counts)
 
     def vertices_of(self, color):
-        return [v for v, c in enumerate(self.color_of) if c == color]
+        return np.flatnonzero(self.color_of == color)
 
     def to_csv(self):
-        return "".join(f"{v},{c}\n" for v, c in enumerate(self.color_of))
+        return "".join(f"{v},{c}\n" for v, c in enumerate(self.color_of.tolist()))
 
     @classmethod
     def from_csv(cls, text):
@@ -301,7 +300,7 @@ class ColorAssignment:
             entries[v] = c
         if sorted(entries) != list(range(len(entries))):
             raise ParseError("colors CSV must cover vertex ids 0..n-1")
-        return cls(tuple(entries[v] for v in range(len(entries))))
+        return cls([entries[v] for v in range(len(entries))])
 
 
 @dataclass(frozen=True)
@@ -339,20 +338,30 @@ class FairnessSpec:
         return f"{lo}..{hi}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """Per-vertex cluster ids forming a contiguous range 0..k-1."""
+    """Per-vertex cluster ids forming a contiguous range 0..k-1, a read-only
+    int64 array. Two clusterings are equal when their ids are."""
 
-    cluster_of: tuple
+    cluster_of: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(map(int, self.cluster_of))
-        if not ids:
+        ids = np.asarray(self.cluster_of)
+        if not ids.size:
             raise InvalidInputError("empty clustering")
-        used = set(ids)
-        if used != set(range(len(used))):
+        # bounds before the cast: numpy keeps an id beyond int64 as a Python int
+        if not 0 <= ids.min() <= ids.max() < len(ids):
             raise InvalidInputError("cluster ids must be contiguous from 0")
+        ids = ids.astype(np.int64)
+        if not np.bincount(ids).all():
+            raise InvalidInputError("cluster ids must be contiguous from 0")
+        ids.setflags(write=False)
         object.__setattr__(self, "cluster_of", ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, Clustering):
+            return NotImplemented
+        return np.array_equal(self.cluster_of, other.cluster_of)
 
     @property
     def n(self):
@@ -360,47 +369,45 @@ class Clustering:
 
     @property
     def num_clusters(self):
-        return max(self.cluster_of) + 1
+        return int(self.cluster_of.max()) + 1
 
     @classmethod
     def from_labels(cls, labels):
-        """Canonicalize arbitrary labels: ids assigned in order of first
-        appearance."""
-        remap = {}
-        return cls(tuple([remap.setdefault(lab, len(remap)) for lab in labels]))
+        """Canonicalize labels, an array or a sequence of ints or of
+        strings: ids assigned in order of first appearance."""
+        if not isinstance(labels, np.ndarray):  # an object array keeps every str whole
+            labels = np.array(labels, dtype=object)
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        return cls(np.argsort(np.argsort(first))[inverse])  # each label's rank by first index
 
     def to_json(self):
-        return json.dumps({"cluster_of": list(self.cluster_of)})
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            obj = json.loads(text)
-            ids = obj["cluster_of"]
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
-            raise ParseError(f"bad clustering JSON: {exc}") from exc
-        return cls(tuple(ids))
+        return json.dumps({"cluster_of": self.cluster_of.tolist()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairnessReport:
-    """Per-cluster color counts and pass/fail verdicts."""
+    """Per-cluster color counts, a clusters x colors table, and per-cluster
+    pass/fail verdicts, a bool array."""
 
-    cluster_color_counts: tuple  # tuple of dicts, indexed by cluster id
-    cluster_pass: tuple
+    cluster_color_counts: np.ndarray
+    cluster_pass: np.ndarray
     overall_pass: bool
 
     def describe_violations(self, limit=3):
         """'cluster i {color: count, ...}' for the first ``limit`` failing
         clusters, plus how many more fail."""
-        bad = [i for i, ok in enumerate(self.cluster_pass) if not ok]
+        bad = np.flatnonzero(~self.cluster_pass).tolist()
         text = "; ".join(
-            f"cluster {i} {dict(sorted(self.cluster_color_counts[i].items()))}"
-            for i in bad[:limit]
+            f"cluster {i} {_histogram(self.cluster_color_counts[i])}" for i in bad[:limit]
         )
         if len(bad) > limit:
             text += f"; and {len(bad) - limit} more"
         return text
+
+
+def _histogram(row):
+    """{color: count} of the colors present in one row of a color table."""
+    return {color: count for color, count in enumerate(row.tolist()) if count}
 
 
 def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
@@ -408,23 +415,20 @@ def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
     between clusters."""
     if c.n != g.n:
         raise InvalidInputError("clustering length does not match graph")
-    labels = np.asarray(c.cluster_of)
     # a pair disagrees iff "same cluster" differs from "positive"; each
     # diagonal entry (same, not positive) adds one, each pair two
-    mismatched = np.count_nonzero((labels[:, None] == labels) != (g.signs > 0))
+    mismatched = np.count_nonzero((c.cluster_of[:, None] == c.cluster_of) != (g.signs > 0))
     return int(mismatched - g.n) // 2
 
 
-def _color_counts(colors: ColorAssignment, c: Clustering) -> list:
-    """Color histogram ({color: count}) of every cluster, indexed by
-    cluster id."""
+def _color_counts(colors: ColorAssignment, c: Clustering) -> np.ndarray:
+    """Clusters x colors table of the count of every color in every
+    cluster."""
     if colors.n != c.n:
         raise InvalidInputError("colors and clustering length mismatch")
-    counts = [{} for _ in range(c.num_clusters)]
-    for cluster, color in zip(c.cluster_of, colors.color_of):
-        hist = counts[cluster]
-        hist[color] = hist.get(color, 0) + 1
-    return counts
+    k = colors.num_colors
+    cells = np.bincount(c.cluster_of * k + colors.color_of, minlength=c.num_clusters * k)
+    return cells.reshape(-1, k)
 
 
 def check_spec(colors: ColorAssignment, spec: FairnessSpec):
@@ -448,18 +452,23 @@ def check_fairness(colors: ColorAssignment, c: Clustering, spec: FairnessSpec) -
     """A cluster with n1 base vertices and n_i of color i passes iff n1 >= 1
     and n1*p_i <= n_i <= n1*q_i for every constrained color i."""
     counts = _color_counts(colors, c)
-    bounds = spec.bounds.items()
-    verdicts = []
-    for hist in counts:
-        n1 = hist.get(spec.base_color, 0)
-        verdicts.append(n1 >= 1 and all(n1 * p <= hist.get(i, 0) <= n1 * q for i, (p, q) in bounds))
-    return FairnessReport(tuple(counts), tuple(verdicts), all(verdicts))
+    column = dict(enumerate(counts.T))
+    absent = np.zeros(len(counts), np.int64)  # a color the colors lack
+    n1 = column.get(spec.base_color, absent)
+    verdicts = n1 >= 1
+    for color, (p, q) in spec.bounds.items():
+        n_i = column.get(color, absent)
+        # a cluster with a base vertex holds at most n - 1 others, so a bound
+        # above n decides nothing more, and n1 * bound stays in int64
+        p, q = min(p, c.n), min(q, c.n)
+        verdicts &= (n1 * p <= n_i) & (n_i <= n1 * q)
+    return FairnessReport(counts, verdicts, bool(verdicts.all()))
 
 
 def color_distribution(colors: ColorAssignment, c: Clustering):
-    """Per-cluster color histograms, largest cluster first; ties broken by
-    the smallest contained vertex id."""
+    """Per-cluster color histograms ({color: count} of the colors present),
+    largest cluster first; ties broken by the smallest contained vertex
+    id."""
     counts = _color_counts(colors, c)
-    labels = np.asarray(c.cluster_of)
-    _, smallest = np.unique(labels, return_index=True)
-    return [counts[i] for i in np.lexsort((smallest, -np.bincount(labels)))]
+    _, smallest = np.unique(c.cluster_of, return_index=True)
+    return [_histogram(row) for row in counts[np.lexsort((smallest, -counts.sum(1)))]]

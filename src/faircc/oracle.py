@@ -55,7 +55,8 @@ def best_partition(g: SignedCompleteGraph, colors=None, spec=None):
     cut = np.tril(g.signs > 0).sum(axis=1).tolist()  # positive edges to earlier vertices
     fair = spec is not None
     if fair:
-        color_of, base, bounds = colors.color_of, spec.base_color, list(spec.bounds.items())
+        base, bounds = spec.base_color, list(spec.bounds.items())
+        color_of = colors.color_of.tolist()  # the search reads a list faster than an array
         hist = [[0] * colors.num_colors for _ in range(n)]  # per block, color counts
     best_cost, best_assign = -1, None
     assign = [0] * n
@@ -99,7 +100,7 @@ def opt_cc(g: SignedCompleteGraph):
     lexicographically smallest restricted growth string."""
     _check_size(g.n)
     cost, assign = best_partition(g)
-    return Clustering(tuple(assign)), cost
+    return Clustering(assign), cost
 
 
 def opt_fair(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec):
@@ -110,7 +111,7 @@ def opt_fair(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec
     cost, assign = best_partition(g, colors, spec)
     if cost < 0:
         raise InfeasibleSpecError("no clustering satisfies the fairness spec")
-    return Clustering(tuple(assign)), cost
+    return Clustering(assign), cost
 
 
 def opt_bmatching(inst: bmatching.BMatchingInstance) -> bmatching.BMatching:
@@ -160,6 +161,4 @@ def mirror_graph(g: SignedCompleteGraph):
     signs = np.tile(g.signs, (2, 2))
     u = np.arange(n)
     signs[u, n + u] = signs[n + u, u] = 1
-    h = SignedCompleteGraph(2 * n, signs)
-    colors = ColorAssignment(tuple([0] * n + [1] * n))
-    return h, colors
+    return SignedCompleteGraph(2 * n, signs), ColorAssignment(np.repeat([0, 1], n))

@@ -50,8 +50,8 @@ def pivot_cluster(g: SignedCompleteGraph, seed: int) -> np.ndarray:
 def best_of_restarts(g: SignedCompleteGraph, run: PivotRun) -> Clustering:
     """Pivot with seeds seed .. seed+restarts-1; keep the clustering with
     the fewest disagreements (ties: earliest seed)."""
-    restarts = (
-        Clustering.from_labels(pivot_cluster(g, run.seed + k).tolist())
-        for k in range(run.restarts)
-    )
-    return min(restarts, key=lambda c: disagreements(g, c))
+    # a pass's ids, in order of cluster creation, already form a clustering;
+    # only the kept one is renumbered by first appearance
+    restarts = (Clustering(pivot_cluster(g, run.seed + k)) for k in range(run.restarts))
+    best = min(restarts, key=lambda c: disagreements(g, c))
+    return Clustering.from_labels(best.cluster_of)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from faircc import ColorAssignment, SignedCompleteGraph
+from faircc import ColorAssignment, InvalidInputError, SignedCompleteGraph
 from faircc.fair_clustering import build_fairlets, build_matchings
 
 
@@ -25,7 +25,7 @@ def random_colors(counts, seed):
     rng = random.Random(seed)
     color_of = [c for c, k in enumerate(counts) for _ in range(k)]
     rng.shuffle(color_of)
-    return ColorAssignment(tuple(color_of))
+    return ColorAssignment(color_of)
 
 
 def fairlets_of(g, colors, spec, unit_costs=False):
@@ -102,3 +102,87 @@ def brute_opt_fair(g, colors, spec):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+# Tuple-based references for the per-vertex model: the validation, label
+# canonicalization and fairness counting the model did with Python loops
+# before its fields became int64 arrays.
+
+
+def reference_color_assignment(color_of):
+    """(color ids, counts) as tuples, or the error, of the tuple-based
+    ColorAssignment."""
+    colors = tuple(int(c) for c in color_of)
+    if not colors:
+        raise InvalidInputError("empty color assignment")
+    k = max(colors) + 1
+    if min(colors) < 0:
+        raise InvalidInputError("color ids must be nonnegative")
+    if k > len(colors):
+        raise InvalidInputError(f"color id {k - 1} is not below n={len(colors)}")
+    counts = [0] * k
+    for c in colors:
+        counts[c] += 1
+    if any(cnt == 0 for cnt in counts):
+        raise InvalidInputError("color ids must form a contiguous range")
+    return colors, tuple(counts)
+
+
+def reference_clustering(cluster_of):
+    """Cluster ids as a tuple, or the error, of the tuple-based Clustering."""
+    ids = tuple(map(int, cluster_of))
+    if not ids:
+        raise InvalidInputError("empty clustering")
+    used = set(ids)
+    if used != set(range(len(used))):
+        raise InvalidInputError("cluster ids must be contiguous from 0")
+    return ids
+
+
+def reference_labels(labels):
+    """Ids in order of first appearance, through a dict."""
+    remap = {}
+    return [remap.setdefault(lab, len(remap)) for lab in labels]
+
+
+def reference_color_counts(color_of, cluster_of):
+    """{color: count} of every cluster, indexed by cluster id."""
+    counts = [{} for _ in range(max(cluster_of) + 1)]
+    for cluster, color in zip(cluster_of, color_of):
+        hist = counts[cluster]
+        hist[color] = hist.get(color, 0) + 1
+    return counts
+
+
+def reference_fairness(color_of, cluster_of, spec):
+    """(histograms, verdicts) of every cluster: n1 >= 1 base vertices and
+    n1*p <= n_i <= n1*q for every bounded color i, a missing color
+    counting 0."""
+    counts = reference_color_counts(color_of, cluster_of)
+    verdicts = []
+    for hist in counts:
+        n1 = hist.get(spec.base_color, 0)
+        verdicts.append(
+            n1 >= 1
+            and all(n1 * p <= hist.get(i, 0) <= n1 * q for i, (p, q) in spec.bounds.items())
+        )
+    return counts, verdicts
+
+
+def reference_violations(counts, verdicts, limit=3):
+    """describe_violations text of the tuple-based FairnessReport."""
+    bad = [i for i, ok in enumerate(verdicts) if not ok]
+    text = "; ".join(f"cluster {i} {dict(sorted(counts[i].items()))}" for i in bad[:limit])
+    if len(bad) > limit:
+        text += f"; and {len(bad) - limit} more"
+    return text
+
+
+def reference_color_distribution(color_of, cluster_of):
+    """Histograms, largest cluster first, ties to the smallest vertex."""
+    counts = reference_color_counts(color_of, cluster_of)
+    smallest = {}
+    for v, cluster in enumerate(cluster_of):
+        smallest.setdefault(cluster, v)
+    order = sorted(range(len(counts)), key=lambda i: (-sum(counts[i].values()), smallest[i]))
+    return [counts[i] for i in order]

@@ -212,7 +212,7 @@ def test_ccmerge_pinned_labels(counts, neg, seed, bounds, base, start, labels):
     else:
         clustering = Clustering(tuple(2 - v % 3 for v in range(n)))
     c = run_ccmerge(g, colors, spec, clustering)
-    assert c.cluster_of == labels
+    assert c.cluster_of.tolist() == list(labels)
     assert check_fairness(colors, c, spec).overall_pass
 
 

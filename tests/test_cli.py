@@ -89,7 +89,7 @@ def test_end_to_end_flow(workspace, capsys):
         ]
     )
     assert rc == 0
-    clustering = Clustering.from_json((workspace / "clust.json").read_text())
+    clustering = Clustering(json.loads((workspace / "clust.json").read_text())["cluster_of"])
     row = json.loads((workspace / "result.json").read_text())
     assert row["algo"] == "faircc" and row["seed"] == 3
     assert row["fair"] is True and row["millis"] == 0
@@ -189,6 +189,12 @@ def test_exit_code_parse_error(workspace, capsys):
 
 
 OUTS = "--out-clustering {ws}/k.json --out-result {ws}/r.json"
+
+
+def out_args(ws):
+    """The cluster command's output flags, into ``ws``."""
+    return ["--out-clustering", str(ws / "k.json"), "--out-result", str(ws / "r.json")]
+
 INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
 
 
@@ -230,6 +236,14 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          + OUTS, "bounds for color 1: lower 1:2 exceeds upper 1:1"),
         ("ingest --csv {ws}/data.csv --schema {ws}/missing.json --sample 4 --balance 1:x "
          + INGEST_OUTS, "bad ratio '1:x'"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/missing.json --tau 1.5 " + INGEST_OUTS,
+         "--tau: must lie in [0, 1], got 1.5"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/missing.json --tau -0.1 " + INGEST_OUTS,
+         "--tau: must lie in [0, 1], got -0.1"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/missing.json --tau nan " + INGEST_OUTS,
+         "--tau: must lie in [0, 1], got nan"),
+        ("ingest --csv {ws}/data.csv --schema {ws}/missing.json --tau x " + INGEST_OUTS,
+         "--tau: not a number: 'x'"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
@@ -237,7 +251,8 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         "verify-restarts-0", "cluster-out-dir", "experiment-out-dir", "ingest-out-dir",
         "gen-out-dir", "missing-graph", "missing-colors", "missing-schema",
         "missing-csv", "ingest-sample-negative", "ingest-balance-without-sample",
-        "cluster-bounds-reversed", "ingest-balance-bad-ratio",
+        "cluster-bounds-reversed", "ingest-balance-bad-ratio", "ingest-tau-above-1",
+        "ingest-tau-negative", "ingest-tau-nan", "ingest-tau-not-a-number",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):
@@ -315,6 +330,36 @@ def test_exit_code_spec_misses_a_color(workspace, capsys, algo):
     assert "spec must bound every non-base color" in capsys.readouterr().err
 
 
+def test_integer_of_too_many_digits_exits_3(workspace, capsys):
+    """json.loads refuses an integer of over 4300 digits with a ValueError;
+    the graph reader reports it as a parse error."""
+    (workspace / "g.json").write_text('{"n": 3, "negative_edges": [[0, %s]]}' % ("1" * 5000))
+    argv = ["cluster", "--graph", str(workspace / "g.json"), "--algo", "cc"]
+    rc = main(argv + out_args(workspace))
+    assert rc == 3
+    assert "bad graph JSON" in capsys.readouterr().err
+
+
+def test_spec_naming_a_missing_color_reports_unfair(workspace, capsys):
+    """``cc`` under a three-color ratio on a two-color instance writes
+    "fair": false: the third color counts 0 in every cluster."""
+    (workspace / "g.json").write_text(random_graph(8, 3).to_json())
+    (workspace / "c.csv").write_text(random_colors((4, 4), 3).to_csv())
+    rc = main(
+        [
+            "cluster",
+            "--graph", str(workspace / "g.json"),
+            "--colors", str(workspace / "c.csv"),
+            "--algo", "cc",
+            "--ratio", "1:1:1",
+            *out_args(workspace),
+        ]
+    )
+    assert rc == 0
+    row = json.loads((workspace / "r.json").read_text())
+    assert row["fair"] is False and row["spec"] == "1:1:1"
+
+
 def write_planted(workspace, n, counts, seed, blocks=8, noise=0.15):
     """Planted-partition instance: same-block pairs positive, others
     negative, each sign flipped with probability ``noise``."""
@@ -349,7 +394,7 @@ def test_ccmerge_interval_bounds_on_planted_instances(workspace, capsys, n, coun
         )
         assert rc == 0, f"n={n} seed={seed}"
         colors = ColorAssignment.from_csv((workspace / "c.csv").read_text())
-        c = Clustering.from_json((workspace / "out.json").read_text())
+        c = Clustering(json.loads((workspace / "out.json").read_text())["cluster_of"])
         spec = parse_spec(None, "1:1:1..1:2:3")
         assert check_fairness(colors, c, spec).overall_pass
 
@@ -372,7 +417,7 @@ def test_loose_upper_bound_on_cli(workspace, capsys, algo):
     )
     assert rc == 0
     colors = ColorAssignment.from_csv((workspace / "c.csv").read_text())
-    c = Clustering.from_json((workspace / "out.json").read_text())
+    c = Clustering(json.loads((workspace / "out.json").read_text())["cluster_of"])
     assert check_fairness(colors, c, parse_spec(None, "1:1..1:1000000")).overall_pass
 
 

@@ -129,7 +129,7 @@ def test_build_graph_identical_rows_positive():
     ds = make_dataset(["R", "B", "R"])  # ages differ, job constant
     g, colors = build_graph(ds, SimilarityConfig(tau=0.0))
     assert (g.signs[~(g.signs == 0)] == 1).all()
-    assert colors.color_of == (0, 1, 0)
+    assert colors.color_of.tolist() == [0, 1, 0]
 
 
 def test_build_graph_all_different_rows_negative():
@@ -159,7 +159,7 @@ def test_build_graph_hand_computed_signs():
     g, colors = build_graph(ds, SimilarityConfig(tau=0.5))
     neg = {(u, v) for u in range(4) for v in range(u + 1, 4) if g.signs[u, v] < 0}
     assert neg == {(0, 2), (0, 3), (1, 2), (1, 3)}
-    assert colors.color_of == (0, 0, 1, 1)
+    assert colors.color_of.tolist() == [0, 0, 1, 1]
 
 
 def test_build_graph_tau_monotone():

@@ -189,7 +189,7 @@ def test_mirror_graph_structure():
     g = random_graph(4, seed=9)
     h, colors = mirror_graph(g)
     assert h.n == 8
-    assert colors.color_of == (0, 0, 0, 0, 1, 1, 1, 1)
+    assert colors.color_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     for u in range(4):
         assert h.signs[u, 4 + u] == 1
         for v in range(4):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from faircc import model
 from faircc import (
-    Clustering,
     ColorAssignment,
     FairCCError,
     ParseError,
@@ -88,12 +87,28 @@ def test_schema_json_gives_a_schema_or_an_exit_code(text):
 
 @pytest.mark.parametrize(
     "parse",
-    [SignedCompleteGraph.from_json, Schema.from_json, Clustering.from_json],
-    ids=["graph", "schema", "clustering"],
+    [SignedCompleteGraph.from_json, Schema.from_json],
+    ids=["graph", "schema"],
 )
 def test_deeply_nested_json_is_a_parse_error(parse):
     with pytest.raises(ParseError):
         parse("[" * 100_000)
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (SignedCompleteGraph.from_json, '{"n": 3, "negative_edges": [[0, %s]]}'),
+        (SignedCompleteGraph.from_json, '{"n": %s, "negative_edges": []}'),
+        (Schema.from_json, '{"columns": [{"name": %s, "kind": "id"}]}'),
+    ],
+    ids=["graph-edge", "graph-n", "schema"],
+)
+def test_integer_of_too_many_digits_is_a_parse_error(parse, text):
+    """json.loads refuses an integer of over 4300 digits with a plain
+    ValueError, not a JSONDecodeError."""
+    with pytest.raises(ParseError, match="bad (graph|schema) JSON"):
+        parse(text % ("1" * 5000))
 
 
 # Graph JSON in the shape every writer emits, as a token list that the

@@ -5,7 +5,8 @@ clustering, the standard comparison baselines, and brute-force oracles for
 verifying the approximation bounds on small instances.
 """
 
-from .baselines import run_cc, run_ccmerge, run_ufaircc, run_wmatch
+from .algorithms import ALGORITHMS, run_algorithm
+from .baselines import run_cc, run_ccmerge, run_wmatch
 from .bmatching import BMatching, BMatchingInstance, solve
 from .errors import (
     FairCCError,
@@ -16,7 +17,6 @@ from .errors import (
 )
 from .fair_clustering import (
     approximation_budget,
-    fair_cc,
     matching_weight_bound_check,
 )
 from .ingest import (

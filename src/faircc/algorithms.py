@@ -1,0 +1,70 @@
+"""The algorithm registry: ``run_algorithm`` is the one entry point for the
+five clusterings the paper compares.
+
+A memo dict, kept by the caller for one instance and spec, carries the
+layers that several calls share, each built on first use: the seed-free
+matchings per cost kind and base color (pair costs for ``faircc`` and
+``wmatch``, unit costs for ``ufaircc``), the base-color pivot per PivotRun
+and base color, and the ``cc`` clustering per PivotRun, which ``ccmerge``
+repairs. Stages are called through their modules, so code that replaces one
+there (``fair_clustering.build_matchings``, ...) sees every call.
+"""
+
+from __future__ import annotations
+
+from . import baselines, fair_clustering
+from .errors import InvalidInputError
+from .model import FairnessSpec, disagreements
+from .pivot import PivotRun
+
+ALGORITHMS = ("cc", "wmatch", "ufaircc", "ccmerge", "faircc")
+
+
+def matchings(g, colors, spec, memo, unit_costs=False) -> dict:
+    """build_matchings(g, colors, spec, unit_costs), built once per memo."""
+    key = ("matchings", unit_costs, spec.base_color)
+    if key not in memo:
+        memo[key] = fair_clustering.build_matchings(g, colors, spec, unit_costs)
+    return memo[key]
+
+
+def run_algorithm(
+    algo, g, colors=None, spec=None, pivot=PivotRun(), memo=None, try_all_bases=False
+):
+    """The clustering ``algo`` finds on one instance; ``cc`` needs only the
+    graph, the fair algorithms also ``colors`` and ``spec``.
+
+    With ``try_all_bases`` (``faircc`` only, every ratio 1:1) faircc runs
+    once per candidate base color and keeps the cheapest result, ties to the
+    smallest base color.
+    """
+    memo = {} if memo is None else memo
+    if algo not in ALGORITHMS:
+        raise InvalidInputError(f"unknown algorithm {algo!r}")
+    if try_all_bases and algo != "faircc":
+        raise InvalidInputError("try_all_bases applies only to faircc")
+    if algo == "cc":
+        if ("cc", pivot) not in memo:
+            memo["cc", pivot] = baselines.run_cc(g, pivot)
+        return memo["cc", pivot]
+    if colors is None or spec is None:
+        raise InvalidInputError(f"algorithm {algo!r} needs colors and a fairness spec")
+    if algo == "ccmerge":
+        cc = run_algorithm("cc", g, pivot=pivot, memo=memo)
+        return baselines.run_ccmerge(g, colors, spec, cc)
+    if try_all_bases:
+        if any(bounds != (1, 1) for bounds in spec.bounds.values()):
+            raise InvalidInputError("try_all_bases requires all ratios 1:1")
+        bases = range(colors.num_colors)
+        specs = [FairnessSpec.exact({c: 1 for c in bases if c != base}, base) for base in bases]
+        results = [run_algorithm("faircc", g, colors, one, pivot, memo) for one in specs]
+        return min(results, key=lambda c: disagreements(g, c))  # the first of equal costs
+    fairlets = fair_clustering.build_fairlets(
+        colors, spec, matchings(g, colors, spec, memo, unit_costs=algo == "ufaircc")
+    )
+    if algo == "wmatch":
+        return baselines.run_wmatch(fairlets)
+    key = ("base", pivot, spec.base_color)
+    if key not in memo:
+        memo[key] = fair_clustering.pivot_base(g, colors, spec, pivot)
+    return fair_clustering.run_pipeline(colors, spec, fairlets, memo[key])

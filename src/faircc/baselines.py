@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InfeasibleSpecError, InvalidInputError
-from .fair_clustering import build_fairlets, build_matchings, pivot_base, run_pipeline
 from .model import (
     Clustering,
     ColorAssignment,
@@ -36,17 +35,6 @@ def run_wmatch(fairlets) -> Clustering:
     result needs no seed. ``fairlets`` are build_fairlets(colors, spec,
     build_matchings(g, colors, spec))."""
     return Clustering.from_labels(fairlets)
-
-
-def run_ufaircc(
-    g: SignedCompleteGraph,
-    colors: ColorAssignment,
-    spec: FairnessSpec,
-    pivot: PivotRun = PivotRun(),
-) -> Clustering:
-    """Fairlet pipeline with every matching cost set to 1."""
-    fairlets = build_fairlets(colors, spec, build_matchings(g, colors, spec, unit_costs=True))
-    return run_pipeline(colors, spec, fairlets, pivot_base(g, colors, spec, pivot))
 
 
 def run_ccmerge(

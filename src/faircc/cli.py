@@ -19,7 +19,8 @@ import time
 
 import numpy as np
 
-from . import baselines, fair_clustering, ingest, oracle
+from . import fair_clustering, ingest, oracle
+from .algorithms import ALGORITHMS, matchings, run_algorithm
 from .errors import FairCCError, ParseError
 from .model import (
     ColorAssignment,
@@ -30,8 +31,6 @@ from .model import (
     disagreements,
 )
 from .pivot import PivotRun
-
-ALGORITHMS = ("cc", "wmatch", "ufaircc", "ccmerge", "faircc")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,42 +100,6 @@ def parse_spec(ratio, bounds):
     return None
 
 
-def run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases=False):
-    """Run one algorithm on one instance.
-
-    ``memo`` is a dict the caller keeps for this instance (and spec). It
-    carries the layers that several calls share, each computed on first
-    use: the seed-free matchings per ``unit_costs`` (``faircc`` and
-    ``wmatch`` use pair costs, ``ufaircc`` unit costs), and per PivotRun
-    the base-color pivot (``faircc`` and ``ufaircc``) and the ``cc``
-    clustering, which ``ccmerge`` repairs.
-    """
-    if algo == "cc":
-        if ("cc", pivot) not in memo:
-            memo["cc", pivot] = baselines.run_cc(g, pivot)
-        return memo["cc", pivot]
-    if spec is None:
-        raise ParseError(f"algorithm {algo!r} needs --ratio or --bounds")
-    if algo == "ccmerge":
-        cc = run_algorithm("cc", g, colors, spec, pivot, memo)
-        return baselines.run_ccmerge(g, colors, spec, cc)
-    if algo == "faircc" and try_all_bases:
-        return fair_clustering.fair_cc(g, colors, spec, pivot, try_all_bases=True)
-    if algo not in ("wmatch", "ufaircc", "faircc"):
-        raise ParseError(f"unknown algorithm {algo!r}")
-    unit_costs = algo == "ufaircc"
-    if ("matchings", unit_costs) not in memo:
-        memo["matchings", unit_costs] = fair_clustering.build_matchings(
-            g, colors, spec, unit_costs
-        )
-    fairlets = fair_clustering.build_fairlets(colors, spec, memo["matchings", unit_costs])
-    if algo == "wmatch":
-        return baselines.run_wmatch(fairlets)
-    if ("base", pivot) not in memo:
-        memo["base", pivot] = fair_clustering.pivot_base(g, colors, spec, pivot)
-    return fair_clustering.run_pipeline(colors, spec, fairlets, memo["base", pivot])
-
-
 def _load_instance(graph_path, colors_path):
     g = SignedCompleteGraph.from_json(_read(graph_path))
     colors = None
@@ -202,16 +165,18 @@ def cmd_ingest(args):
 
 
 def cmd_cluster(args):
+    if args.try_all_bases and args.algo != "faircc":
+        raise ParseError("--try-all-bases applies only to --algo faircc")
     _check_out_dirs(args.out_clustering, args.out_result)
     g, colors = _load_instance(args.graph, args.colors)
     spec = parse_spec(args.ratio, args.bounds)
     if args.algo != "cc" and colors is None:
         raise ParseError(f"algorithm {args.algo!r} needs --colors")
+    if args.algo != "cc" and spec is None:
+        raise ParseError(f"algorithm {args.algo!r} needs --ratio or --bounds")
     pivot = PivotRun(args.seed, args.restarts)
     start = time.perf_counter()
-    clustering = run_algorithm(
-        args.algo, g, colors, spec, pivot, {}, try_all_bases=args.try_all_bases
-    )
+    clustering = run_algorithm(args.algo, g, colors, spec, pivot, try_all_bases=args.try_all_bases)
     millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
     row = _result_row(
         args.dataset, args.algo, args.seed, g, colors, spec, clustering, millis
@@ -312,8 +277,9 @@ def _print_check(label, lhs, rel, rhs):
 
 def _verify_instance(g, colors, spec, pivot):
     ok = True
-    matchings = fair_clustering.build_matchings(g, colors, spec)
-    report = fair_clustering.matching_weight_bound_check(g, colors, spec, matchings)
+    memo = {}
+    built = matchings(g, colors, spec, memo)
+    report = fair_clustering.matching_weight_bound_check(g, colors, spec, built)
     for color in sorted(report.weights):
         q = spec.bounds[color][1]
         ok &= _print_check(
@@ -322,7 +288,6 @@ def _verify_instance(g, colors, spec, pivot):
             "<=",
             report.budgets[color],
         )
-    memo = {("matchings", False): matchings}
     clustering = run_algorithm("faircc", g, colors, spec, pivot, memo)
     cost = disagreements(g, clustering)
     budget = fair_clustering.approximation_budget(spec, colors.num_colors)

@@ -2,9 +2,10 @@
 pivot clustering on the base color, and attachment.
 
 The stages take values, so a caller that runs several of them on one
-instance (the CLI's memo) builds each seed-free or per-seed layer once:
-``build_matchings`` -> ``build_fairlets`` is seed-free, ``pivot_base`` is
-seeded, and ``run_pipeline`` attaches the fairlets to the base clusters.
+instance (the registry ``algorithms.run_algorithm`` and its memo) builds
+each seed-free or per-seed layer once: ``build_matchings`` ->
+``build_fairlets`` is seed-free, ``pivot_base`` is seeded, and
+``run_pipeline`` attaches the fairlets to the base clusters.
 
 The pair cost of clustering a non-base vertex u with a base vertex v is the
 number of third vertices whose edge labels to u and v disagree, plus one if
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bmatching import BMatchingInstance, solve
-from .errors import FairCCError, InvalidInputError
+from .errors import FairCCError
 from .model import (
     Clustering,
     ColorAssignment,
@@ -27,10 +28,9 @@ from .model import (
     SignedCompleteGraph,
     check_fairness,
     check_spec,
-    disagreements,
 )
 from .oracle import opt_fair
-from .pivot import PivotRun, best_of_restarts
+from .pivot import best_of_restarts
 
 
 def pair_cost_table(g: SignedCompleteGraph, lefts, rights) -> np.ndarray:
@@ -104,36 +104,6 @@ def run_pipeline(colors, spec, fairlets, base: Clustering) -> Clustering:
             + report.describe_violations()
         )
     return c
-
-
-def fair_cc(
-    g: SignedCompleteGraph,
-    colors: ColorAssignment,
-    spec: FairnessSpec,
-    pivot: PivotRun = PivotRun(),
-    try_all_bases: bool = False,
-) -> Clustering:
-    """Fair clustering for any number of colors under an exact (1:p_i) or
-    interval (1:p_i..1:q_i) spec.
-
-    With ``try_all_bases`` (only valid when every ratio is 1:1) the pipeline
-    runs once per candidate base color and keeps the cheapest result.
-    """
-
-    def stages(one):
-        fairlets = build_fairlets(colors, one, build_matchings(g, colors, one))
-        return run_pipeline(colors, one, fairlets, pivot_base(g, colors, one, pivot))
-
-    if not try_all_bases:
-        return stages(spec)
-    if any(bounds != (1, 1) for bounds in spec.bounds.values()):
-        raise InvalidInputError("try_all_bases requires all ratios 1:1")
-    specs = (
-        FairnessSpec.exact({c: 1 for c in range(colors.num_colors) if c != base}, base_color=base)
-        for base in range(colors.num_colors)
-    )
-    # min keeps the first of equally cheap results: the smallest base color
-    return min(map(stages, specs), key=lambda c: disagreements(g, c))
 
 
 def approximation_budget(spec: FairnessSpec, num_colors: int, alpha: int = 3) -> int:

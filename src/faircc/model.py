@@ -259,6 +259,9 @@ class ColorAssignment:
         # bounds before the cast: numpy keeps an id beyond int64 as a Python int
         if ids.min() < 0:
             raise InvalidInputError("color ids must be nonnegative")
+        with np.errstate(invalid="ignore"):  # inf % 1 is NaN, and NaN is not integral
+            if (ids % 1 != 0).any():
+                raise InvalidInputError("color ids must be integers")
         if ids.max() >= len(ids):  # before allocating counts: contiguous ids stay below n
             raise InvalidInputError(f"color id {int(ids.max())} is not below n={len(ids)}")
         colors = ids.astype(np.int64)
@@ -352,6 +355,8 @@ class Clustering:
         # bounds before the cast: numpy keeps an id beyond int64 as a Python int
         if not 0 <= ids.min() <= ids.max() < len(ids):
             raise InvalidInputError("cluster ids must be contiguous from 0")
+        if (ids % 1 != 0).any():  # the bounds have ruled out NaN and inf
+            raise InvalidInputError("cluster ids must be integers")
         ids = ids.astype(np.int64)
         if not np.bincount(ids).all():
             raise InvalidInputError("cluster ids must be contiguous from 0")

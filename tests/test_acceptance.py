@@ -22,14 +22,13 @@ from faircc import (
     SignedCompleteGraph,
     check_fairness,
     disagreements,
-    fair_cc,
     matching_weight_bound_check,
     mirror_graph,
     opt_bmatching,
     opt_fair,
+    run_algorithm,
     run_cc,
     run_ccmerge,
-    run_ufaircc,
     run_wmatch,
     solve,
 )
@@ -70,10 +69,10 @@ def test_fairness_hard_invariant():
             pivot = PivotRun(seed, 5)
             outputs = [
                 run_wmatch(fairlets_of(g, colors, spec)),
-                run_ufaircc(g, colors, spec, pivot),
+                run_algorithm("ufaircc", g, colors, spec, pivot),
                 run_ccmerge(g, colors, spec, run_cc(g, pivot)),
             ]
-            outputs.append(fair_cc(g, colors, spec, pivot))
+            outputs.append(run_algorithm("faircc", g, colors, spec, pivot))
             for c in outputs:
                 if not check_fairness(colors, c, spec).overall_pass:
                     violations += 1
@@ -165,7 +164,7 @@ def test_balanced_pipeline_constant():
         for seed in range(100):
             g = random_graph(sum(counts), seed * 17 + instances)
             colors = random_colors(counts, seed)
-            c = fair_cc(g, colors, spec, PivotRun(seed, 25))
+            c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
             opt = brute_opt_fair(g, colors, spec)
             if disagreements(g, c) > 13 * opt:
                 violations += 1
@@ -193,7 +192,7 @@ def test_unbalanced_pipeline_constants():
         for seed in range(reps):
             g = random_graph(sum(counts), seed * 23 + instances)
             colors = random_colors(counts, seed)
-            c = fair_cc(g, colors, spec, PivotRun(seed, 25))
+            c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
             opt = brute_opt_fair(g, colors, spec)
             if disagreements(g, c) > budget * opt:
                 violations += 1

@@ -10,10 +10,9 @@ from faircc import (
     SignedCompleteGraph,
     check_fairness,
     disagreements,
-    fair_cc,
+    run_algorithm,
     run_cc,
     run_ccmerge,
-    run_ufaircc,
     run_wmatch,
 )
 from faircc.pivot import PivotRun
@@ -75,7 +74,7 @@ def test_wmatch_all_positive_four_pays_the_cut():
 def test_ufaircc_all_positive_is_free():
     g = all_positive(6)
     colors = ColorAssignment((0, 1, 0, 1, 0, 1))
-    c = run_ufaircc(g, colors, FairnessSpec.exact({1: 1}))
+    c = run_algorithm("ufaircc", g, colors, FairnessSpec.exact({1: 1}))
     assert disagreements(g, c) == 0
 
 
@@ -85,8 +84,8 @@ def test_ufaircc_matches_faircc_on_forced_pairs():
     for seed in range(10):
         g = random_graph(2, seed)
         colors = ColorAssignment((0, 1))
-        a = run_ufaircc(g, colors, spec, PivotRun(seed, 5))
-        b = fair_cc(g, colors, spec, PivotRun(seed, 5))
+        a = run_algorithm("ufaircc", g, colors, spec, PivotRun(seed, 5))
+        b = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 5))
         assert disagreements(g, a) == disagreements(g, b)
 
 
@@ -97,8 +96,8 @@ def test_faircc_no_worse_than_ufaircc_on_average():
         g = random_graph(8, seed + 400)
         colors = random_colors((4, 4), seed)
         run = PivotRun(seed, 10)
-        smart.append(disagreements(g, fair_cc(g, colors, spec, run)))
-        unit.append(disagreements(g, run_ufaircc(g, colors, spec, run)))
+        smart.append(disagreements(g, run_algorithm("faircc", g, colors, spec, run)))
+        unit.append(disagreements(g, run_algorithm("ufaircc", g, colors, spec, run)))
     assert statistics.mean(smart) <= statistics.mean(unit)
 
 
@@ -223,10 +222,13 @@ def test_baselines_deterministic():
     def wmatch(g, colors, spec, pivot):
         return run_wmatch(fairlets_of(g, colors, spec))
 
+    def ufaircc(g, colors, spec, pivot):
+        return run_algorithm("ufaircc", g, colors, spec, pivot)
+
     def ccmerge(g, colors, spec, pivot):
         return run_ccmerge(g, colors, spec, run_cc(g, pivot))
 
-    for fn in (wmatch, run_ufaircc, ccmerge):
+    for fn in (wmatch, ufaircc, ccmerge):
         a = fn(g, colors, spec, PivotRun(3, 10))
         b = fn(g, colors, spec, PivotRun(3, 10))
         assert a == b

@@ -6,8 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faircc import Clustering, ColorAssignment, SignedCompleteGraph, check_fairness
-from faircc import cli
+from faircc import (
+    Clustering,
+    ColorAssignment,
+    FairnessSpec,
+    InvalidInputError,
+    SignedCompleteGraph,
+    check_fairness,
+    run_algorithm,
+)
+from faircc import baselines, cli, fair_clustering
+from faircc.pivot import PivotRun
 from faircc.cli import main, parse_spec
 from conftest import random_colors, random_graph
 
@@ -244,6 +253,8 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          "--tau: must lie in [0, 1], got nan"),
         ("ingest --csv {ws}/data.csv --schema {ws}/missing.json --tau x " + INGEST_OUTS,
          "--tau: not a number: 'x'"),
+        ("cluster --graph {ws}/g.json --colors {ws}/c.csv --algo wmatch " + OUTS,
+         "algorithm 'wmatch' needs --ratio or --bounds"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
@@ -253,6 +264,7 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         "missing-csv", "ingest-sample-negative", "ingest-balance-without-sample",
         "cluster-bounds-reversed", "ingest-balance-bad-ratio", "ingest-tau-above-1",
         "ingest-tau-negative", "ingest-tau-nan", "ingest-tau-not-a-number",
+        "cluster-no-spec",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):
@@ -575,7 +587,7 @@ def test_unfair_result_names_the_clusters(
     workspace, capsys, monkeypatch, command, target, replacement, message, counts
 ):
     module, name = target.split(".")
-    monkeypatch.setattr(getattr(cli, module), name, replacement)
+    monkeypatch.setattr(importlib.import_module(f"faircc.{module}"), name, replacement)
     g = SignedCompleteGraph.from_negative_edges(
         8, [(u, v) for u in range(8) for v in range(u + 1, 8)]
     )
@@ -655,10 +667,10 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     calls = count_calls(
         monkeypatch,
         [
-            (cli.fair_clustering, "build_matchings"),
-            (cli.baselines, "run_cc"),
-            (cli.fair_clustering, "best_of_restarts"),
-            (cli.baselines, "best_of_restarts"),
+            (fair_clustering, "build_matchings"),
+            (baselines, "run_cc"),
+            (fair_clustering, "best_of_restarts"),
+            (baselines, "best_of_restarts"),
         ],
     )
     write_planted(workspace, 60, (20, 40), seed=3, blocks=4)
@@ -675,10 +687,59 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
 def test_verify_builds_matchings_once_per_instance(monkeypatch, capsys):
     """The bound check and faircc of one verify instance share its
     matchings."""
-    calls = count_calls(monkeypatch, [(cli.fair_clustering, "build_matchings")])
+    calls = count_calls(monkeypatch, [(fair_clustering, "build_matchings")])
     assert main(["verify", "--random", "3"]) == 0
     assert calls == {"build_matchings": 3}
     assert capsys.readouterr().out.count("PASS  cost(faircc)") == 3
+
+
+def test_base_sweep_shares_the_memo(monkeypatch):
+    """The sweep over base colors keeps one matching build per base color in
+    the caller's memo, so a later plain faircc run on base 0 reuses one and
+    returns what a fresh memo gives."""
+    g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
+    spec, pivot = FairnessSpec.exact({1: 1, 2: 1}), PivotRun(4, 10)
+    fresh = run_algorithm("faircc", g, colors, spec, pivot)
+    calls = count_calls(monkeypatch, [(fair_clustering, "build_matchings")])
+    memo = {}
+    run_algorithm("faircc", g, colors, spec, pivot, memo, try_all_bases=True)
+    again = run_algorithm("faircc", g, colors, spec, pivot, memo)
+    assert calls == {"build_matchings": 3}
+    assert again == fresh
+
+
+@pytest.mark.parametrize("algo", ["cc", "wmatch", "ufaircc", "ccmerge"])
+def test_try_all_bases_is_for_faircc_only(workspace, capsys, algo):
+    """The base sweep is faircc's alone: for any other algorithm the CLI
+    exits 3 before writing output, and the library raises."""
+    g, colors = random_graph(4, seed=1), ColorAssignment((0, 1, 0, 1))
+    (workspace / "g.json").write_text(g.to_json())
+    (workspace / "c.csv").write_text(colors.to_csv())
+    before = sorted(workspace.iterdir())
+    argv = (
+        f"cluster --graph {workspace}/g.json --colors {workspace}/c.csv --algo {algo} "
+        f"--ratio 1:1 --try-all-bases " + OUTS.format(ws=workspace)
+    )
+    assert main(argv.split()) == 3
+    assert "--try-all-bases applies only to --algo faircc" in capsys.readouterr().err
+    assert sorted(workspace.iterdir()) == before
+    with pytest.raises(InvalidInputError, match="try_all_bases applies only to faircc"):
+        run_algorithm(algo, g, colors, FairnessSpec.exact({1: 1}), try_all_bases=True)
+
+
+def test_registry_errors_name_no_flags():
+    """The library reports an unknown name, or a fair algorithm without
+    colors or spec, as invalid input in its own terms, not the CLI's."""
+    g, colors = random_graph(4, seed=1), ColorAssignment((0, 1, 0, 1))
+    spec = FairnessSpec.exact({1: 1})
+    with pytest.raises(InvalidInputError, match="unknown algorithm 'kmeans'"):
+        run_algorithm("kmeans", g, colors, spec)
+    for algo in ("wmatch", "ufaircc", "ccmerge", "faircc"):
+        for args in [(), (colors,), (None, spec)]:
+            message = f"algorithm '{algo}' needs colors and a fairness spec"
+            with pytest.raises(InvalidInputError, match=message):
+                run_algorithm(algo, g, *args)
+    assert run_algorithm("cc", g) == run_algorithm("cc", g, colors, spec, memo={})
 
 
 def test_traced_layer_names_exist(capsys):

@@ -11,11 +11,10 @@ from faircc import (
     SignedCompleteGraph,
     check_fairness,
     disagreements,
-    fair_cc,
     matching_weight_bound_check,
+    run_algorithm,
     run_cc,
     run_ccmerge,
-    run_ufaircc,
     run_wmatch,
 )
 from faircc.fair_clustering import (
@@ -84,21 +83,21 @@ def test_pair_cost_table_matches_scalar_per_color(counts):
 def test_two_colors_pair_positive_edge():
     g = SignedCompleteGraph.from_negative_edges(2, [])
     colors = ColorAssignment((0, 1))
-    c = fair_cc(g, colors, FairnessSpec.exact({1: 1}))
+    c = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 1}))
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
 def test_two_colors_all_positive_four():
     g = SignedCompleteGraph.from_negative_edges(4, [])
     colors = ColorAssignment((0, 1, 0, 1))
-    c = fair_cc(g, colors, FairnessSpec.exact({1: 1}))
+    c = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 1}))
     assert disagreements(g, c) == 0
 
 
 def test_two_colors_bad_ratio():
     g = SignedCompleteGraph.from_negative_edges(3, [])
     with pytest.raises(InfeasibleSpecError):
-        fair_cc(g, ColorAssignment((0, 1, 1)), FairnessSpec.exact({1: 1}))
+        run_algorithm("faircc", g, ColorAssignment((0, 1, 1)), FairnessSpec.exact({1: 1}))
 
 
 def test_two_colors_cost_within_thirteen_opt_fair():
@@ -106,7 +105,7 @@ def test_two_colors_cost_within_thirteen_opt_fair():
     for seed in range(25):
         g = random_graph(6, seed + 500)
         colors = random_colors((3, 3), seed)
-        c = fair_cc(g, colors, spec, PivotRun(seed, 25))
+        c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 13 * brute_opt_fair(g, colors, spec)
 
@@ -115,7 +114,7 @@ def test_multi_trivial_three_singleton_colors():
     g = SignedCompleteGraph.from_negative_edges(3, [])
     colors = ColorAssignment((0, 1, 2))
     spec = FairnessSpec.exact({1: 1, 2: 1})
-    c = fair_cc(g, colors, spec)
+    c = run_algorithm("faircc", g, colors, spec)
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
@@ -123,7 +122,7 @@ def test_multi_trivial_ratio_two():
     g = SignedCompleteGraph.from_negative_edges(8, [])
     colors = ColorAssignment((0, 0, 1, 1, 2, 2, 2, 2))
     spec = FairnessSpec.exact({1: 1, 2: 2})
-    c = fair_cc(g, colors, spec)
+    c = run_algorithm("faircc", g, colors, spec)
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
@@ -134,7 +133,7 @@ def test_multi_bound_constant():
     for seed in range(15):
         g = random_graph(6, seed + 800)
         colors = random_colors((2, 2, 2), seed)
-        c = fair_cc(g, colors, spec, PivotRun(seed, 25))
+        c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 34 * brute_opt_fair(g, colors, spec)
 
@@ -144,14 +143,14 @@ def test_multi_infeasible_names_color():
     colors = ColorAssignment((0, 1, 2, 2))
     spec = FairnessSpec.exact({1: 1, 2: 1})
     with pytest.raises(InfeasibleSpecError, match="color 2"):
-        fair_cc(g, colors, spec)
+        run_algorithm("faircc", g, colors, spec)
 
 
 def test_bounded_trivial():
     g = SignedCompleteGraph.from_negative_edges(2, [])
     colors = ColorAssignment((0, 1))
     spec = FairnessSpec(0, {1: (1, 2)})
-    c = fair_cc(g, colors, spec)
+    c = run_algorithm("faircc", g, colors, spec)
     assert check_fairness(colors, c, spec).overall_pass
 
 
@@ -159,7 +158,7 @@ def test_bounded_all_positive_two_three():
     g = SignedCompleteGraph.from_negative_edges(5, [])
     colors = ColorAssignment((0, 0, 1, 1, 1))
     spec = FairnessSpec(0, {1: (1, 2)})
-    c = fair_cc(g, colors, spec)
+    c = run_algorithm("faircc", g, colors, spec)
     assert disagreements(g, c) == 0
     assert check_fairness(colors, c, spec).overall_pass
 
@@ -171,7 +170,7 @@ def test_bounded_constant_q2():
     for seed in range(20):
         g = random_graph(5, seed + 900)
         colors = random_colors((2, 3), seed)
-        c = fair_cc(g, colors, spec, PivotRun(seed, 25))
+        c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 40 * brute_opt_fair(g, colors, spec)
 
@@ -180,18 +179,18 @@ def test_bounded_global_ratio_out_of_range():
     g = SignedCompleteGraph.from_negative_edges(5, [])
     colors = ColorAssignment((0, 1, 1, 1, 1))
     with pytest.raises(InfeasibleSpecError):
-        fair_cc(g, colors, FairnessSpec(0, {1: (1, 2)}))
+        run_algorithm("faircc", g, colors, FairnessSpec(0, {1: (1, 2)}))
 
 
 def test_hyper_node_members_share_cluster():
     """Fairlet i holds the i-th base vertex and p = 2 vertices of color 1,
-    and fair_cc puts all three in one cluster."""
+    and faircc puts all three in one cluster."""
     spec = FairnessSpec.exact({1: 2})
     for seed in range(10):
         g = random_graph(9, seed + 40)
         colors = random_colors((3, 6), seed)
         fairlets = fairlets_of(g, colors, spec)
-        c = fair_cc(g, colors, spec, PivotRun(seed, 5))
+        c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 5))
         for i, base in enumerate(colors.vertices_of(0)):
             members = np.flatnonzero(fairlets == i).tolist()
             assert sorted(colors.color_of[v] for v in members) == [0, 1, 1]
@@ -222,18 +221,20 @@ def test_try_all_bases_never_worse():
     for seed in range(10):
         g = random_graph(6, seed + 60)
         colors = random_colors((2, 2, 2), seed)
-        fixed = fair_cc(g, colors, spec, PivotRun(seed, 10))
-        swept = fair_cc(g, colors, spec, PivotRun(seed, 10), try_all_bases=True)
+        fixed = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 10))
+        swept = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 10), try_all_bases=True)
         assert disagreements(g, swept) <= disagreements(g, fixed)
     with pytest.raises(InvalidInputError):
-        fair_cc(
+        run_algorithm(
+            "faircc",
             random_graph(6, 0),
             random_colors((2, 4), 0),
             FairnessSpec.exact({1: 2}),
             try_all_bases=True,
         )
     with pytest.raises(InvalidInputError):
-        fair_cc(
+        run_algorithm(
+            "faircc",
             random_graph(6, 0),
             random_colors((3, 3), 0),
             FairnessSpec(0, {1: (1, 2)}),
@@ -243,25 +244,25 @@ def test_try_all_bases_never_worse():
 
 
 def test_fair_cc_pinned_labels():
-    """Labels recorded from the per-case entry points that fair_cc replaced
+    """Labels recorded from the per-case entry points that faircc replaced
     (1:2 two-color, 1:1:1 with and without the base sweep, 1:1..1:2)."""
     g, colors = random_graph(24, 301), random_colors((8, 16), 1)
-    c = fair_cc(g, colors, FairnessSpec.exact({1: 2}), PivotRun(3, 10))
+    c = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 2}), PivotRun(3, 10))
     assert c.cluster_of.tolist() == [
         0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1
     ]
     g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
     spec = FairnessSpec.exact({1: 1, 2: 1})
-    c = fair_cc(g, colors, spec, PivotRun(4, 10))
+    c = run_algorithm("faircc", g, colors, spec, PivotRun(4, 10))
     assert c.cluster_of.tolist() == [
         0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0
     ]
-    c = fair_cc(g, colors, spec, PivotRun(4, 10), try_all_bases=True)
+    c = run_algorithm("faircc", g, colors, spec, PivotRun(4, 10), try_all_bases=True)
     assert c.cluster_of.tolist() == [
         0, 1, 0, 1, 1, 2, 0, 0, 2, 1, 2, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1
     ]
     g, colors = random_graph(24, 303), random_colors((10, 14), 3)
-    c = fair_cc(g, colors, FairnessSpec(0, {1: (1, 2)}), PivotRun(5, 10))
+    c = run_algorithm("faircc", g, colors, FairnessSpec(0, {1: (1, 2)}), PivotRun(5, 10))
     assert c.cluster_of.tolist() == [
         0, 1, 1, 2, 2, 1, 1, 1, 1, 1, 0, 0, 2, 1, 0, 2, 1, 1, 1, 1, 0, 1, 2, 1
     ]
@@ -270,7 +271,7 @@ def test_fair_cc_pinned_labels():
 def test_two_stages_compose_to_fair_cc():
     """The matchings and fairlets are seed-free and the base pivot is
     seeded: one fairlet build serves every seed, and run_pipeline on the
-    stages gives fair_cc's clustering."""
+    stages gives faircc's clustering."""
     g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
     spec = FairnessSpec.exact({1: 1, 2: 1})
     matchings = build_matchings(g, colors, spec)
@@ -283,7 +284,7 @@ def test_two_stages_compose_to_fair_cc():
         base = pivot_base(g, colors, spec, pivot)
         assert base.n == 8
         c = run_pipeline(colors, spec, fairlets, base)
-        assert c == fair_cc(g, colors, spec, pivot)
+        assert c == run_algorithm("faircc", g, colors, spec, pivot)
         assert run_wmatch(fairlets) == run_wmatch(fairlets_of(g, colors, spec))
 
 
@@ -318,8 +319,8 @@ def test_fairness_invariant_over_random_specs(instance, seed):
     check_spec(colors, spec)
     pivot = PivotRun(seed, 3)
     results = {
-        "faircc": fair_cc(g, colors, spec, pivot),
-        "ufaircc": run_ufaircc(g, colors, spec, pivot),
+        "faircc": run_algorithm("faircc", g, colors, spec, pivot),
+        "ufaircc": run_algorithm("ufaircc", g, colors, spec, pivot),
         "wmatch": run_wmatch(fairlets_of(g, colors, spec)),
         "ccmerge": run_ccmerge(g, colors, spec, run_cc(g, pivot)),
     }

@@ -269,6 +269,34 @@ def test_clustering_json_roundtrip_and_validation():
     assert Clustering.from_labels(["b", "a", "b"]).cluster_of.tolist() == [0, 1, 0]
 
 
+@pytest.mark.parametrize(
+    "build,ids,message",
+    [
+        (ColorAssignment, [0.5, 1.7], "color ids must be integers"),
+        (ColorAssignment, [0, 1, 0.5], "color ids must be integers"),
+        (ColorAssignment, [0, float("nan")], "color ids must be integers"),
+        (ColorAssignment, [0, float("inf")], "color ids must be integers"),
+        (ColorAssignment, [0, -0.5], "color ids must be nonnegative"),
+        (ColorAssignment, [0, 2**70], f"color id {2**70} is not below n=2"),
+        (Clustering, [0.2, 1.9], "cluster ids must be integers"),
+        (Clustering, [0, 1, 1.5], "cluster ids must be integers"),
+        (Clustering, [0, float("nan")], "cluster ids must be contiguous from 0"),
+    ],
+)
+def test_non_integral_ids_are_invalid_input(build, ids, message):
+    """A fractional, NaN or infinite id is invalid input, never truncated;
+    ids out of range keep their range message."""
+    with pytest.raises(InvalidInputError) as info:
+        build(ids)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [ColorAssignment, Clustering])
+def test_integral_float_ids_are_accepted(build):
+    ids = build([0.0, 1.0, 1.0])
+    assert (ids.color_of if build is ColorAssignment else ids.cluster_of).tolist() == [0, 1, 1]
+
+
 def test_fairness_spec_validation():
     with pytest.raises(InvalidInputError):
         FairnessSpec(0, {1: (2, 1)})

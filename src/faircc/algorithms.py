@@ -13,8 +13,8 @@ there (``fair_clustering.build_matchings``, ...) sees every call.
 from __future__ import annotations
 
 from . import baselines, fair_clustering
-from .errors import InvalidInputError
-from .model import FairnessSpec, disagreements
+from .errors import FairCCError, InvalidInputError
+from .model import FairnessSpec, check_fairness, disagreements
 from .pivot import PivotRun
 
 ALGORITHMS = ("cc", "wmatch", "ufaircc", "ccmerge", "faircc")
@@ -37,6 +37,9 @@ def run_algorithm(
     With ``try_all_bases`` (``faircc`` only, every ratio 1:1) faircc runs
     once per candidate base color and keeps the cheapest result, ties to the
     smallest base color.
+
+    A fair algorithm never returns a clustering that breaks ``spec``; it
+    raises FairCCError naming the algorithm, the seed and the unfair clusters.
     """
     memo = {} if memo is None else memo
     if algo not in ALGORITHMS:
@@ -51,20 +54,28 @@ def run_algorithm(
         raise InvalidInputError(f"algorithm {algo!r} needs colors and a fairness spec")
     if algo == "ccmerge":
         cc = run_algorithm("cc", g, pivot=pivot, memo=memo)
-        return baselines.run_ccmerge(g, colors, spec, cc)
-    if try_all_bases:
+        clustering = baselines.run_ccmerge(g, colors, spec, cc)
+    elif try_all_bases:
         if any(bounds != (1, 1) for bounds in spec.bounds.values()):
             raise InvalidInputError("try_all_bases requires all ratios 1:1")
         bases = range(colors.num_colors)
         specs = [FairnessSpec.exact({c: 1 for c in bases if c != base}, base) for base in bases]
         results = [run_algorithm("faircc", g, colors, one, pivot, memo) for one in specs]
-        return min(results, key=lambda c: disagreements(g, c))  # the first of equal costs
-    fairlets = fair_clustering.build_fairlets(
-        colors, spec, matchings(g, colors, spec, memo, unit_costs=algo == "ufaircc")
-    )
-    if algo == "wmatch":
-        return baselines.run_wmatch(fairlets)
-    key = ("base", pivot, spec.base_color)
-    if key not in memo:
-        memo[key] = fair_clustering.pivot_base(g, colors, spec, pivot)
-    return fair_clustering.run_pipeline(colors, spec, fairlets, memo[key])
+        clustering = min(results, key=lambda c: disagreements(g, c))  # the first of equal costs
+    else:
+        fairlets = fair_clustering.build_fairlets(
+            colors, spec, matchings(g, colors, spec, memo, unit_costs=algo == "ufaircc")
+        )
+        if algo == "wmatch":
+            clustering = baselines.run_wmatch(fairlets)
+        else:
+            key = ("base", pivot, spec.base_color)
+            if key not in memo:
+                memo[key] = fair_clustering.pivot_base(g, colors, spec, pivot)
+            clustering = fair_clustering.run_pipeline(fairlets, memo[key])
+    report = check_fairness(colors, clustering, spec)
+    if not report.overall_pass:
+        raise FairCCError(
+            f"{algo} seed {pivot.seed}: unfair clustering: {report.describe_violations()}"
+        )
+    return clustering

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
@@ -59,6 +58,17 @@ def _unit_interval(text):
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
+
+
+def _algorithm_list(text):
+    """argparse type: comma-separated algorithm names, none unknown or repeated."""
+    algos = text.split(",")
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise argparse.ArgumentTypeError(f"unknown algorithm {algo!r}")
+    if len(set(algos)) < len(algos):
+        raise argparse.ArgumentTypeError(f"an algorithm is named twice in {text!r}")
+    return algos
 
 
 def _read(path):
@@ -164,28 +174,33 @@ def cmd_ingest(args):
     return 0
 
 
+def _run_cells(args, algos, seeds, try_all_bases=False):
+    """Load the instance and spec that ``args`` name and run every (algo,
+    seed) cell through one memo, algo-major; returns the result rows and
+    the last cell's clustering."""
+    g, colors = _load_instance(args.graph, args.colors)
+    spec = parse_spec(args.ratio, args.bounds)
+    fair = [algo for algo in algos if algo != "cc"]
+    if fair and colors is None:
+        raise ParseError(f"algorithm {fair[0]!r} needs --colors")
+    if fair and spec is None:
+        raise ParseError(f"algorithm {fair[0]!r} needs --ratio or --bounds")
+    rows, memo = [], {}
+    for algo in algos:
+        for seed in seeds:
+            start = time.perf_counter()
+            pivot = PivotRun(seed, args.restarts)
+            clustering = run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases)
+            millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
+            rows.append(_result_row(args.dataset, algo, seed, g, colors, spec, clustering, millis))
+    return rows, clustering
+
+
 def cmd_cluster(args):
     if args.try_all_bases and args.algo != "faircc":
         raise ParseError("--try-all-bases applies only to --algo faircc")
     _check_out_dirs(args.out_clustering, args.out_result)
-    g, colors = _load_instance(args.graph, args.colors)
-    spec = parse_spec(args.ratio, args.bounds)
-    if args.algo != "cc" and colors is None:
-        raise ParseError(f"algorithm {args.algo!r} needs --colors")
-    if args.algo != "cc" and spec is None:
-        raise ParseError(f"algorithm {args.algo!r} needs --ratio or --bounds")
-    pivot = PivotRun(args.seed, args.restarts)
-    start = time.perf_counter()
-    clustering = run_algorithm(args.algo, g, colors, spec, pivot, try_all_bases=args.try_all_bases)
-    millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
-    row = _result_row(
-        args.dataset, args.algo, args.seed, g, colors, spec, clustering, millis
-    )
-    if args.algo != "cc" and spec is not None and row["fair"] is False:
-        raise FairCCError(
-            "fairness-guaranteed algorithm produced an unfair clustering: "
-            + check_fairness(colors, clustering, spec).describe_violations()
-        )
+    (row,), clustering = _run_cells(args, [args.algo], [args.seed], args.try_all_bases)
     with open(args.out_clustering, "w") as fh:
         fh.write(clustering.to_json() + "\n")
     with open(args.out_result, "w") as fh:
@@ -216,55 +231,29 @@ def _csv_cell(value):
     return value
 
 
+def _mean_row(group):
+    """The mean row of one algorithm's result rows: their dataset, algo, n,
+    colors and spec, the mean of every other CSV column but seed and fair,
+    and a fair cell that is empty when theirs are (no colors or spec)."""
+    row = {column: group[0][column] for column in ("dataset", "algo", "n", "colors", "spec")}
+    verdicts = [r["fair"] for r in group]
+    row.update(seed="mean", fair=None if None in verdicts else all(verdicts))
+    for column in CSV_COLUMNS:
+        if column not in row:
+            row[column] = f"{np.mean([r[column] for r in group]):.2f}"
+    return row
+
+
 def cmd_experiment(args):
     _check_out_dirs(args.out)
-    g, colors = _load_instance(args.graph, args.colors)
-    spec = parse_spec(args.ratio, args.bounds)
-    algos = args.algos.split(",")
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ParseError(f"unknown algorithm {algo!r}")
-    if any(a != "cc" for a in algos) and (spec is None or colors is None):
-        raise ParseError("fair algorithms need --colors and --ratio or --bounds")
     seeds = [args.seed + k for k in range(args.runs)]
-    rows = []
-    memo = {}
-    for algo in algos:
-        for seed in seeds:
-            start = time.perf_counter()
-            pivot = PivotRun(seed, args.restarts)
-            clustering = run_algorithm(algo, g, colors, spec, pivot, memo)
-            millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
-            row = _result_row(args.dataset, algo, seed, g, colors, spec, clustering, millis)
-            if algo != "cc" and spec is not None and row["fair"] is False:
-                raise FairCCError(
-                    f"{algo} seed {seed}: fairness invariant violated: "
-                    + check_fairness(colors, clustering, spec).describe_violations()
-                )
-            rows.append(row)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
-    for algo in algos:
-        group = [row for row in rows if row["algo"] == algo]
-        writer.writerow(
-            [
-                args.dataset,
-                algo,
-                "mean",
-                g.n,
-                colors.num_colors if colors else 0,
-                spec.describe() if spec else "",
-                f"{np.mean([r['disagreements'] for r in group]):.2f}",
-                _csv_cell(all(r["fair"] for r in group) if spec else None),
-                f"{np.mean([r['clusters'] for r in group]):.2f}",
-                f"{np.mean([r['millis'] for r in group]):.2f}",
-            ]
-        )
-    with open(args.out, "w") as fh:
-        fh.write(buf.getvalue())
+    rows, _ = _run_cells(args, args.algos, seeds)
+    means = [_mean_row([row for row in rows if row["algo"] == algo]) for algo in args.algos]
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows + means:
+            writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
     print(f"wrote {len(rows)} result rows to {args.out}")
     return 0
 
@@ -313,12 +302,10 @@ def cmd_verify(args):
         for _ in range(args.random):
             half = rng.randrange(1, args.max_n // 2 + 1)
             n = 2 * half
-            signs = np.ones((n, n), dtype=np.int8)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    signs[u, v] = signs[v, u] = 1 if rng.random() < 0.5 else -1
-            np.fill_diagonal(signs, 0)
-            g = SignedCompleteGraph(n, signs)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = SignedCompleteGraph.from_negative_edges(
+                n, [pair for pair in pairs if rng.random() >= 0.5]
+            )
             order = list(range(n))
             rng.shuffle(order)
             color_of = np.zeros(n, np.int64)
@@ -381,7 +368,7 @@ def build_parser():
     p = sub.add_parser("experiment", help="algorithm x seed matrix -> CSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--colors", default=None)
-    p.add_argument("--algos", required=True, help="comma-separated list")
+    p.add_argument("--algos", required=True, type=_algorithm_list, help="comma-separated list")
     p.add_argument("--ratio", default=None)
     p.add_argument("--bounds", default=None)
     p.add_argument("--seed", type=int, default=0)

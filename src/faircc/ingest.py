@@ -101,11 +101,17 @@ def load_csv(path, schema: Schema):
             for name in expected:
                 if kinds[name] == "numeric":
                     try:
-                        row[name] = float(row[name])
+                        value = float(row[name])
                     except ValueError:
                         raise ParseError(
                             f"{path}: line {lineno}: non-numeric value in {name!r}"
                         ) from None
+                    # nan would make the column look constant, inf its similarities nan
+                    if not np.isfinite(value):
+                        raise ParseError(
+                            f"{path}: line {lineno}: non-finite value {row[name]!r} in {name!r}"
+                        )
+                    row[name] = value
             rows.append(row)
     return TabularDataset(tuple(rows), schema), dropped
 

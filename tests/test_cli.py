@@ -9,6 +9,7 @@ import pytest
 from faircc import (
     Clustering,
     ColorAssignment,
+    FairCCError,
     FairnessSpec,
     InvalidInputError,
     SignedCompleteGraph,
@@ -211,7 +212,7 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
     "argv,message",
     [
         ("experiment --graph {ws}/g.json --algos cc,faircc --ratio 1:1 --out {ws}/x.csv",
-         "need --colors"),
+         "algorithm 'faircc' needs --colors"),
         ("experiment --graph {ws}/g.json --colors {ws}/c.csv --algos cc --runs 0 "
          "--out {ws}/x.csv", "--runs: must be at least 1"),
         ("verify --random 0", "--random: must be at least 1"),
@@ -255,6 +256,10 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          "--tau: not a number: 'x'"),
         ("cluster --graph {ws}/g.json --colors {ws}/c.csv --algo wmatch " + OUTS,
          "algorithm 'wmatch' needs --ratio or --bounds"),
+        ("experiment --graph {ws}/missing.json --algos cc,kmeans --out {ws}/x.csv",
+         "argument --algos: unknown algorithm 'kmeans'"),
+        ("experiment --graph {ws}/missing.json --algos cc,cc --out {ws}/x.csv",
+         "argument --algos: an algorithm is named twice in 'cc,cc'"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
@@ -264,7 +269,7 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         "missing-csv", "ingest-sample-negative", "ingest-balance-without-sample",
         "cluster-bounds-reversed", "ingest-balance-bad-ratio", "ingest-tau-above-1",
         "ingest-tau-negative", "ingest-tau-nan", "ingest-tau-not-a-number",
-        "cluster-no-spec",
+        "cluster-no-spec", "experiment-unknown-algo", "experiment-repeated-algo",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):
@@ -572,13 +577,13 @@ def lopsided_fairlets(colors, spec, matchings):
     "command,target,replacement,message,counts",
     [
         ("cluster", "baselines.run_wmatch", split_by_color,
-         "fairness-guaranteed algorithm produced an unfair clustering",
+         "wmatch seed 0: unfair clustering",
          ["cluster 0 {0: 4}", "cluster 1 {1: 4}"]),
         ("experiment", "baselines.run_wmatch", split_by_color,
-         "wmatch seed 0: fairness invariant violated",
+         "wmatch seed 0: unfair clustering",
          ["cluster 0 {0: 4}", "cluster 1 {1: 4}"]),
         ("cluster", "fair_clustering.build_fairlets", lopsided_fairlets,
-         "internal error: pipeline produced an unfair clustering",
+         "faircc seed 0: unfair clustering",
          ["{0: 1, 1: 4}", "{0: 1}"]),
     ],
     ids=["cluster", "experiment", "pipeline"],
@@ -610,6 +615,61 @@ def test_unfair_result_names_the_clusters(
     assert message in err
     for text in counts:
         assert text in err
+
+
+@pytest.mark.parametrize(
+    "algo,name,replacement",
+    [
+        ("wmatch", "run_wmatch", split_by_color),
+        ("ccmerge", "run_ccmerge", lambda g, colors, spec, cc: split_by_color(colors.color_of)),
+    ],
+    ids=["wmatch", "ccmerge"],
+)
+def test_registry_rejects_unfair_result(monkeypatch, algo, name, replacement):
+    """Fairness is a postcondition of run_algorithm itself, not of the CLI:
+    a stage that returns an unfair clustering makes the library call raise,
+    naming the algorithm, the seed and the unfair clusters."""
+    monkeypatch.setattr(baselines, name, replacement)
+    g = SignedCompleteGraph.from_negative_edges(8, [(0, 4)])
+    colors = ColorAssignment((0,) * 4 + (1,) * 4)
+    message = rf"{algo} seed 3: unfair clustering: cluster 0 \{{0: 4\}}; cluster 1 \{{1: 4\}}"
+    with pytest.raises(FairCCError, match=message):
+        run_algorithm(algo, g, colors, FairnessSpec.exact({1: 1}), PivotRun(3, 5))
+
+
+@pytest.mark.parametrize("with_colors", [False, True])
+def test_experiment_mean_fair_cell_follows_rows(workspace, with_colors):
+    """A mean row's fair cell is empty when its rows' cells are, as for cc
+    without --colors, and their conjunction otherwise."""
+    write_planted(workspace, 8, (4, 4), seed=1, blocks=2)
+    colors = ["--colors", str(workspace / "c.csv")] if with_colors else []
+    rc = main(
+        ["experiment", "--graph", str(workspace / "g.json"), *colors, "--algos", "cc",
+         "--ratio", "1:1", "--runs", "3", "--out", str(workspace / "x.csv")]
+    )
+    assert rc == 0
+    with open(workspace / "x.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["seed"] for r in rows] == ["0", "1", "2", "mean"]
+    verdicts = {r["fair"] for r in rows[:-1]}
+    if with_colors:
+        assert verdicts <= {"true", "false"}
+        assert rows[-1]["fair"] == ("true" if verdicts == {"true"} else "false")
+    else:
+        assert verdicts == {""} and rows[-1]["fair"] == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_ingest_non_finite_numeric_exits_3(workspace, capsys, value):
+    """A numeric cell that float() reads but is not finite is a parse error
+    naming its line and column, not a silently wrong graph."""
+    (workspace / "data.csv").write_text(
+        make_csv([("v0", 10, "eng", "R"), ("v1", value, "law", "B"), ("v2", 20, "eng", "B")])
+    )
+    before = sorted(workspace.iterdir())
+    assert run_ingest(workspace) == 3
+    assert f"line 3: non-finite value '{value}' in 'age'" in capsys.readouterr().err
+    assert sorted(workspace.iterdir()) == before
 
 
 @pytest.mark.parametrize("spec", [["--ratio", "1:2"], ["--bounds", "1:1..1:2"]])

@@ -283,7 +283,7 @@ def test_two_stages_compose_to_fair_cc():
         pivot = PivotRun(seed, 5)
         base = pivot_base(g, colors, spec, pivot)
         assert base.n == 8
-        c = run_pipeline(colors, spec, fairlets, base)
+        c = run_pipeline(fairlets, base)
         assert c == run_algorithm("faircc", g, colors, spec, pivot)
         assert run_wmatch(fairlets) == run_wmatch(fairlets_of(g, colors, spec))
 

@@ -1,10 +1,14 @@
 """Brute-force ground truth for small instances.
 
-Optimal (fair and unconstrained) clusterings come from exhaustive search
-over set partitions in restricted-growth-string order, b-matching optima
-from exhaustive assignment enumeration, and ``mirror_graph`` builds the
-vertex-duplication instance whose fair optimum equals four times the
-unconstrained optimum of the base graph.
+Optimal (fair and unconstrained) clusterings come from a branch-and-bound
+search over set partitions in restricted-growth-string order. It cuts a
+branch whose cost so far plus a lower bound on the cost to come reaches the
+best found, and, with a fairness spec, a branch that no completion can make
+fair. Only strictly cheaper partitions replace the best, so ties resolve to
+the lexicographically smallest string, as in a full enumeration.
+B-matching optima come from exhaustive assignment enumeration, and
+``mirror_graph`` builds the vertex-duplication instance whose fair optimum
+equals four times the unconstrained optimum of the base graph.
 
 The partition searches take at most 10 vertices, or the positive integer in
 ``FAIRCC_ORACLE_MAX_N``; ``opt_bmatching`` takes at most 8 right vertices.
@@ -46,52 +50,97 @@ def best_partition(g: SignedCompleteGraph, colors=None, spec=None):
     n1 >= 1 base-color vertices and n1*p_c <= n_c <= n1*q_c for every
     bounded color c count.
 
-    Returns (cost, assignment) where assignment is the lexicographically
-    smallest restricted growth string among the optima, or (-1, None) when
-    no partition is fair.
+    A branch is cut when its cost so far plus a lower bound on the cost to
+    come reaches the best cost found. The bound sums, over the unplaced
+    vertices, each one's cheapest cost against the placed ones; these pair
+    sets are disjoint. With a spec, a branch is also cut when no completion
+    can be fair: it would open more blocks than there are base vertices, a
+    block holds more of a color c than q_c times its base vertices plus the
+    base vertices left, more blocks lack a base vertex than base vertices
+    are left, or the blocks lack more of a color c to reach p_c per base
+    vertex than vertices of c are left.
+
+    Only strictly cheaper partitions reach a leaf, so the first optimum
+    found is kept. Returns (cost, assignment) where assignment is the
+    lexicographically smallest restricted growth string among the optima,
+    or (-1, None) when no partition is fair.
     """
     n = g.n
-    neg = (g.signs < 0).tolist()
-    cut = np.tril(g.signs > 0).sum(axis=1).tolist()  # positive edges to earlier vertices
+    pos = (g.signs > 0).astype(np.int64).tolist()  # ints add faster than bools
+    # v joining block b adds step[v][w] to extra[b][w] (see walk): +1 for a
+    # negative pair, -1 for a positive one
+    step = (-g.signs).tolist()
     fair = spec is not None
+    max_blocks = n
     if fair:
         base, bounds = spec.base_color, list(spec.bounds.items())
         color_of = colors.color_of.tolist()  # the search reads a list faster than an array
+        left = [[0] * colors.num_colors for _ in range(n + 1)]  # color counts of v..n-1
+        for v in range(n - 1, -1, -1):
+            left[v] = list(left[v + 1])
+            left[v][color_of[v]] += 1
+        max_blocks = left[0][base]
         hist = [[0] * colors.num_colors for _ in range(n)]  # per block, color counts
+    zeros = [0] * n
     best_cost, best_assign = -1, None
     assign = [0] * n
 
-    def walk(v, num_blocks, cost):
+    def can_be_fair(v, num_blocks):
+        """False when no placement of v+1..n-1 makes every block fair."""
+        after = left[v + 1]
+        spare = after[base]
+        blocks = hist[:num_blocks]
+        if sum(h[base] == 0 for h in blocks) > spare:
+            return False
+        for c, (p, q) in bounds:
+            short = 0
+            for h in blocks:
+                if h[c] > q * (h[base] + spare):
+                    return False
+                if p * h[base] > h[c]:
+                    short += p * h[base] - h[c]
+            if short > after[c]:
+                return False
+        return True
+
+    def walk(v, num_blocks, cost, pos_in, extra):
+        # pos_in[w]: w's positive edges to 0..v-1; extra[b][w]: 2 * (w's
+        # negative edges into block b) - |b|, so w joining block b costs
+        # pos_in[w] + extra[b][w] against 0..v-1 and a new block pos_in[w]
         nonlocal best_cost, best_assign
         if v == n:
-            # the prune below lets only strict improvements reach a leaf
-            if fair and not all(
-                h[base] >= 1 and all(h[base] * p <= h[c] <= h[base] * q for c, (p, q) in bounds)
-                for h in hist[:num_blocks]
-            ):
-                return
             best_cost, best_assign = cost, list(assign)
             return
-        row = neg[v]
-        inside = [0] * (num_blocks + 1)  # v's negative edges into each block
-        size = [0] * (num_blocks + 1)
-        for u in range(v):
-            b = assign[u]
-            size[b] += 1
-            inside[b] += row[u]
-        for b in range(num_blocks + 1):
-            # v pays its negative edges inside b and its positive edges out of b
-            new_cost = cost + 2 * inside[b] + cut[v] - size[b]
-            if best_cost >= 0 and new_cost >= best_cost:
+        to_come = 0
+        if num_blocks:
+            cheapest = list(map(min, zeros, *extra))
+            to_come = sum(pos_in[v + 1 :]) + sum(cheapest[v + 1 :])
+        child_pos_in = None
+        for b in range(min(num_blocks + 1, max_blocks)):
+            new_cost = cost + pos_in[v] + (extra[b][v] if b < num_blocks else 0)
+            if best_cost >= 0 and new_cost + to_come >= best_cost:
                 continue
-            assign[v] = b
             if fair:
                 hist[b][color_of[v]] += 1
-            walk(v + 1, max(num_blocks, b + 1), new_cost)
+                if not can_be_fair(v, max(num_blocks, b + 1)):
+                    hist[b][color_of[v]] -= 1
+                    continue
+            assign[v] = b
+            if child_pos_in is None:
+                child_pos_in = [a + p for a, p in zip(pos_in, pos[v])]
+            if b < num_blocks:
+                old = extra[b]
+                extra[b] = [e + s for e, s in zip(old, step[v])]
+                walk(v + 1, num_blocks, new_cost, child_pos_in, extra)
+                extra[b] = old
+            else:
+                extra.append(step[v])
+                walk(v + 1, num_blocks + 1, new_cost, child_pos_in, extra)
+                extra.pop()
             if fair:
                 hist[b][color_of[v]] -= 1
 
-    walk(0, 0, 0)
+    walk(0, 0, 0, zeros, [])
     return best_cost, best_assign
 
 
@@ -125,7 +174,7 @@ def opt_bmatching(inst: bmatching.BMatchingInstance) -> bmatching.BMatching:
     assign = [0] * R
     deg = [0] * L
 
-    def remaining_need(r):
+    def remaining_need():
         return sum(max(inst.degree_lo[l] - deg[l], 0) for l in range(L))
 
     def walk(r, weight):
@@ -135,7 +184,7 @@ def opt_bmatching(inst: bmatching.BMatchingInstance) -> bmatching.BMatching:
                 if best is None or weight < best[0]:
                     best = (weight, tuple(assign))
             return
-        if remaining_need(r) > R - r:
+        if remaining_need() > R - r:
             return
         for l in range(L):
             if deg[l] >= inst.degree_hi[l]:

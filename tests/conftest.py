@@ -186,3 +186,63 @@ def reference_color_distribution(color_of, cluster_of):
         smallest.setdefault(cluster, v)
     order = sorted(range(len(counts)), key=lambda i: (-sum(counts[i].values()), smallest[i]))
     return [counts[i] for i in order]
+
+
+# The oracle's search before it pruned by fairness feasibility and by a
+# cost-to-go bound: it checks fairness at the leaves only and prunes on the
+# cost so far.
+def reference_best_partition(g, colors=None, spec=None):
+    """Minimum-disagreement partition of ``g``, by branch and bound over
+    restricted growth strings in lexicographic order.
+
+    With ``colors`` and ``spec``, only partitions whose every block has
+    n1 >= 1 base-color vertices and n1*p_c <= n_c <= n1*q_c for every
+    bounded color c count.
+
+    Returns (cost, assignment) where assignment is the lexicographically
+    smallest restricted growth string among the optima, or (-1, None) when
+    no partition is fair.
+    """
+    n = g.n
+    neg = (g.signs < 0).tolist()
+    cut = np.tril(g.signs > 0).sum(axis=1).tolist()  # positive edges to earlier vertices
+    fair = spec is not None
+    if fair:
+        base, bounds = spec.base_color, list(spec.bounds.items())
+        color_of = colors.color_of.tolist()  # the search reads a list faster than an array
+        hist = [[0] * colors.num_colors for _ in range(n)]  # per block, color counts
+    best_cost, best_assign = -1, None
+    assign = [0] * n
+
+    def walk(v, num_blocks, cost):
+        nonlocal best_cost, best_assign
+        if v == n:
+            # the prune below lets only strict improvements reach a leaf
+            if fair and not all(
+                h[base] >= 1 and all(h[base] * p <= h[c] <= h[base] * q for c, (p, q) in bounds)
+                for h in hist[:num_blocks]
+            ):
+                return
+            best_cost, best_assign = cost, list(assign)
+            return
+        row = neg[v]
+        inside = [0] * (num_blocks + 1)  # v's negative edges into each block
+        size = [0] * (num_blocks + 1)
+        for u in range(v):
+            b = assign[u]
+            size[b] += 1
+            inside[b] += row[u]
+        for b in range(num_blocks + 1):
+            # v pays its negative edges inside b and its positive edges out of b
+            new_cost = cost + 2 * inside[b] + cut[v] - size[b]
+            if best_cost >= 0 and new_cost >= best_cost:
+                continue
+            assign[v] = b
+            if fair:
+                hist[b][color_of[v]] += 1
+            walk(v + 1, max(num_blocks, b + 1), new_cost)
+            if fair:
+                hist[b][color_of[v]] -= 1
+
+    walk(0, 0, 0)
+    return best_cost, best_assign

@@ -205,9 +205,11 @@ def test_unbalanced_pipeline_constants():
     )
 
 
-def test_mirror_identity_exhaustive_and_random():
+def test_mirror_identity_exhaustive_and_random(monkeypatch):
     """opt_fair(mirror(G), 1:1) == 4 * opt_cc(G): exhaustively for every
-    n=4 sign pattern and for 100 random n=5 graphs."""
+    n=4 sign pattern, for 100 random n=5 graphs and for 20 random n=6
+    graphs, whose 12-vertex mirrors need the oracle cap raised to 12."""
+    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "12")
     start = time.perf_counter()
     spec = FairnessSpec.exact({1: 1})
     failures = 0
@@ -219,18 +221,19 @@ def test_mirror_identity_exhaustive_and_random():
         _, fair_v = opt_fair(h, colors, spec)
         if fair_v != 4 * brute_opt(g):
             failures += 1
-    for seed in range(100):
-        g = random_graph(5, seed * 7 + 1)
-        h, colors = mirror_graph(g)
-        _, fair_v = opt_fair(h, colors, spec)
-        if fair_v != 4 * brute_opt(g):
-            failures += 1
+    for n, count in ((5, 100), (6, 20)):
+        for seed in range(count):
+            g = random_graph(n, seed * 7 + 1)
+            h, colors = mirror_graph(g)
+            _, fair_v = opt_fair(h, colors, spec)
+            if fair_v != 4 * brute_opt(g):
+                failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 120
     report(
         "mirror identity opt_fair(mirror) == 4*opt_cc",
         ok,
-        f"64 exhaustive + 100 random, {failures} failures, {elapsed:.1f}s",
+        f"64 exhaustive + 100 random n=5 + 20 random n=6, {failures} failures, {elapsed:.1f}s",
     )
 
 

@@ -16,7 +16,7 @@ from faircc import (
     check_fairness,
     run_algorithm,
 )
-from faircc import baselines, cli, fair_clustering
+from faircc import algorithms, baselines, cli, fair_clustering
 from faircc.pivot import PivotRun
 from faircc.cli import main, parse_spec
 from conftest import random_colors, random_graph
@@ -742,6 +742,27 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     )
     assert rc == 0
     assert calls == {"build_matchings": 2, "run_cc": 5, "best_of_restarts": 10}
+
+
+def test_experiment_checks_fairness_once_per_fair_cell(workspace, monkeypatch):
+    """Four fair algorithms by two seeds: run_algorithm checks each cell's
+    clustering, and the result row takes its verdict without a second
+    check."""
+    calls = count_calls(
+        monkeypatch, [(algorithms, "check_fairness"), (cli, "check_fairness")]
+    )
+    write_planted(workspace, 40, (20, 20), seed=5, blocks=4)
+    rc = main(
+        ["experiment", "--graph", str(workspace / "g.json"),
+         "--colors", str(workspace / "c.csv"), "--ratio", "1:1",
+         "--algos", "faircc,wmatch,ufaircc,ccmerge", "--runs", "2",
+         "--out", str(workspace / "x.csv")]
+    )
+    assert rc == 0
+    assert calls == {"check_fairness": 8}
+    with open(workspace / "x.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["fair"] for row in rows] == ["true"] * 12  # 8 cells and 4 mean rows
 
 
 def test_verify_builds_matchings_once_per_instance(monkeypatch, capsys):

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faircc import (
     BMatchingInstance,
@@ -25,6 +27,7 @@ from conftest import (
     partition_cost,
     random_colors,
     random_graph,
+    reference_best_partition,
 )
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -89,6 +92,56 @@ def test_fair_search_is_first_fair_optimum_of_enumeration(seed):
         best = min(partition_cost(g, a) for a in fair)
         expected = (best, list(next(a for a in fair if partition_cost(g, a) == best)))
     assert best_partition(g, colors, spec) == expected
+
+
+@st.composite
+def search_cases(draw):
+    """(graph, colors, spec) on n <= 9: 1-3 colors, a random base color,
+    exact or interval bounds on the other colors (about a quarter of them
+    left unbounded), or no spec at all."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    negative = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = SignedCompleteGraph.from_negative_edges(n, [e for e, neg in zip(pairs, negative) if neg])
+    if draw(st.booleans()):
+        return g, None, None
+    k = draw(st.integers(1, min(3, n)))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    colors = ColorAssignment(draw(st.permutations(list(range(k)) + extra)))
+    base = draw(st.integers(0, k - 1))
+    bounds = {}
+    for c in range(k):
+        if c != base and draw(st.integers(0, 3)):
+            p = draw(st.integers(1, 3))
+            bounds[c] = (p, p + draw(st.integers(0, 2)))
+    return g, colors, FairnessSpec(base, bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases())
+@example(  # one base vertex, three of color 1 at 1:1..1:2: no fair partition
+    (all_positive(4), ColorAssignment((1, 0, 1, 1)), FairnessSpec(0, {1: (1, 2)}))
+)
+@example(  # color 1 unbounded, yet vertex 2 alone would leave a block without base
+    (
+        SignedCompleteGraph.from_negative_edges(3, [(0, 2), (1, 2)]),
+        ColorAssignment((0, 0, 1)),
+        FairnessSpec(0, {}),
+    )
+)
+def test_search_matches_the_reference(case):
+    """The pruned search returns the same cost and assignment as the search
+    that checks fairness only at the leaves, the sentinel included."""
+    g, colors, spec = case
+    assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_search_matches_the_reference_at_n10(seed):
+    g = random_graph(10, seed + 500)
+    colors = random_colors((5, 5), seed)
+    spec = FairnessSpec.exact({1: 1})
+    assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
 
 
 def test_opt_cc_extremes():

@@ -9,13 +9,18 @@ upper bound costs no more columns than the table can use. The first
 degree_lo[l] slots of l are mandatory. Their costs are shifted by -M with
 M = (sum of all costs) + 1, so an assignment that leaves a mandatory slot
 empty costs more than any assignment that fills them all; the shift is
-skipped when every slot must be filled anyway. The assignment is solved by
+skipped when every slot must be filled anyway.
+
+A constant table (unit costs, say) needs no search: every degree-feasible
+assignment costs the constant times R, so any one is optimal. It gets the
+one the search below would return, which fills the mandatory slots first and
+then the optional ones, each in slot order. Any other table is solved by
 shortest augmenting paths (Jonker and Volgenant 1987): one Dijkstra per
 right node over reduced costs that dual potentials keep nonnegative, each
 Dijkstra step vectorized over all slot columns, whose costs are gathered
-from the L x R table rather than stored. Everything stays in int64, and
-instances whose costs could overflow it are rejected, so the optimum is
-exact.
+from the L x R table rather than stored, into buffers the steps reuse.
+Everything stays in int64, and instances whose costs could overflow it are
+rejected, so the optimum is exact.
 """
 
 from __future__ import annotations
@@ -101,27 +106,34 @@ def _assign(rows, owner, offset):
     v = np.zeros(m, np.int64)
     row_of = np.full(m, -1)
     col_of = np.full(n, -1)
+    dist = np.empty(m, np.int64)  # path length of each settled column
+    key = np.empty(m, np.int64)  # path length so far, _UNREACHED once settled
+    pred = np.empty(m, np.int64)
+    unsettled = np.empty(m, bool)
+    reach = np.empty(m, np.int64)
+    better = np.empty(m, bool)
     for start in range(n):
-        dist = np.full(m, _UNREACHED)
-        pred = np.empty(m, np.int64)
-        done = np.zeros(m, bool)
+        key.fill(_UNREACHED)
+        unsettled.fill(True)
         base = offset - v
         i, low = start, 0
         while True:  # Dijkstra from ``start`` until it reaches a free column
-            reach = rows[i].take(owner)
+            rows[i].take(owner, out=reach)
             reach += base
             reach += low - u[i]
-            better = reach < dist
-            better &= ~done
-            np.copyto(dist, reach, where=better)
+            np.less(reach, key, out=better)
+            better &= unsettled
+            np.copyto(key, reach, where=better)
             np.copyto(pred, i, where=better)
-            j = int(np.argmin(np.where(done, _UNREACHED, dist)))
-            low = int(dist[j])
-            done[j] = True
+            j = int(key.argmin())
+            low = int(key[j])
+            dist[j] = low
+            key[j] = _UNREACHED
+            unsettled[j] = False
             if row_of[j] < 0:
                 break
             i = row_of[j]
-        cols = np.flatnonzero(done)
+        cols = np.flatnonzero(~unsettled)
         slack = low - dist[cols]
         v[cols] -= slack
         inner = row_of[cols] >= 0
@@ -158,6 +170,9 @@ def solve(inst: BMatchingInstance) -> BMatching:
     if lo_sum and R < slots:
         rank = np.arange(slots) - np.repeat(np.cumsum(hi) - hi, hi)
         offset[rank < lo[owner]] = -(int(inst.cost.sum()) + 1)
+    if inst.cost.min() == inst.cost.max():  # every degree-feasible deal is optimal
+        assign = owner[np.argsort(offset, kind="stable")[:R]]
+        return BMatching(assign, int(inst.cost[0, 0]) * R)
     assign = owner[_assign(np.ascontiguousarray(inst.cost.T), owner, offset)]
     weight = int(inst.cost[assign, np.arange(R)].sum())
     return BMatching(assign, weight)

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from faircc import ColorAssignment, InvalidInputError, SignedCompleteGraph
+from faircc import ColorAssignment, InfeasibleSpecError, InvalidInputError, SignedCompleteGraph
+from faircc.bmatching import _UNREACHED, BMatching
 from faircc.fair_clustering import build_fairlets, build_matchings
 
 
@@ -246,3 +247,71 @@ def reference_best_partition(g, colors=None, spec=None):
 
     walk(0, 0, 0)
     return best_cost, best_assign
+
+
+# The matcher before it answered constant cost tables without a search and
+# before its Dijkstra step reused its buffers.
+def _reference_assign(rows, owner, offset):
+    """Column of each row in a minimum-cost assignment of every row to a
+    distinct column, where column j of row i costs
+    ``rows[i, owner[j]] + offset[j]`` (n rows, m >= n columns, int64)."""
+    n, m = len(rows), len(owner)
+    u = np.zeros(n, np.int64)
+    v = np.zeros(m, np.int64)
+    row_of = np.full(m, -1)
+    col_of = np.full(n, -1)
+    for start in range(n):
+        dist = np.full(m, _UNREACHED)
+        pred = np.empty(m, np.int64)
+        done = np.zeros(m, bool)
+        base = offset - v
+        i, low = start, 0
+        while True:  # Dijkstra from ``start`` until it reaches a free column
+            reach = rows[i].take(owner)
+            reach += base
+            reach += low - u[i]
+            better = reach < dist
+            better &= ~done
+            np.copyto(dist, reach, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(np.argmin(np.where(done, _UNREACHED, dist)))
+            low = int(dist[j])
+            done[j] = True
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        cols = np.flatnonzero(done)
+        slack = low - dist[cols]
+        v[cols] -= slack
+        inner = row_of[cols] >= 0
+        u[row_of[cols[inner]]] += slack[inner]
+        u[start] += low
+        while True:  # flip the path back to ``start``
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
+
+
+def reference_solve(inst):
+    """Feasible matching of exactly minimum total cost, always by search."""
+    R = inst.right_size
+    lo_sum, hi_sum = sum(inst.degree_lo), sum(inst.degree_hi)
+    if not lo_sum <= R <= hi_sum:
+        raise InfeasibleSpecError(
+            f"{R} right nodes cannot meet degree bounds (sum lo {lo_sum}, sum hi {hi_sum})"
+        )
+    lo = np.array(inst.degree_lo, np.int64)
+    # no feasible degree is larger, so the clamp keeps the optimum
+    hi = np.array([min(h, R - lo_sum + l) for l, h in zip(inst.degree_lo, inst.degree_hi)])
+    slots = int(hi.sum())
+    owner = np.repeat(np.arange(inst.left_size), hi)  # slot column -> left node
+    offset = np.zeros(slots, np.int64)
+    if lo_sum and R < slots:
+        rank = np.arange(slots) - np.repeat(np.cumsum(hi) - hi, hi)
+        offset[rank < lo[owner]] = -(int(inst.cost.sum()) + 1)
+    assign = owner[_reference_assign(np.ascontiguousarray(inst.cost.T), owner, offset)]
+    weight = int(inst.cost[assign, np.arange(R)].sum())
+    return BMatching(assign, weight)

@@ -101,6 +101,32 @@ def test_faircc_no_worse_than_ufaircc_on_average():
     assert statistics.mean(smart) <= statistics.mean(unit)
 
 
+# ufaircc labels recorded when every unit-cost matching was still searched;
+# the matcher's constant-table deal must reproduce them
+UFAIRCC_PINS = [
+    # 1:1
+    ((6, 6), 0.7, 11, {1: (1, 1)}, (0, 1, 2, 0, 1, 3, 4, 3, 2, 3, 4, 3)),
+    # 1:2
+    ((5, 10), 0.6, 8, {1: (2, 2)}, (0, 0, 1, 1, 2, 0, 2, 3, 1, 2, 3, 3, 4, 4, 4)),
+    # 1:1..1:2
+    ((6, 9), 0.7, 36, {1: (1, 2)}, (0, 1, 2, 3, 0, 4, 5, 1, 0, 1, 2, 3, 2, 4, 5)),
+    # 1:1:1
+    (
+        (5, 5, 5), 0.6, 8, {1: (1, 1), 2: (1, 1)},
+        (0, 0, 1, 1, 2, 0, 2, 3, 1, 2, 4, 3, 3, 4, 4),
+    ),
+]
+
+
+@pytest.mark.parametrize("counts,neg,seed,bounds,labels", UFAIRCC_PINS)
+def test_ufaircc_pinned_labels(counts, neg, seed, bounds, labels):
+    g = random_graph(sum(counts), seed, neg)
+    colors = random_colors(counts, seed)
+    spec = FairnessSpec(0, bounds)
+    c = run_algorithm("ufaircc", g, colors, spec, PivotRun(seed, 5))
+    assert c.cluster_of.tolist() == list(labels)
+
+
 def test_ccmerge_keeps_already_fair_clusters():
     g = SignedCompleteGraph.from_negative_edges(
         4, [(0, 2), (0, 3), (1, 2), (1, 3)]

@@ -13,6 +13,7 @@ from faircc import (
     opt_bmatching,
     solve,
 )
+from conftest import reference_solve
 
 
 def enumerate_optimum(cost, lo, hi):
@@ -203,3 +204,54 @@ def test_costs_that_could_overflow_int64_are_rejected():
         cost = [[rng.choice([0, top, rng.randrange(top)]) for _ in range(R)] for _ in range(L)]
         inst = BMatchingInstance(cost, lo, hi)
         assert solve(inst).weight == opt_bmatching(inst).weight
+
+
+@st.composite
+def interval_instances(draw):
+    """Random or constant tables under uniform or per-node degree intervals,
+    some with every clamped slot filled (so the -M shift is skipped)."""
+    L = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        lo = draw(st.lists(st.integers(0, 3), min_size=L, max_size=L))
+        hi = [l + draw(st.integers(0, 3)) for l in lo]
+    else:
+        p = draw(st.integers(0, 3))
+        lo, hi = [p] * L, [p + draw(st.integers(0, 3))] * L
+    shape = draw(st.sampled_from(["tight", "interval", "loose"]))
+    if shape == "tight":
+        R = sum(hi)
+    elif shape == "interval":
+        R = draw(st.integers(sum(lo), max(sum(lo), sum(hi))))
+    else:
+        R = draw(st.integers(sum(lo), sum(lo) + 8))
+        hi = [10**9] * L
+    assume(R >= 1 and sum(lo) <= R <= sum(hi))
+    constant = draw(st.sampled_from([None, 0, 1, 7]))
+    if constant is None:
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cost = gen.integers(0, draw(st.sampled_from([2, 5, 30])), (L, R))
+    else:
+        cost = np.full((L, R), constant)
+    return cost, lo, hi
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(interval_instances())
+def test_solve_matches_reference_assignment(case):
+    inst = BMatchingInstance(*case)
+    got, want = solve(inst), reference_solve(inst)
+    assert got.assign.tolist() == want.assign.tolist()
+    assert got.weight == want.weight
+
+
+def test_constant_table_skips_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a constant table needs no search")
+
+    monkeypatch.setattr("faircc.bmatching._assign", no_search)
+    got = solve(BMatchingInstance(np.ones((300, 600), np.int64), [1] * 300, [3] * 300))
+    # every node's mandatory slot in node order, then the optional slots in
+    # slot order: nodes 0..149 take their two optional slots each
+    deal = list(range(300)) + [l for l in range(150) for _ in range(2)]
+    assert got.assign.tolist() == deal
+    assert got.weight == 600

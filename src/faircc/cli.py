@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -336,7 +337,11 @@ def cmd_gen(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged. Each subcommand's ``func`` is the ``cmd_*`` function bound
+    at the first call."""
     parser = _Parser(prog="faircc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,16 +18,21 @@ import numpy as np
 from .errors import InfeasibleSpecError, InvalidInputError, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedCompleteGraph:
     """Complete graph on n vertices with a +/-1 label per unordered pair.
 
     ``signs`` is an n x n int8 matrix with +1 / -1 off the diagonal and 0 on
-    it; it is always symmetric.
+    it; it is always symmetric. ``positive_bits`` is ``signs > 0`` packed
+    eight vertices to a byte along each row (n x ceil(n/8) uint8, read-only)
+    and ``positive_pairs`` the number of positive pairs; both are derived
+    from ``signs``, which alone decides equality.
     """
 
     n: int
     signs: np.ndarray
+    positive_bits: np.ndarray = field(init=False, compare=False, repr=False)
+    positive_pairs: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -44,6 +49,16 @@ class SignedCompleteGraph:
             raise InvalidInputError("every distinct pair needs a +/-1 sign")
         s.setflags(write=False)
         object.__setattr__(self, "signs", s)
+        positive = s > 0
+        bits = np.packbits(positive, axis=1)
+        bits.setflags(write=False)
+        object.__setattr__(self, "positive_bits", bits)
+        object.__setattr__(self, "positive_pairs", np.count_nonzero(positive) // 2)
+
+    def __eq__(self, other):
+        if not isinstance(other, SignedCompleteGraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.signs, other.signs)
 
     @classmethod
     def from_negative_edges(cls, n, negative_edges):
@@ -417,13 +432,32 @@ def _histogram(row):
 
 def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
     """Negative edges trapped inside a cluster plus positive edges cut
-    between clusters."""
+    between clusters.
+
+    Counted as sum_k C(|C_k|, 2) + P - 2 * P_within: the pairs inside
+    clusters, plus all P positive pairs, minus twice the positive pairs
+    inside clusters, which are counted in both and disagree in neither."""
     if c.n != g.n:
         raise InvalidInputError("clustering length does not match graph")
-    # a pair disagrees iff "same cluster" differs from "positive"; each
-    # diagonal entry (same, not positive) adds one, each pair two
-    mismatched = np.count_nonzero((c.cluster_of[:, None] == c.cluster_of) != (g.signs > 0))
-    return int(mismatched - g.n) // 2
+    return _label_disagreements(g, c.cluster_of)
+
+
+# the number of set bits of every byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+
+
+def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> int:
+    """``disagreements`` of the per-vertex cluster ids ``labels`` >= 0, of
+    length g.n. Each vertex's row of its cluster's packed member mask,
+    ANDed with its packed positive row, holds its positive partners inside
+    its cluster, so the popcount of all rows is 2 * P_within."""
+    sizes = np.bincount(labels)
+    members = np.zeros((len(sizes), g.n), bool)
+    members[labels, np.arange(g.n)] = True
+    rows = np.packbits(members, axis=1).take(labels, axis=0)
+    rows &= g.positive_bits
+    within = _POPCOUNT.take(rows).sum(dtype=np.int64)
+    return int((sizes * (sizes - 1) // 2).sum() + g.positive_pairs - within)
 
 
 def _color_counts(colors: ColorAssignment, c: Clustering) -> np.ndarray:

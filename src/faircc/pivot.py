@@ -5,6 +5,15 @@ unclustered vertex joined to it by a positive edge, repeat. Randomness
 comes from ``random.Random`` (Mersenne Twister), which is fully specified
 by the language reference, so a fixed seed gives bit-identical output on
 every platform.
+
+All restarts of a best-of-restarts run go in one lockstep pass: round r
+makes the r-th pivot choice of every restart that still has unclustered
+vertices. Each restart keeps its own ``random.Random(seed)`` and draws
+``randrange(number unclustered)`` once per round, exactly the draws of a
+pass run alone, and its pivot is the unclustered vertex of that rank in
+vertex order, the same vertex a pass run alone picks from its sorted
+remaining list. Restarts never share state, so every row of the lockstep
+labels is the labels of that seed's own pass.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import Clustering, SignedCompleteGraph, disagreements
+from .model import Clustering, SignedCompleteGraph, _label_disagreements
 
 
 @dataclass(frozen=True)
@@ -30,28 +39,41 @@ class PivotRun:
             raise InvalidInputError("restarts must be >= 1")
 
 
-def pivot_cluster(g: SignedCompleteGraph, seed: int) -> np.ndarray:
-    """One pivot pass; returns the cluster id of every vertex, ids assigned
-    in order of cluster creation."""
-    rng = random.Random(seed)
-    label = np.empty(g.n, np.int64)
-    remaining = np.arange(g.n)
-    next_id = 0
-    while len(remaining):
-        pivot = remaining[rng.randrange(len(remaining))]
+def pivot_cluster(g: SignedCompleteGraph, seeds) -> np.ndarray:
+    """One pivot pass per seed, all in lockstep; returns a len(seeds) x n
+    int64 matrix whose row k gives the cluster id of every vertex in the
+    pass seeded ``seeds[k]``, ids assigned in order of cluster creation
+    (the round number)."""
+    rngs = [random.Random(seed) for seed in seeds]
+    labels = np.empty((len(rngs), g.n), np.int64)
+    live = np.arange(len(rngs))  # rows of the restarts still clustering
+    unclustered = np.ones((len(rngs), g.n), bool)  # one row per live restart
+    live_labels = np.empty_like(unclustered, np.int64)
+    rounds = 0
+    while len(live):
+        ranks = np.cumsum(unclustered, axis=1)
+        left = ranks[:, -1]
+        done = left == 0
+        if done.any():  # finished restarts drop out of the live set
+            labels[live[done]] = live_labels[done]
+            live, unclustered, live_labels = live[~done], unclustered[~done], live_labels[~done]
+            ranks, left = ranks[~done], left[~done]
+        draws = [rngs[k].randrange(m) for k, m in zip(live.tolist(), left.tolist())]
+        # the first vertex whose running count of unclustered exceeds the draw
+        pivots = np.argmax(ranks > np.array(draws)[:, None], axis=1)
         # the zero diagonal puts the pivot itself beside its positive edges
-        joined = g.signs[pivot, remaining] >= 0
-        label[remaining[joined]] = next_id
-        next_id += 1
-        remaining = remaining[~joined]
-    return label
+        joined = unclustered & (g.signs[pivots] >= 0)
+        np.copyto(live_labels, rounds, where=joined)
+        unclustered ^= joined
+        rounds += 1
+    return labels
 
 
 def best_of_restarts(g: SignedCompleteGraph, run: PivotRun) -> Clustering:
     """Pivot with seeds seed .. seed+restarts-1; keep the clustering with
     the fewest disagreements (ties: earliest seed)."""
+    labels = pivot_cluster(g, range(run.seed, run.seed + run.restarts))
+    costs = [_label_disagreements(g, row) for row in labels]
     # a pass's ids, in order of cluster creation, already form a clustering;
     # only the kept one is renumbered by first appearance
-    restarts = (Clustering(pivot_cluster(g, run.seed + k)) for k in range(run.restarts))
-    best = min(restarts, key=lambda c: disagreements(g, c))
-    return Clustering.from_labels(best.cluster_of)
+    return Clustering.from_labels(labels[costs.index(min(costs))])

@@ -7,7 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from faircc import ColorAssignment, InfeasibleSpecError, InvalidInputError, SignedCompleteGraph
+from faircc import (
+    Clustering,
+    ColorAssignment,
+    InfeasibleSpecError,
+    InvalidInputError,
+    SignedCompleteGraph,
+)
 from faircc.bmatching import _UNREACHED, BMatching
 from faircc.fair_clustering import build_fairlets, build_matchings
 
@@ -103,6 +109,43 @@ def brute_opt_fair(g, colors, spec):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+# The objective and the pivot before the packed scoring and the lockstep
+# pass: one n x n compare per clustering, one pass per seed.
+
+
+def reference_disagreements(g, c):
+    """Pairs whose "same cluster" differs from "positive", from one n x n
+    compare; each diagonal entry (same, not positive) adds one, each pair
+    two."""
+    mismatched = np.count_nonzero((c.cluster_of[:, None] == c.cluster_of) != (g.signs > 0))
+    return int(mismatched - g.n) // 2
+
+
+def reference_pivot_cluster(g, seed):
+    """One pivot pass; the cluster id of every vertex, ids assigned in
+    order of cluster creation."""
+    rng = random.Random(seed)
+    label = np.empty(g.n, np.int64)
+    remaining = np.arange(g.n)
+    next_id = 0
+    while len(remaining):
+        pivot = remaining[rng.randrange(len(remaining))]
+        joined = g.signs[pivot, remaining] >= 0
+        label[remaining[joined]] = next_id
+        next_id += 1
+        remaining = remaining[~joined]
+    return label
+
+
+def reference_best_of_restarts(g, run):
+    """The clustering of seeds run.seed .. run.seed+run.restarts-1 with the
+    fewest disagreements, the earliest seed on ties, renumbered by first
+    appearance."""
+    restarts = (Clustering(reference_pivot_cluster(g, run.seed + k)) for k in range(run.restarts))
+    best = min(restarts, key=lambda c: reference_disagreements(g, c))
+    return Clustering.from_labels(best.cluster_of)
 
 
 # Tuple-based references for the per-vertex model: the validation, label

@@ -23,6 +23,7 @@ from conftest import (
     reference_clustering,
     reference_color_assignment,
     reference_color_distribution,
+    reference_disagreements,
     reference_fairness,
     reference_labels,
     reference_violations,
@@ -169,6 +170,50 @@ def test_graph_validation():
         SignedCompleteGraph(2, np.zeros((2, 2), dtype=np.int8))
     with pytest.raises(InvalidInputError):
         SignedCompleteGraph.from_negative_edges(3, [(2, 1)])  # needs u < v
+
+
+def test_graph_equality_is_by_value():
+    g = random_graph(9, seed=2)
+    same = SignedCompleteGraph(9, g.signs.copy())
+    assert same.signs is not g.signs and g == same and not g != same
+    assert g != random_graph(9, seed=3)
+    assert g != graph_all_positive(8)
+    flipped = g.signs.copy()
+    flipped[0, 1] = flipped[1, 0] = -flipped[0, 1]
+    assert g != SignedCompleteGraph(9, flipped)
+    for other in (None, 9, "g", Clustering((0,) * 9)):
+        assert g != other and other != g
+
+
+def test_graph_positive_bits():
+    g = random_graph(13, seed=4)
+    assert g.positive_bits.shape == (13, 2) and not g.positive_bits.flags.writeable
+    assert np.array_equal(np.unpackbits(g.positive_bits, axis=1, count=13), g.signs > 0)
+    assert g.positive_pairs == np.count_nonzero(np.triu(g.signs > 0, 1))
+
+
+@st.composite
+def objective_cases(draw):
+    """(graph, clustering): n from 1 to 40, random, all-positive or
+    all-negative signs, and one cluster, all singletons or random ids."""
+    n = draw(st.integers(1, 40))
+    neg_prob = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    g = random_graph(n, seed=draw(st.integers(0, 2**32)), neg_prob=neg_prob)
+    k = draw(st.integers(1, n))
+    labels = draw(
+        st.just([0] * n)
+        | st.just(list(range(n)))
+        | st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    )
+    return g, Clustering.from_labels(labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(objective_cases())
+def test_disagreements_matches_the_reference(case):
+    """The packed count equals the n x n compare it replaced."""
+    g, c = case
+    assert disagreements(g, c) == reference_disagreements(g, c)
 
 
 def test_graph_json_roundtrip():

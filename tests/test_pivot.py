@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircc import (
     Clustering,
@@ -10,7 +12,13 @@ from faircc import (
     disagreements,
 )
 from faircc.pivot import PivotRun, best_of_restarts, pivot_cluster
-from conftest import all_partitions, partition_cost, random_graph
+from conftest import (
+    all_partitions,
+    partition_cost,
+    random_graph,
+    reference_best_of_restarts,
+    reference_pivot_cluster,
+)
 
 
 def all_positive(n):
@@ -25,13 +33,13 @@ def all_negative(n):
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 998])
 def test_all_positive_k4_single_cluster(seed):
-    label = pivot_cluster(all_positive(4), seed)
+    label = pivot_cluster(all_positive(4), [seed])[0]
     assert set(label.tolist()) == {0}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 998])
 def test_all_negative_k4_singletons(seed):
-    label = pivot_cluster(all_negative(4), seed)
+    label = pivot_cluster(all_negative(4), [seed])[0]
     assert sorted(label.tolist()) == [0, 1, 2, 3]
 
 
@@ -46,7 +54,7 @@ def test_two_positive_one_negative_triangle_always_cost_one():
 
 def test_deterministic_given_seed():
     g = random_graph(9, seed=4)
-    assert pivot_cluster(g, 42).tolist() == pivot_cluster(g, 42).tolist()
+    assert pivot_cluster(g, [42])[0].tolist() == pivot_cluster(g, [42])[0].tolist()
 
 
 def scalar_pivot(g, seed):
@@ -69,7 +77,7 @@ def test_pivot_cluster_matches_scalar_loop(neg_prob):
     for gseed in range(10):
         g = random_graph(5 + 3 * gseed, seed=600 + gseed, neg_prob=neg_prob)
         for seed in range(5):
-            assert pivot_cluster(g, seed).tolist() == scalar_pivot(g, seed)
+            assert pivot_cluster(g, [seed])[0].tolist() == scalar_pivot(g, seed)
 
 
 def test_zero_restarts_rejected():
@@ -79,7 +87,7 @@ def test_zero_restarts_rejected():
 
 def test_single_restart_equals_pivot_cluster():
     g = random_graph(7, seed=6)
-    single = Clustering.from_labels(pivot_cluster(g, 5).tolist())
+    single = Clustering.from_labels(pivot_cluster(g, [5])[0].tolist())
     assert best_of_restarts(g, PivotRun(5, 1)) == single
 
 
@@ -128,3 +136,25 @@ def test_best_of_restarts_pinned_labels():
     assert best_of_restarts(induced, PivotRun(5, 25)) == Clustering.from_labels(
         PINNED_EVEN_SUBSET
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    neg_prob=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+    gseed=st.integers(0, 2**32),
+    seeds=st.lists(st.integers(0, 60), min_size=1, max_size=30),
+    start=st.integers(-5, 1000),
+    restarts=st.integers(1, 30),
+)
+def test_lockstep_pass_matches_the_per_seed_loop(n, neg_prob, gseed, seeds, start, restarts):
+    """Every row of the lockstep labels is the per-seed pass of its seed,
+    for repeated and non-consecutive seeds in any order, and
+    best_of_restarts keeps the per-seed loop's clustering."""
+    g = random_graph(n, seed=gseed, neg_prob=neg_prob)
+    labels = pivot_cluster(g, seeds)
+    assert labels.shape == (len(seeds), n) and labels.dtype == np.int64
+    for row, seed in zip(labels, seeds):
+        assert row.tolist() == reference_pivot_cluster(g, seed).tolist()
+    run = PivotRun(start, restarts)
+    assert best_of_restarts(g, run) == reference_best_of_restarts(g, run)

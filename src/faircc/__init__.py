@@ -37,7 +37,7 @@ from .model import (
     color_distribution,
     disagreements,
 )
-from .oracle import mirror_graph, opt_bmatching, opt_cc, opt_fair
+from .oracle import mirror_graph, opt_cc, opt_fair
 from .pivot import PivotRun, best_of_restarts, pivot_cluster
 
 __version__ = "0.1.0"

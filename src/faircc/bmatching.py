@@ -12,15 +12,22 @@ empty costs more than any assignment that fills them all; the shift is
 skipped when every slot must be filled anyway.
 
 A constant table (unit costs, say) needs no search: every degree-feasible
-assignment costs the constant times R, so any one is optimal. It gets the
-one the search below would return, which fills the mandatory slots first and
-then the optional ones, each in slot order. Any other table is solved by
-shortest augmenting paths (Jonker and Volgenant 1987): one Dijkstra per
-right node over reduced costs that dual potentials keep nonnegative, each
-Dijkstra step vectorized over all slot columns, whose costs are gathered
-from the L x R table rather than stored, into buffers the steps reuse.
+assignment costs the constant times R, so any one is optimal. It gets a
+fixed deal: the right nodes, in order, take the mandatory slots in slot
+order and then the optional ones in slot order (every slot counts as
+mandatory when all must be filled).
+
+Any other table is solved in two phases after Jonker and Volgenant 1987.
+Augmenting row reduction first lets the right nodes bid for their cheapest
+slot columns, raising a column's dual price by the bidder's gap to its
+second-cheapest one, for two passes; most right nodes end the passes
+assigned. Each right node still free then gets a shortest augmenting path:
+one Dijkstra over reduced costs that the dual potentials keep nonnegative,
+each step vectorized over all slot columns, whose costs are gathered from
+the L x R table rather than stored, into buffers the steps reuse.
 Everything stays in int64, and instances whose costs could overflow it are
-rejected, so the optimum is exact.
+rejected, so the optimum is exact; which of several optima it returns
+depends on both phases.
 """
 
 from __future__ import annotations
@@ -32,9 +39,11 @@ import numpy as np
 from .errors import InfeasibleSpecError, InvalidInputError
 
 _UNREACHED = np.iinfo(np.int64).max
-# shifted costs lie in [-M, M) with M = sum of costs + 1, and potentials and
-# path lengths stay within a few multiples of M * (R + 1); capping that
-# product at 2**56 leaves int64 headroom
+# shifted costs lie in [-M, M) with M = sum of costs + 1. The row reduction
+# leaves every dual v above -8RM (see _reduce_rows) and each of the at most R
+# searches lowers v by less than 2M more, so |v| < 10RM; potentials, path
+# lengths and their sums stay within a few multiples of that, below 2**61
+# while M * (R + 1) < 2**56
 _COST_LIMIT = 2**56
 
 
@@ -43,7 +52,9 @@ class BMatchingInstance:
     """L x R nonnegative integer cost table with degree interval
     [degree_lo[l], degree_hi[l]] per left node; right nodes have degree 1.
 
-    ``cost`` is stored as a read-only int64 array."""
+    ``cost`` is stored as a read-only int64 array: a read-only int64 input
+    (such as a ``np.broadcast_to`` constant) is kept as it is, and anything
+    else is copied."""
 
     cost: np.ndarray
     degree_lo: tuple
@@ -51,14 +62,16 @@ class BMatchingInstance:
 
     def __post_init__(self):
         try:
-            cost = np.array(self.cost, dtype=np.int64)
+            cost = np.asarray(self.cost, dtype=np.int64)
+            if cost.flags.writeable:  # keep no table the caller can still change
+                cost = cost.copy()
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"cost table must be rectangular integers: {exc}") from exc
         lo = tuple(int(x) for x in self.degree_lo)
         hi = tuple(int(x) for x in self.degree_hi)
         if cost.ndim != 2 or cost.size == 0:
             raise InvalidInputError("cost table must be a nonempty L x R table")
-        if (cost < 0).any():
+        if cost.min() < 0:
             raise InvalidInputError("costs must be nonnegative")
         total = int(cost.sum())
         if int(cost.max()) * cost.size >= _COST_LIMIT:  # int64 sum may wrap
@@ -97,22 +110,82 @@ class BMatching:
         object.__setattr__(self, "assign", assign)
 
 
+def _reduce_rows(rows, owner, offset):
+    """Augmenting row reduction (Jonker and Volgenant 1987): two passes of
+    bids that assign most rows before the search, for the costs of
+    ``_assign``. Returns the column duals v, the column of each row and the
+    row of each column (-1 where there is none), and the rows left free.
+
+    A free row bids on its cheapest column j1 at reduced cost
+    ``cost - v``, and lowers v[j1] by the gap to its second-cheapest
+    column, so that j1 stays its cheapest. On a tie it takes the
+    second-cheapest column instead when j1 is taken. A row evicted by a
+    bid that lowered v bids again at once; one evicted by a tie waits for
+    the next pass. Only a column a row then holds loses v, so free columns
+    keep v = 0, and a row keeps its column's reduced cost at its row
+    minimum, since while it holds the column only other columns lose v.
+
+    Each pass lets at most as many evicted rows bid again at once as it
+    has free rows at its start, so the two passes make at most 4n bids. A
+    bid sets v[j1] to ``c1 - c2 + v[j2]`` for two shifted costs in
+    [-M, M), at most 2M below the lowest v; so afterwards v > -8nM.
+    """
+    n, m = len(rows), len(owner)
+    base = offset.copy()  # offset - v: the reduced cost less the row's own cost
+    row_of = [-1] * m
+    col_of = [-1] * n
+    reach = np.empty(m, np.int64)
+    free = list(range(n))
+    for _ in range(2):
+        todo, free = free, []
+        rebids = len(todo)
+        for i in todo:
+            while True:
+                rows[i].take(owner, out=reach)
+                reach += base
+                j1 = int(reach.argmin())
+                u1 = int(reach[j1])
+                u2 = u1  # a single column has no second-cheapest
+                if m > 1:
+                    reach[j1] = _UNREACHED
+                    j2 = int(reach.argmin())
+                    u2 = int(reach[j2])
+                evicted = row_of[j1]
+                if u1 < u2:
+                    base[j1] += u2 - u1
+                elif evicted >= 0:
+                    j1 = j2
+                    evicted = row_of[j1]
+                row_of[j1], col_of[i] = i, j1
+                if evicted < 0:
+                    break
+                col_of[evicted] = -1
+                if u1 == u2 or not rebids:
+                    free.append(evicted)
+                    break
+                rebids -= 1
+                i = evicted
+    return offset - base, np.array(col_of), np.array(row_of), free
+
+
 def _assign(rows, owner, offset):
     """Column of each row in a minimum-cost assignment of every row to a
     distinct column, where column j of row i costs
     ``rows[i, owner[j]] + offset[j]`` (n rows, m >= n columns, int64)."""
     n, m = len(rows), len(owner)
+    v, col_of, row_of, free = _reduce_rows(rows, owner, offset)
+    # an assigned row's dual u is its column's reduced cost, its row minimum
     u = np.zeros(n, np.int64)
-    v = np.zeros(m, np.int64)
-    row_of = np.full(m, -1)
-    col_of = np.full(n, -1)
+    held = np.flatnonzero(col_of >= 0)
+    cols = col_of[held]
+    u[held] = rows[held, owner[cols]] + offset[cols] - v[cols]
     dist = np.empty(m, np.int64)  # path length of each settled column
     key = np.empty(m, np.int64)  # path length so far, _UNREACHED once settled
     pred = np.empty(m, np.int64)
     unsettled = np.empty(m, bool)
     reach = np.empty(m, np.int64)
     better = np.empty(m, bool)
-    for start in range(n):
+    for start in free:
         key.fill(_UNREACHED)
         unsettled.fill(True)
         base = offset - v

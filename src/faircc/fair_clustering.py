@@ -60,8 +60,8 @@ def build_matchings(
     out = {}
     for color, (p, q) in sorted(spec.bounds.items()):
         rights = colors.vertices_of(color)
-        if unit_costs:
-            table = np.ones((len(lefts), len(rights)), np.int64)
+        if unit_costs:  # a read-only constant view, which the instance keeps
+            table = np.broadcast_to(np.int64(1), (len(lefts), len(rights)))
         else:
             table = pair_cost_table(g, lefts, rights)
         inst = BMatchingInstance(table, (p,) * len(lefts), (q,) * len(lefts))

@@ -6,14 +6,13 @@ branch whose cost so far plus a lower bound on the cost to come reaches the
 best found, and, with a fairness spec, a branch that no completion can make
 fair. Only strictly cheaper partitions replace the best, so ties resolve to
 the lexicographically smallest string, as in a full enumeration.
-B-matching optima come from exhaustive assignment enumeration, and
 ``mirror_graph`` builds the vertex-duplication instance whose fair optimum
 equals four times the unconstrained optimum of the base graph.
 
 The partition searches take at most 10 vertices, or the positive integer in
-``FAIRCC_ORACLE_MAX_N``; ``opt_bmatching`` takes at most 8 right vertices.
-A larger instance raises OracleLimitError (exit 4), and an override that is
-not a positive integer raises InvalidInputError (exit 1).
+``FAIRCC_ORACLE_MAX_N``. A larger instance raises OracleLimitError (exit 4),
+and an override that is not a positive integer raises InvalidInputError
+(exit 1).
 """
 
 from __future__ import annotations
@@ -22,12 +21,10 @@ import os
 
 import numpy as np
 
-from . import bmatching
 from .errors import InfeasibleSpecError, InvalidInputError, OracleLimitError
 from .model import Clustering, ColorAssignment, FairnessSpec, SignedCompleteGraph, check_spec
 
 _ENV_MAX_N = "FAIRCC_ORACLE_MAX_N"
-_MAX_R = 8  # opt_bmatching's cap on the right side
 
 
 def _check_size(n):
@@ -161,43 +158,6 @@ def opt_fair(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec
     if cost < 0:
         raise InfeasibleSpecError("no clustering satisfies the fairness spec")
     return Clustering(assign), cost
-
-
-def opt_bmatching(inst: bmatching.BMatchingInstance) -> bmatching.BMatching:
-    """Exhaustive minimum over all right-to-left assignments meeting the
-    degree intervals. Independent verifier for ``bmatching.solve``."""
-    L, R = inst.left_size, inst.right_size
-    if R > _MAX_R:
-        raise OracleLimitError(f"R={R} exceeds oracle limit {_MAX_R}")
-    cost = inst.cost.tolist()
-    best = None
-    assign = [0] * R
-    deg = [0] * L
-
-    def remaining_need():
-        return sum(max(inst.degree_lo[l] - deg[l], 0) for l in range(L))
-
-    def walk(r, weight):
-        nonlocal best
-        if r == R:
-            if all(deg[l] >= inst.degree_lo[l] for l in range(L)):
-                if best is None or weight < best[0]:
-                    best = (weight, tuple(assign))
-            return
-        if remaining_need() > R - r:
-            return
-        for l in range(L):
-            if deg[l] >= inst.degree_hi[l]:
-                continue
-            assign[r] = l
-            deg[l] += 1
-            walk(r + 1, weight + cost[l][r])
-            deg[l] -= 1
-
-    walk(0, 0)
-    if best is None:
-        raise InfeasibleSpecError("degree intervals admit no full assignment")
-    return bmatching.BMatching(best[1], best[0])
 
 
 def mirror_graph(g: SignedCompleteGraph):

@@ -12,6 +12,7 @@ from faircc import (
     ColorAssignment,
     InfeasibleSpecError,
     InvalidInputError,
+    OracleLimitError,
     SignedCompleteGraph,
 )
 from faircc.bmatching import _UNREACHED, BMatching
@@ -358,3 +359,44 @@ def reference_solve(inst):
     assign = owner[_reference_assign(np.ascontiguousarray(inst.cost.T), owner, offset)]
     weight = int(inst.cost[assign, np.arange(R)].sum())
     return BMatching(assign, weight)
+
+
+_MAX_R = 8  # opt_bmatching's cap on the right side
+
+
+def opt_bmatching(inst):
+    """Exhaustive minimum over all right-to-left assignments meeting the
+    degree intervals. Independent verifier for ``solve``; it
+    takes at most _MAX_R right nodes and raises OracleLimitError above."""
+    L, R = inst.left_size, inst.right_size
+    if R > _MAX_R:
+        raise OracleLimitError(f"R={R} exceeds oracle limit {_MAX_R}")
+    cost = inst.cost.tolist()
+    best = None
+    assign = [0] * R
+    deg = [0] * L
+
+    def remaining_need():
+        return sum(max(inst.degree_lo[l] - deg[l], 0) for l in range(L))
+
+    def walk(r, weight):
+        nonlocal best
+        if r == R:
+            if all(deg[l] >= inst.degree_lo[l] for l in range(L)):
+                if best is None or weight < best[0]:
+                    best = (weight, tuple(assign))
+            return
+        if remaining_need() > R - r:
+            return
+        for l in range(L):
+            if deg[l] >= inst.degree_hi[l]:
+                continue
+            assign[r] = l
+            deg[l] += 1
+            walk(r + 1, weight + cost[l][r])
+            deg[l] -= 1
+
+    walk(0, 0)
+    if best is None:
+        raise InfeasibleSpecError("degree intervals admit no full assignment")
+    return BMatching(best[1], best[0])

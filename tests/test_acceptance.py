@@ -24,7 +24,6 @@ from faircc import (
     disagreements,
     matching_weight_bound_check,
     mirror_graph,
-    opt_bmatching,
     opt_fair,
     run_algorithm,
     run_cc,
@@ -35,7 +34,14 @@ from faircc import (
 from faircc.cli import main as cli_main
 from faircc.fair_clustering import approximation_budget, build_matchings
 from faircc.pivot import PivotRun, best_of_restarts
-from conftest import brute_opt, brute_opt_fair, fairlets_of, random_colors, random_graph
+from conftest import (
+    brute_opt,
+    brute_opt_fair,
+    fairlets_of,
+    opt_bmatching,
+    random_colors,
+    random_graph,
+)
 
 
 def report(label, ok, detail=""):

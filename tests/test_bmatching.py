@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from faircc import (
     BMatchingInstance,
     InfeasibleSpecError,
     InvalidInputError,
-    opt_bmatching,
+    bmatching,
     solve,
 )
-from conftest import reference_solve
+from conftest import opt_bmatching, reference_solve
 
 
 def enumerate_optimum(cost, lo, hi):
@@ -165,6 +166,22 @@ def test_instance_holds_read_only_int64_table():
         BMatchingInstance([[]], [0], [0])
 
 
+def test_instance_keeps_a_read_only_int64_input():
+    source = np.arange(6, dtype=np.int64).reshape(2, 3)
+    source.setflags(write=False)
+    assert BMatchingInstance(source, [0, 1], [3, 3]).cost is source
+    ones = np.broadcast_to(np.int64(1), (400, 500))  # one element, 200,000 cells
+    inst = BMatchingInstance(ones, [1] * 400, [2] * 400)
+    assert inst.cost is ones and inst.cost.shape == (400, 500)
+    assert solve(inst).weight == 500
+    # a read-only table of another dtype is still converted
+    small = np.array([[1, 2]], np.int32)
+    small.setflags(write=False)
+    assert BMatchingInstance(small, [2], [2]).cost.dtype == np.int64
+    with pytest.raises(InvalidInputError):
+        BMatchingInstance(np.broadcast_to(np.int64(-1), (2, 2)), [1, 1], [1, 1])
+
+
 def test_loose_upper_bounds_are_clamped():
     # a degree bound far above R must neither change the optimum nor be
     # expanded into that many slot columns
@@ -204,6 +221,22 @@ def test_costs_that_could_overflow_int64_are_rejected():
         cost = [[rng.choice([0, top, rng.randrange(top)]) for _ in range(R)] for _ in range(L)]
         inst = BMatchingInstance(cost, lo, hi)
         assert solve(inst).weight == opt_bmatching(inst).weight
+    # with mandatory slots and spare ones, the -M shift applies, so a bid
+    # between a mandatory and an optional slot moves a dual by about M
+    checked = 0
+    while checked < 40:
+        L, R = rng.randrange(1, 4), rng.randrange(2, 9)
+        lo = [rng.randrange(1, 3) for _ in range(L)]
+        hi = [l + rng.randrange(1, 4) for l in lo]
+        if not sum(lo) < R < sum(hi):
+            continue
+        top = (2**56 // (R + 1) - 1) // (L * R) - 1
+        cost = [[rng.choice([0, top, rng.randrange(top)]) for _ in range(R)] for _ in range(L)]
+        inst = BMatchingInstance(cost, lo, hi)
+        got = solve(inst)
+        assert got.weight == opt_bmatching(inst).weight
+        assert (np.bincount(got.assign, minlength=L) >= lo).all()
+        checked += 1
 
 
 @st.composite
@@ -237,11 +270,120 @@ def interval_instances(draw):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(interval_instances())
-def test_solve_matches_reference_assignment(case):
-    inst = BMatchingInstance(*case)
-    got, want = solve(inst), reference_solve(inst)
-    assert got.assign.tolist() == want.assign.tolist()
-    assert got.weight == want.weight
+def test_solve_matches_reference_weight(case):
+    # the row reduction may pick another optimum than the search alone, so
+    # the reference pins the weight, not the assignment
+    cost, lo, hi = case
+    inst = BMatchingInstance(cost, lo, hi)
+    got = solve(inst)
+    assert got.weight == reference_solve(inst).weight
+    if inst.right_size <= 8:
+        assert got.weight == opt_bmatching(inst).weight
+    assert got.assign.shape == (inst.right_size,)
+    deg = np.bincount(got.assign, minlength=inst.left_size)
+    assert len(deg) == inst.left_size
+    assert all(l <= d <= h for l, d, h in zip(lo, deg, hi))
+    assert got.weight == int(inst.cost[got.assign, np.arange(inst.right_size)].sum())
+    assert solve(inst).assign.tolist() == got.assign.tolist()
+
+
+@st.composite
+def reduction_instances(draw):
+    """interval_instances plus the cases the row reduction must treat
+    apart: a single slot column, right nodes whose costs are constant in a
+    table that is not, and left nodes whose costs are constant."""
+    kind = draw(st.sampled_from(["interval", "single", "right", "left"]))
+    if kind == "interval":
+        return draw(interval_instances())
+    if kind == "single":  # one left node with one slot; the others get none
+        L = draw(st.integers(2, 5))
+        owner = draw(st.integers(0, L - 1))
+        cost = draw(st.lists(st.integers(0, 30), min_size=L, max_size=L, unique=True))
+        lo = [int(l == owner and draw(st.booleans())) for l in range(L)]
+        hi = [int(l == owner) for l in range(L)]
+        return np.array(cost).reshape(L, 1), lo, hi
+    L, R = draw(st.integers(1, 5)), draw(st.integers(2, 9))
+    lo = draw(st.lists(st.integers(0, 2), min_size=L, max_size=L))
+    hi = [l + draw(st.integers(0, 3)) for l in lo]
+    assume(sum(lo) <= R <= sum(hi))
+    values = np.array(draw(st.lists(st.integers(0, 30), min_size=9, max_size=9)))
+    if kind == "right":  # every right node costs the same at every left node
+        cost = np.tile(values[:R], (L, 1))
+    else:  # every left node costs the same for every right node
+        cost = np.tile(values[:L, None], (1, R))
+    assume(cost.min() < cost.max())
+    return cost, lo, hi
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(reduction_instances())
+def test_row_reduction_leaves_duals_the_search_can_use(case):
+    seen = []
+    reduce_rows = bmatching._reduce_rows
+
+    def spy(rows, owner, offset):
+        v, col_of, row_of, free = reduce_rows(rows, owner, offset)
+        # copies: the search goes on to change these arrays in place
+        seen.append((rows, owner, offset, v.copy(), col_of.copy(), row_of.copy(), list(free)))
+        return v, col_of, row_of, free
+
+    cost, lo, hi = case
+    inst = BMatchingInstance(cost, lo, hi)
+    with mock.patch.object(bmatching, "_reduce_rows", spy):
+        got = solve(inst)
+    assert got.weight == reference_solve(inst).weight
+    if not seen:  # a constant table
+        assert inst.cost.min() == inst.cost.max()
+        return
+    [(rows, owner, offset, v, col_of, row_of, free)] = seen
+    held = np.flatnonzero(col_of >= 0)
+    assert sorted(free) == np.flatnonzero(col_of < 0).tolist()
+    assert (row_of[col_of[held]] == held).all()
+    assert (row_of >= 0).sum() == len(held)
+    # only held columns lost v, so free columns keep v = 0 ...
+    assert (v <= 0).all() and (v[row_of < 0] == 0).all()
+    # ... every held column is its row's cheapest at reduced cost cost - v ...
+    reduced = rows[:, owner] + offset - v
+    assert (reduced[held, col_of[held]] == reduced[held].min(axis=1)).all()
+    # ... and v stays inside the bound that keeps int64 exact
+    M = int(inst.cost.sum()) + 1
+    assert v.min() > -8 * len(rows) * M
+
+
+def test_single_slot_column_has_no_second_price():
+    # R = 1 with one slot: a bid has no second-cheapest column to rise to
+    got = solve(BMatchingInstance([[5], [2], [9]], [0, 0, 0], [1, 0, 0]))
+    assert got.assign.tolist() == [0] and got.weight == 5
+    got = solve(BMatchingInstance([[5], [2], [9]], [0, 1, 0], [0, 1, 0]))
+    assert got.assign.tolist() == [1] and got.weight == 2
+    v, col_of, row_of, free = bmatching._reduce_rows(
+        np.array([[5, 2, 9]]), np.array([0]), np.zeros(1, np.int64)
+    )
+    assert v.tolist() == [0] and col_of.tolist() == [0] and row_of.tolist() == [0]
+    assert free == []
+
+
+def test_constant_rows_in_a_varied_table():
+    # right node r costs r everywhere: every assignment ties, so every bid
+    # is a tie; left node l costing l everywhere makes only degrees matter
+    R = 12
+    by_right = np.tile(np.arange(R), (4, 1))
+    got = solve(BMatchingInstance(by_right, [1] * 4, [5] * 4))
+    assert got.weight == sum(range(R))
+    assert (np.bincount(got.assign, minlength=4) >= 1).all()
+    by_left = np.tile(np.arange(4)[:, None], (1, R))
+    got = solve(BMatchingInstance(by_left, [1] * 4, [5] * 4))
+    assert np.bincount(got.assign, minlength=4).tolist() == [5, 5, 1, 1]
+    assert got.weight == 0 * 5 + 1 * 5 + 2 + 3
+
+
+def test_mandatory_slots_are_filled_before_cheaper_optional_ones():
+    # node 1 must take two right nodes although node 0 is cheaper for all:
+    # the -M shift on node 1's mandatory slots outbids node 0's spare slots
+    cost = [[0] * 6, [9] * 6]
+    got = solve(BMatchingInstance(cost, [1, 2], [6, 6]))
+    assert np.bincount(got.assign, minlength=2).tolist() == [4, 2]
+    assert got.weight == 18
 
 
 def test_constant_table_skips_the_search(monkeypatch):

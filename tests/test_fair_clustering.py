@@ -245,11 +245,13 @@ def test_try_all_bases_never_worse():
 
 def test_fair_cc_pinned_labels():
     """Labels recorded from the per-case entry points that faircc replaced
-    (1:2 two-color, 1:1:1 with and without the base sweep, 1:1..1:2)."""
+    (1:2 two-color, 1:1:1 with and without the base sweep, 1:1..1:2); the
+    first and third re-recorded when the matcher gained its row reduction,
+    which picks another optimal matching of the same weight."""
     g, colors = random_graph(24, 301), random_colors((8, 16), 1)
     c = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 2}), PivotRun(3, 10))
     assert c.cluster_of.tolist() == [
-        0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1
+        0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1
     ]
     g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
     spec = FairnessSpec.exact({1: 1, 2: 1})
@@ -259,7 +261,7 @@ def test_fair_cc_pinned_labels():
     ]
     c = run_algorithm("faircc", g, colors, spec, PivotRun(4, 10), try_all_bases=True)
     assert c.cluster_of.tolist() == [
-        0, 1, 0, 1, 1, 2, 0, 0, 2, 1, 2, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1
+        0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0
     ]
     g, colors = random_graph(24, 303), random_colors((10, 14), 3)
     c = run_algorithm("faircc", g, colors, FairnessSpec(0, {1: (1, 2)}), PivotRun(5, 10))

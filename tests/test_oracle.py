@@ -14,7 +14,6 @@ from faircc import (
     SignedCompleteGraph,
     disagreements,
     mirror_graph,
-    opt_bmatching,
     opt_cc,
     opt_fair,
 )
@@ -24,6 +23,7 @@ from conftest import (
     brute_opt,
     brute_opt_fair,
     is_fair_partition,
+    opt_bmatching,
     partition_cost,
     random_colors,
     random_graph,

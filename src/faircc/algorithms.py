@@ -3,11 +3,12 @@ five clusterings the paper compares.
 
 A memo dict, kept by the caller for one instance and spec, carries the
 layers that several calls share, each built on first use: the seed-free
-matchings per cost kind and base color (pair costs for ``faircc`` and
-``wmatch``, unit costs for ``ufaircc``), the base-color pivot per PivotRun
-and base color, and the ``cc`` clustering per PivotRun, which ``ccmerge``
-repairs. Stages are called through their modules, so code that replaces one
-there (``fair_clustering.build_matchings``, ...) sees every call.
+fairlet ids and matching weights per cost kind and base color (pair costs
+for ``faircc`` and ``wmatch``, unit costs for ``ufaircc``), the base-color
+pivot per PivotRun and base color, and the ``cc`` clustering per PivotRun,
+which ``ccmerge`` repairs. Stages are called through their modules, so
+code that replaces one there (``fair_clustering.build_matchings``, ...)
+sees every call.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .pivot import PivotRun
 ALGORITHMS = ("cc", "wmatch", "ufaircc", "ccmerge", "faircc")
 
 
-def matchings(g, colors, spec, memo, unit_costs=False) -> dict:
-    """build_matchings(g, colors, spec, unit_costs), built once per memo."""
+def matchings(g, colors, spec, memo, unit_costs=False) -> tuple:
+    """build_matchings(g, colors, spec, unit_costs), the fairlet ids and
+    matching weights, built once per memo."""
     key = ("matchings", unit_costs, spec.base_color)
     if key not in memo:
         memo[key] = fair_clustering.build_matchings(g, colors, spec, unit_costs)
@@ -63,9 +65,7 @@ def run_algorithm(
         results = [run_algorithm("faircc", g, colors, one, pivot, memo) for one in specs]
         clustering = min(results, key=lambda c: disagreements(g, c))  # the first of equal costs
     else:
-        fairlets = fair_clustering.build_fairlets(
-            colors, spec, matchings(g, colors, spec, memo, unit_costs=algo == "ufaircc")
-        )
+        fairlets, _ = matchings(g, colors, spec, memo, unit_costs=algo == "ufaircc")
         if algo == "wmatch":
             clustering = baselines.run_wmatch(fairlets)
         else:

@@ -32,8 +32,8 @@ def run_cc(g: SignedCompleteGraph, pivot: PivotRun = PivotRun()) -> Clustering:
 
 def run_wmatch(fairlets) -> Clustering:
     """Each fairlet (matching component) becomes its own cluster; the
-    result needs no seed. ``fairlets`` are build_fairlets(colors, spec,
-    build_matchings(g, colors, spec))."""
+    result needs no seed. ``fairlets`` are
+    build_matchings(g, colors, spec)[0]."""
     return Clustering.from_labels(fairlets)
 
 

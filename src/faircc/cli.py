@@ -126,12 +126,6 @@ def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
     if spec is not None and colors is not None:
         # run_algorithm raises on a fair algorithm's unfair result
         fair = algo != "cc" or check_fairness(colors, clustering, spec).overall_pass
-    top5 = []
-    if colors is not None:
-        top5 = [
-            {str(c): cnt for c, cnt in sorted(hist.items())}
-            for hist in color_distribution(colors, clustering)[:5]
-        ]
     return {
         "dataset": dataset,
         "algo": algo,
@@ -143,7 +137,6 @@ def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
         "fair": fair,
         "clusters": clustering.num_clusters,
         "millis": millis,
-        "top5": top5,
     }
 
 
@@ -178,8 +171,8 @@ def cmd_ingest(args):
 
 def _run_cells(args, algos, seeds, try_all_bases=False):
     """Load the instance and spec that ``args`` name and run every (algo,
-    seed) cell through one memo, algo-major; returns the result rows and
-    the last cell's clustering."""
+    seed) cell through one memo, algo-major; returns the result rows, the
+    last cell's clustering and the colors."""
     g, colors = _load_instance(args.graph, args.colors)
     spec = parse_spec(args.ratio, args.bounds)
     fair = [algo for algo in algos if algo != "cc"]
@@ -195,14 +188,16 @@ def _run_cells(args, algos, seeds, try_all_bases=False):
             clustering = run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases)
             millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
             rows.append(_result_row(args.dataset, algo, seed, g, colors, spec, clustering, millis))
-    return rows, clustering
+    return rows, clustering, colors
 
 
 def cmd_cluster(args):
     if args.try_all_bases and args.algo != "faircc":
         raise ParseError("--try-all-bases applies only to --algo faircc")
     _check_out_dirs(args.out_clustering, args.out_result)
-    (row,), clustering = _run_cells(args, [args.algo], [args.seed], args.try_all_bases)
+    (row,), clustering, colors = _run_cells(args, [args.algo], [args.seed], args.try_all_bases)
+    hists = [] if colors is None else color_distribution(colors, clustering)[:5]
+    row["top5"] = [{str(c): cnt for c, cnt in sorted(hist.items())} for hist in hists]
     with open(args.out_clustering, "w") as fh:
         fh.write(clustering.to_json() + "\n")
     with open(args.out_result, "w") as fh:
@@ -249,7 +244,7 @@ def _mean_row(group):
 def cmd_experiment(args):
     _check_out_dirs(args.out)
     seeds = [args.seed + k for k in range(args.runs)]
-    rows, _ = _run_cells(args, args.algos, seeds)
+    rows, _, _ = _run_cells(args, args.algos, seeds)
     means = [_mean_row([row for row in rows if row["algo"] == algo]) for algo in args.algos]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -269,8 +264,8 @@ def _print_check(label, lhs, rel, rhs):
 def _verify_instance(g, colors, spec, pivot):
     ok = True
     memo = {}
-    built = matchings(g, colors, spec, memo)
-    report = fair_clustering.matching_weight_bound_check(g, colors, spec, built)
+    _, weights = matchings(g, colors, spec, memo)
+    report = fair_clustering.matching_weight_bound_check(g, colors, spec, weights)
     for color in sorted(report.weights):
         q = spec.bounds[color][1]
         ok &= _print_check(

@@ -1,11 +1,11 @@
-"""Fairlet pipeline: pair costs, per-color b-matchings, fairlet ids,
-pivot clustering on the base color, and attachment.
+"""Fairlet pipeline: pair costs, the per-color b-matchings that give the
+fairlet ids, pivot clustering on the base color, and attachment.
 
 The stages take values, so a caller that runs several of them on one
 instance (the registry ``algorithms.run_algorithm`` and its memo) builds
-each seed-free or per-seed layer once: ``build_matchings`` ->
-``build_fairlets`` is seed-free, ``pivot_base`` is seeded, and
-``run_pipeline`` attaches the fairlets to the base clusters.
+each seed-free or per-seed layer once: ``build_matchings`` is the
+seed-free fairlet stage, ``pivot_base`` is seeded, and ``run_pipeline``
+attaches the fairlets to the base clusters.
 
 The pair cost of clustering a non-base vertex u with a base vertex v is the
 number of third vertices whose edge labels to u and v disagree, plus one if
@@ -50,37 +50,31 @@ def build_matchings(
     colors: ColorAssignment,
     spec: FairnessSpec,
     unit_costs: bool = False,
-) -> dict:
-    """One min-cost b-matching per non-base color against the base color.
+) -> tuple:
+    """The seed-free first stage: one min-cost b-matching per non-base
+    color against the base color.
 
-    Returns color -> (BMatching, base vertex ids, color vertex ids).
+    Returns ``(fairlets, weights)``: the read-only fairlet id of every
+    vertex, where the i-th base vertex and every vertex matched to it get
+    id i, and color -> w(M_color).
     """
     check_spec(colors, spec)
     lefts = colors.vertices_of(spec.base_color)
-    out = {}
+    # check_spec has made the base and the matched colors cover every vertex
+    fairlets = np.empty(colors.n, np.int64)
+    fairlets[lefts] = np.arange(len(lefts))
+    weights = {}
     for color, (p, q) in sorted(spec.bounds.items()):
         rights = colors.vertices_of(color)
         if unit_costs:  # a read-only constant view, which the instance keeps
             table = np.broadcast_to(np.int64(1), (len(lefts), len(rights)))
         else:
             table = pair_cost_table(g, lefts, rights)
-        inst = BMatchingInstance(table, (p,) * len(lefts), (q,) * len(lefts))
-        out[color] = (solve(inst), lefts, rights)
-    return out
-
-
-def build_fairlets(colors: ColorAssignment, spec: FairnessSpec, matchings: dict) -> np.ndarray:
-    """The seed-free first stage: the read-only fairlet id of every vertex,
-    from ``matchings`` = build_matchings(g, colors, spec, unit_costs). The
-    i-th base vertex and every vertex matched to it get id i."""
-    lefts = colors.vertices_of(spec.base_color)
-    # check_spec has made the base and the matched colors cover every vertex
-    fairlets = np.empty(colors.n, np.int64)
-    fairlets[lefts] = np.arange(len(lefts))
-    for matching, _, rights in matchings.values():
+        matching = solve(BMatchingInstance(table, (p,) * len(lefts), (q,) * len(lefts)))
         fairlets[rights] = matching.assign
+        weights[color] = matching.weight
     fairlets.setflags(write=False)
-    return fairlets
+    return fairlets, weights
 
 
 def pivot_base(g, colors, spec, pivot) -> Clustering:
@@ -125,16 +119,12 @@ def matching_weight_bound_check(
     g: SignedCompleteGraph,
     colors: ColorAssignment,
     spec: FairnessSpec,
-    matchings: dict,
+    weights: dict,
 ) -> MatchingBoundReport:
-    """Verify w(M_i) <= 2*q_i*OPT_fair for every per-color matching of
-    ``matchings`` = build_matchings(g, colors, spec) (with q_i = p_i in
+    """Verify w(M_i) <= 2*q_i*OPT_fair for every per-color matching weight
+    of ``weights`` = build_matchings(g, colors, spec)[1] (with q_i = p_i in
     exact-ratio mode this is the 2p bound, and 2*OPT at 1:1)."""
     _, opt_value = opt_fair(g, colors, spec)
-    weights, budgets, passes = {}, {}, {}
-    for color, (matching, _, _) in matchings.items():
-        _, q = spec.bounds[color]
-        weights[color] = matching.weight
-        budgets[color] = 2 * q * opt_value
-        passes[color] = matching.weight <= budgets[color]
-    return MatchingBoundReport(weights, opt_value, budgets, passes, all(passes.values()))
+    budgets = {color: 2 * spec.bounds[color][1] * opt_value for color in weights}
+    passes = {color: weights[color] <= budgets[color] for color in weights}
+    return MatchingBoundReport(dict(weights), opt_value, budgets, passes, all(passes.values()))

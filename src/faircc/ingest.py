@@ -173,11 +173,10 @@ def sample(ds: TabularDataset, n, seed, balance=None) -> TabularDataset:
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    """Threshold plus optional fixed numeric scaling (min, max) per column;
-    columns missing from the map are min-max scaled over the dataset."""
+    """The similarity threshold tau; numeric columns are min-max scaled
+    over the dataset."""
 
     tau: float = 0.5
-    numeric_scaling: dict | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
@@ -200,14 +199,13 @@ def build_graph(
         raise InvalidInputError("schema has no feature columns")
     n = ds.n
     sims = np.zeros((n, n))
-    scaling = cfg.numeric_scaling or {}
     for name, kind in features:
         if kind == "categorical":
             vals = np.array([row[name] for row in ds.rows], dtype=object)
             col_sim = (vals[:, None] == vals[None, :]).astype(float)
         else:
             vals = np.array([row[name] for row in ds.rows], dtype=float)
-            lo, hi = scaling.get(name, (vals.min(), vals.max()))
+            lo, hi = vals.min(), vals.max()
             if hi > lo:
                 norm = (vals - lo) / (hi - lo)
                 col_sim = 1.0 - np.abs(norm[:, None] - norm[None, :])

@@ -44,12 +44,14 @@ class SignedCompleteGraph:
             raise InvalidInputError("sign matrix must be symmetric")
         if np.any(np.diag(s) != 0):
             raise InvalidInputError("self-pairs must carry no sign")
-        off = s[~np.eye(self.n, dtype=bool)]
-        if not np.all(np.abs(off) == 1):
+        # the diagonal is zero, so every other entry is +/-1 iff n(n-1) entries are;
+        # counting the -1s first keeps one n x n mask alive at a time
+        negatives = np.count_nonzero(s == -1)
+        positive = s == 1
+        if negatives + np.count_nonzero(positive) != self.n * (self.n - 1):
             raise InvalidInputError("every distinct pair needs a +/-1 sign")
         s.setflags(write=False)
         object.__setattr__(self, "signs", s)
-        positive = s > 0
         bits = np.packbits(positive, axis=1)
         bits.setflags(write=False)
         object.__setattr__(self, "positive_bits", bits)

@@ -15,8 +15,9 @@ from faircc import (
     OracleLimitError,
     SignedCompleteGraph,
 )
-from faircc.bmatching import _UNREACHED, BMatching
-from faircc.fair_clustering import build_fairlets, build_matchings
+from faircc.bmatching import _UNREACHED, BMatching, BMatchingInstance, solve
+from faircc.fair_clustering import build_matchings, pair_cost_table
+from faircc.model import check_spec
 
 
 def random_graph(n, seed, neg_prob=0.5):
@@ -37,8 +38,33 @@ def random_colors(counts, seed):
 
 
 def fairlets_of(g, colors, spec, unit_costs=False):
-    """Fairlet ids from both seed-free stages."""
-    return build_fairlets(colors, spec, build_matchings(g, colors, spec, unit_costs))
+    """Fairlet ids from the seed-free stage."""
+    return build_matchings(g, colors, spec, unit_costs)[0]
+
+
+def reference_fairlets(g, colors, spec, unit_costs=False):
+    """The reference for ``build_matchings``: the fairlet ids and matching
+    weights as two stages built them, first one (BMatching, base vertex
+    ids, color vertex ids) triple per non-base color, then the ids from the
+    triples."""
+    check_spec(colors, spec)
+    lefts = colors.vertices_of(spec.base_color)
+    matchings = {}
+    for color, (p, q) in sorted(spec.bounds.items()):
+        rights = colors.vertices_of(color)
+        if unit_costs:  # a read-only constant view, which the instance keeps
+            table = np.broadcast_to(np.int64(1), (len(lefts), len(rights)))
+        else:
+            table = pair_cost_table(g, lefts, rights)
+        inst = BMatchingInstance(table, (p,) * len(lefts), (q,) * len(lefts))
+        matchings[color] = (solve(inst), lefts, rights)
+    # check_spec has made the base and the matched colors cover every vertex
+    fairlets = np.empty(colors.n, np.int64)
+    fairlets[lefts] = np.arange(len(lefts))
+    for matching, _, rights in matchings.values():
+        fairlets[rights] = matching.assign
+    fairlets.setflags(write=False)
+    return fairlets, {color: matching.weight for color, (matching, _, _) in matchings.items()}
 
 
 def pair_cost(g, u, v):

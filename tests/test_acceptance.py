@@ -149,7 +149,7 @@ def test_matching_weight_lemmas():
         for seed in range(reps):
             g = random_graph(sum(counts), seed * 13 + instances)
             colors = random_colors(counts, seed)
-            rep = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec))
+            rep = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec)[1])
             if not rep.overall_pass:
                 violations += 1
             instances += 1

@@ -565,12 +565,13 @@ def split_by_color(fairlets):
     return Clustering.from_labels([0] * half + [1] * half)
 
 
-def lopsided_fairlets(colors, spec, matchings):
-    """Fairlets that glue every non-base vertex to the first base vertex."""
+def lopsided_fairlets(g, colors, spec, unit_costs=False):
+    """Fairlets that glue every non-base vertex to the first base vertex,
+    with made-up matching weights."""
     fairlets = np.zeros(colors.n, np.int64)
     lefts = colors.vertices_of(spec.base_color)
     fairlets[lefts] = np.arange(len(lefts))
-    return fairlets
+    return fairlets, {color: 0 for color in spec.bounds}
 
 
 @pytest.mark.parametrize(
@@ -582,7 +583,7 @@ def lopsided_fairlets(colors, spec, matchings):
         ("experiment", "baselines.run_wmatch", split_by_color,
          "wmatch seed 0: unfair clustering",
          ["cluster 0 {0: 4}", "cluster 1 {1: 4}"]),
-        ("cluster", "fair_clustering.build_fairlets", lopsided_fairlets,
+        ("cluster", "fair_clustering.build_matchings", lopsided_fairlets,
          "faircc seed 0: unfair clustering",
          ["{0: 1, 1: 4}", "{0: 1}"]),
     ],

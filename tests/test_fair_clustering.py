@@ -19,7 +19,6 @@ from faircc import (
 )
 from faircc.fair_clustering import (
     approximation_budget,
-    build_fairlets,
     build_matchings,
     check_spec,
     pair_cost_table,
@@ -27,7 +26,14 @@ from faircc.fair_clustering import (
     run_pipeline,
 )
 from faircc.pivot import PivotRun
-from conftest import brute_opt_fair, fairlets_of, pair_cost, random_colors, random_graph
+from conftest import (
+    brute_opt_fair,
+    fairlets_of,
+    pair_cost,
+    random_colors,
+    random_graph,
+    reference_fairlets,
+)
 
 
 def graph_from_signs(rows):
@@ -202,7 +208,7 @@ def test_matching_weight_bound_all_positive():
     g = SignedCompleteGraph.from_negative_edges(4, [])
     colors = ColorAssignment((0, 0, 1, 1))
     spec = FairnessSpec.exact({1: 1})
-    report = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec))
+    report = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec)[1])
     assert report.weights[1] == 0 and report.overall_pass
 
 
@@ -210,7 +216,7 @@ def test_matching_weight_bound_forced_negative_pair():
     g = SignedCompleteGraph.from_negative_edges(2, [(0, 1)])
     colors = ColorAssignment((0, 1))
     spec = FairnessSpec.exact({1: 1})
-    report = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec))
+    report = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec)[1])
     assert report.weights[1] == 1
     assert report.opt_fair_value == 1
     assert report.overall_pass
@@ -271,15 +277,14 @@ def test_fair_cc_pinned_labels():
 
 
 def test_two_stages_compose_to_fair_cc():
-    """The matchings and fairlets are seed-free and the base pivot is
-    seeded: one fairlet build serves every seed, and run_pipeline on the
-    stages gives faircc's clustering."""
+    """The fairlet stage is seed-free and the base pivot is seeded: one
+    fairlet build serves every seed, and run_pipeline on the stages gives
+    faircc's clustering."""
     g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
     spec = FairnessSpec.exact({1: 1, 2: 1})
-    matchings = build_matchings(g, colors, spec)
-    fairlets = build_fairlets(colors, spec, matchings)
+    fairlets, _ = build_matchings(g, colors, spec)
     assert not fairlets.flags.writeable
-    assert fairlets.tolist() == fairlets_of(g, colors, spec).tolist()
+    assert fairlets.tolist() == reference_fairlets(g, colors, spec)[0].tolist()
     assert fairlets[colors.vertices_of(0)].tolist() == list(range(8))
     for seed in range(4):
         pivot = PivotRun(seed, 5)
@@ -335,3 +340,17 @@ def test_fairness_invariant_over_random_specs(instance, seed):
     for color, (p, q) in spec.bounds.items():
         partners = np.bincount(fairlets[colors.vertices_of(color)], minlength=len(lefts))
         assert p <= partners.min() and partners.max() <= q, color
+
+
+@settings(max_examples=60, deadline=None)
+@given(fair_instances())
+def test_build_matchings_matches_the_two_stage_reference(instance):
+    """For both cost kinds, the one fairlet stage gives the ids and matching
+    weights of the two stages it replaced, the ids read-only int64."""
+    g, colors, spec = instance
+    for unit_costs in (False, True):
+        fairlets, weights = build_matchings(g, colors, spec, unit_costs)
+        ref_fairlets, ref_weights = reference_fairlets(g, colors, spec, unit_costs)
+        assert fairlets.dtype == np.int64 and not fairlets.flags.writeable
+        assert fairlets.tolist() == ref_fairlets.tolist()
+        assert weights == ref_weights

@@ -1,14 +1,17 @@
-"""Every name a package module imports is used in that module, and the
-package imports nothing beyond the standard library and numpy.
+"""Every name a package module imports is used in that module, every
+module-level function and class is named somewhere else in the package,
+and the package imports nothing beyond the standard library and numpy.
 
 A stdlib ``ast`` walk stands in for a linter's unused-import rule; the
 package's ``__init__.py`` imports names only to export them, so it is left
-out of that rule. The second rule keeps the package runnable where only
-numpy is installed, and keeps slow imports such as scipy's (a quarter of a
-second) out of every CLI call's set-up time.
+out of that rule. The same walk over the whole package, ``__init__.py``
+included, finds a stage that nothing calls any more. The last rule keeps
+the package runnable where only numpy is installed, and keeps slow imports
+such as scipy's (a quarter of a second) out of every CLI call's set-up time.
 """
 
 import ast
+import collections
 import sys
 from pathlib import Path
 
@@ -44,6 +47,44 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_definitions(sources):
+    """(module, name) of every module-level function and class in
+    ``sources`` (module -> source text) that no other top-level statement
+    names, as a Name, an Attribute or an imported name; a use inside the
+    definition itself, such as a recursive call, does not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = collections.defaultdict(set)  # name -> {(module, statement index)}
+    for module, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    used[node.id].add((module, i))
+                elif isinstance(node, ast.Attribute):
+                    used[node.attr].add((module, i))
+                elif isinstance(node, ast.alias):
+                    used[node.name].add((module, i))
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (module, stmt.name)
+        for module, tree in trees.items()
+        for i, stmt in enumerate(tree.body)
+        if isinstance(stmt, definitions) and not used[stmt.name] - {(module, i)}
+    )
+
+
+def test_unused_definitions_are_found():
+    sources = {
+        "a": "def used():\n    pass\ndef orphan():\n    return orphan()\nclass Kept:\n    pass\n",
+        "b": "from .a import used\nfrom . import a\na.Kept\n",
+    }
+    assert unused_definitions(sources) == [("a", "orphan")]
+
+
+def test_every_module_level_definition_is_used():
+    sources = {path.name: path.read_text() for path in PACKAGE_FILES}
+    assert unused_definitions(sources) == []
 
 
 def foreign_imports(source):

@@ -173,13 +173,6 @@ def test_build_graph_tau_monotone():
         prev = pos
 
 
-def test_build_graph_fixed_scaling_overrides_minmax():
-    ds = make_dataset(["R", "B"])
-    # ages 0 and 1; with range (0, 100) the rows look nearly identical
-    g, _ = build_graph(ds, SimilarityConfig(tau=0.9, numeric_scaling={"age": (0, 100)}))
-    assert g.signs[0, 1] == 1
-
-
 def test_build_graph_needs_two_rows_and_features():
     with pytest.raises(InvalidInputError):
         build_graph(make_dataset(["R"]))

@@ -172,6 +172,25 @@ def test_graph_validation():
         SignedCompleteGraph.from_negative_edges(3, [(2, 1)])  # needs u < v
 
 
+@pytest.mark.parametrize(
+    "n,rows,message",
+    [
+        (2, [[0, 1, 1], [1, 0, 1]], "sign matrix must be 2x2"),
+        (3, [[0, 1, 1], [-1, 0, 1], [1, 1, 0]], "sign matrix must be symmetric"),
+        (2, [[1, 1], [1, 0]], "self-pairs must carry no sign"),
+        (3, [[0, 0, 1], [0, 0, 1], [1, 1, 0]], "every distinct pair needs a +/-1 sign"),
+        (3, [[0, 2, 1], [2, 0, 1], [1, 1, 0]], "every distinct pair needs a +/-1 sign"),
+        # int8 wraps: abs(-128) is -128 and (-128)**2 is 0
+        (3, [[0, -128, 1], [-128, 0, 1], [1, 1, 0]], "every distinct pair needs a +/-1 sign"),
+    ],
+    ids=["non-square", "asymmetric", "diagonal", "zero", "two", "minus-128"],
+)
+def test_graph_validation_messages(n, rows, message):
+    with pytest.raises(InvalidInputError) as info:
+        SignedCompleteGraph(n, np.array(rows, dtype=np.int8))
+    assert str(info.value) == message
+
+
 def test_graph_equality_is_by_value():
     g = random_graph(9, seed=2)
     same = SignedCompleteGraph(9, g.signs.copy())

@@ -37,9 +37,17 @@ class SignedCompleteGraph:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError("graph needs at least one vertex")
-        s = np.asarray(self.signs, dtype=np.int8)
-        if s.shape != (self.n, self.n):
+        given = np.asarray(self.signs)
+        if given.shape != (self.n, self.n):
             raise InvalidInputError(f"sign matrix must be {self.n}x{self.n}")
+        with np.errstate(invalid="ignore"):  # NaN and inf are caught below
+            s = given.astype(np.int8, copy=False)
+        if s is not given:  # the cast wraps 257 to 1 and truncates 1.5 to 1
+            changed = s != given
+            if changed.diagonal().any():
+                raise InvalidInputError("self-pairs must carry no sign")
+            if changed.any():
+                raise InvalidInputError("every distinct pair needs a +/-1 sign")
         if not np.array_equal(s, s.T):
             raise InvalidInputError("sign matrix must be symmetric")
         if np.any(np.diag(s) != 0):
@@ -184,15 +192,10 @@ _HEAD = re.compile(
     _WS + _WS.join([r"\{", '"n"', ":", "(0|[1-9][0-9]{0,17})", ",", '"negative_edges"', ":", r"\["])
 )
 _TAIL = re.compile(_WS.join([r"\]", r"\}", r"\Z"]))
-# Byte classes of the body between the edge list's brackets.
-_OTHER, _DIGIT, _OPEN, _CLOSE, _COMMA, _SPACE = range(6)
-_CLASS = np.full(256, _OTHER, np.uint8)
-_CLASS[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
-_CLASS[ord("[")], _CLASS[ord("]")], _CLASS[ord(",")] = _OPEN, _CLOSE, _COMMA
-_CLASS[np.frombuffer(b" \t\n\r", np.uint8)] = _SPACE
-# The body's tokens, once each digit run is one token, are ", [ d , d ]"
-# repeated, the first comma left out.
-_PAIR = np.array([_COMMA, _OPEN, _DIGIT, _COMMA, _DIGIT, _CLOSE], np.uint8)
+# Each pair of the body, with JSON space dropped, is "," "[" u "," v "]",
+# the first pair's comma left out; its four non-digit bytes read as one
+# native-endian word.
+_PAIR_WORD = np.frombuffer(b",[,]", np.uint32)[0]
 
 
 def _canonical_edge_blocks(text, window=1 << 18):
@@ -225,40 +228,52 @@ def _scan_windows(text, pos, stop, window):
             if cut == 0:  # a run of over ``window`` characters without a pair
                 raise _NotCanonical
         try:
-            raw = np.frombuffer(text[pos:cut].encode("ascii"), np.uint8)
+            chunk = text[pos:cut].encode("ascii")
         except UnicodeEncodeError:
             raise _NotCanonical from None
-        yield _scan_pairs(raw, first)
+        yield _scan_pairs(chunk, first)
         pos, first = cut, False
 
 
-def _scan_pairs(raw, first):
-    """k x 2 int64 pairs of one window of the body, which starts at the
-    body's start (``first``) or right after a pair's ``]``."""
-    cls = _CLASS.take(raw)
-    if (cls == _OTHER).any():
-        raise _NotCanonical
-    digit = cls == _DIGIT
-    run_start = digit.copy()
-    run_start[1:] &= ~digit[:-1]
-    tokens = cls[(cls != _SPACE) & (run_start | ~digit)]
-    if first and len(tokens):
-        tokens = np.concatenate(([_COMMA], tokens))
-    if len(tokens) % 6 or not (tokens.reshape(-1, 6) == _PAIR).all():
-        raise _NotCanonical
-    run_end = digit.copy()
-    run_end[:-1] &= ~digit[1:]
-    starts = np.flatnonzero(run_start)
-    if len(starts) == 0:
+def _scan_pairs(chunk, first):
+    """k x 2 int64 pairs of one window of the body, ASCII bytes that start
+    at the body's start (``first``) or right after a pair's ``]``.
+
+    JSON space is dropped first, so the window is read from the positions
+    of its non-digit bytes alone: per pair they must read ``,[,]``, the
+    first window given a leading comma. Any byte but a digit, a bracket or
+    a comma is one of them and breaks that pattern. With both id slots of
+    every pair holding digits, the window has exactly twice as many digit
+    runs as pairs only when no digit sits anywhere else and no JSON space
+    split an id, as in ``[1 2, 3]``."""
+    raw = np.frombuffer(chunk, np.uint8)
+    digit = np.subtract(raw, 48, dtype=np.uint8) < 10
+    runs = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[0])
+    stripped = chunk.translate(None, b" \t\n\r")
+    if not stripped:
         return np.zeros((0, 2), np.int64)
-    lengths = np.flatnonzero(run_end) + 1 - starts
-    if lengths.max() > 18 or ((lengths > 1) & (raw[starts] == ord("0"))).any():
+    if first:
+        stripped = b"," + stripped
+    kept = np.frombuffer(stripped, np.uint8)
+    value = np.subtract(kept, 48, dtype=np.uint8)
+    other = value >= 10
+    marks = np.flatnonzero(other)
+    if len(marks) % 4 or (kept.take(marks).view(np.uint32) != _PAIR_WORD).any():
         raise _NotCanonical
-    values = np.zeros(len(starts), np.int64)
-    for k in range(lengths.max()):
-        digits = raw.take(np.minimum(starts + k, len(raw) - 1)).astype(np.int64) - ord("0")
-        values = np.where(lengths > k, values * 10 + digits, values)
-    return values.reshape(-1, 2)
+    seps = np.array((marks[1::4], marks[2::4]))  # the "[" and "," before u and v
+    ends = np.array((marks[2::4], marks[3::4])) - 1  # the last digits of u and v
+    lengths = ends - seps
+    if runs != lengths.size or lengths.min() < 1 or lengths.max() > 18:
+        raise _NotCanonical
+    if ((lengths > 1) & (value.take(seps + 1) == 0)).any():  # a leading zero
+        raise _NotCanonical
+    # each id is read right-aligned from its last digit; a step past its
+    # first digit reads its separator, zeroed here
+    value *= ~other
+    ids = value.take(ends).astype(np.int64)
+    for k in range(1, int(lengths.max())):
+        ids += value.take(np.maximum(ends - k, seps)).astype(np.int64) * 10**k
+    return ids.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,6 +461,8 @@ def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
 
 # the number of set bits of every byte value
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+# rows counted at a time: the table lookup makes an intp copy of its index
+_POPCOUNT_ROWS = 1024
 
 
 def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> int:
@@ -456,9 +473,12 @@ def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> int:
     sizes = np.bincount(labels)
     members = np.zeros((len(sizes), g.n), bool)
     members[labels, np.arange(g.n)] = True
-    rows = np.packbits(members, axis=1).take(labels, axis=0)
-    rows &= g.positive_bits
-    within = _POPCOUNT.take(rows).sum(dtype=np.int64)
+    packed = np.packbits(members, axis=1)
+    within = 0
+    for start in range(0, g.n, _POPCOUNT_ROWS):
+        rows = packed.take(labels[start : start + _POPCOUNT_ROWS], axis=0)
+        rows &= g.positive_bits[start : start + _POPCOUNT_ROWS]
+        within += _POPCOUNT.take(rows).sum(dtype=np.int64)
     return int((sizes * (sizes - 1) // 2).sum() + g.positive_pairs - within)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,6 +192,24 @@ def test_graph_validation_messages(n, rows, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (np.array([[0, 257], [257, 0]], np.int64), "every distinct pair needs a +/-1 sign"),
+        (np.array([[0, -255], [-255, 0]], np.int64), "every distinct pair needs a +/-1 sign"),
+        (np.array([[0, 1.5], [1.5, 0]]), "every distinct pair needs a +/-1 sign"),
+        (np.array([[256, 1], [1, 0]], np.int64), "self-pairs must carry no sign"),
+    ],
+    ids=["257", "minus-255", "1.5", "diagonal-256"],
+)
+def test_signs_the_int8_cast_would_change_are_rejected(rows, message):
+    """Each of these casts to a valid int8 matrix (257 and -255 wrap to 1,
+    1.5 truncates to 1 and 256 wraps to 0)."""
+    with pytest.raises(InvalidInputError) as info:
+        SignedCompleteGraph(2, rows)
+    assert str(info.value) == message
+
+
 def test_graph_equality_is_by_value():
     g = random_graph(9, seed=2)
     same = SignedCompleteGraph(9, g.signs.copy())
@@ -233,6 +252,13 @@ def test_disagreements_matches_the_reference(case):
     """The packed count equals the n x n compare it replaced."""
     g, c = case
     assert disagreements(g, c) == reference_disagreements(g, c)
+
+
+def test_disagreements_in_row_blocks_match_the_reference():
+    """The same property with the popcount taken 3 rows at a time, so that
+    graphs of up to 40 vertices cross block edges."""
+    with mock.patch.object(model, "_POPCOUNT_ROWS", 3):
+        test_disagreements_matches_the_reference()
 
 
 def test_graph_json_roundtrip():

@@ -118,17 +118,21 @@ JSON_SPACE = st.text(" \t\n\r", max_size=2)
 NEAR_MISSES = (
     "f-space", "v-space", "leading-zero", "19-digits", "minus", "float", "true",
     "list-comma", "pair-comma", "short-pair", "long-pair", "garbage", "reordered", "extra-key",
+    "split-id", "stray-digit",
 )
+# ids of up to 18 digits are read by the scan, so the extra pair reaches them
+ID = st.integers(0, 14) | st.integers(0, 10**18 - 1)
 
 
 @st.composite
 def graph_edges(draw):
     """(n, edges): distinct pairs u < v < n in random order, sometimes
-    followed by one pair that is out of range, reversed or repeated."""
+    followed by one pair that is out of range, reversed, repeated or of
+    ids up to 18 digits long."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
-    return n, edges + draw(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=1))
+    return n, edges + draw(st.lists(st.tuples(ID, ID), max_size=1))
 
 
 def graph_tokens(n, edges):
@@ -141,9 +145,10 @@ def mutate(tokens, edges, kind, k):
     ids = [i for i, t in enumerate(tokens) if t.isdigit()]
     i = ids[k % len(ids)]
     pair = 8  # the first pair's "[", when there are edges
-    if kind in ("leading-zero", "19-digits", "minus", "float", "true"):
+    if kind in ("leading-zero", "19-digits", "minus", "float", "true", "split-id"):
         new = {"leading-zero": "0" + tokens[i], "19-digits": "9" * 19, "minus": "-1",
-               "float": tokens[i] + ".0", "true": "true"}[kind]
+               "float": tokens[i] + ".0", "true": "true",
+               "split-id": ("1 ", "1\t")[k % 2] + tokens[i]}[kind]
         return tokens[:i] + [new] + tokens[i + 1 :]
     if kind == "list-comma":
         return tokens[:-2] + [",", "]", "}"]
@@ -153,6 +158,9 @@ def mutate(tokens, edges, kind, k):
         return tokens[: pair + 2] + tokens[pair + 4 :]
     if kind == "long-pair" and edges:
         return tokens[: pair + 4] + [",", "2"] + tokens[pair + 4 :]
+    if kind == "stray-digit" and edges:  # before the first "[" or after the first "]"
+        at = (pair, pair + 5)[k % 2]
+        return tokens[:at] + ["7"] + tokens[at:]
     if kind == "garbage":
         return tokens + [["x", "]", "}", "0"][k % 4]]
     if kind == "reordered":

@@ -6,9 +6,11 @@ layers that several calls share, each built on first use: the seed-free
 fairlet ids and matching weights per cost kind and base color (pair costs
 for ``faircc`` and ``wmatch``, unit costs for ``ufaircc``), the base-color
 pivot per PivotRun and base color, and the ``cc`` clustering per PivotRun,
-which ``ccmerge`` repairs. Stages are called through their modules, so
-code that replaces one there (``fair_clustering.build_matchings``, ...)
-sees every call.
+which ``ccmerge`` repairs. Below those it keeps the pools of scored pivot
+restarts, one for the graph and one per base color with its induced graph,
+so that PivotRuns whose seed windows overlap run and score each seed once.
+Stages are called through their modules, so code that replaces one there
+(``fair_clustering.build_matchings``, ...) sees every call.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def run_algorithm(
         raise InvalidInputError("try_all_bases applies only to faircc")
     if algo == "cc":
         if ("cc", pivot) not in memo:
-            memo["cc", pivot] = baselines.run_cc(g, pivot)
+            memo["cc", pivot] = baselines.run_cc(g, pivot, memo.setdefault("restarts", {}))
         return memo["cc", pivot]
     if colors is None or spec is None:
         raise InvalidInputError(f"algorithm {algo!r} needs colors and a fairness spec")
@@ -71,7 +73,8 @@ def run_algorithm(
         else:
             key = ("base", pivot, spec.base_color)
             if key not in memo:
-                memo[key] = fair_clustering.pivot_base(g, colors, spec, pivot)
+                pool = memo.setdefault(("base restarts", spec.base_color), {})
+                memo[key] = fair_clustering.pivot_base(g, colors, spec, pivot, pool)
             clustering = fair_clustering.run_pipeline(fairlets, memo[key])
     report = check_fairness(colors, clustering, spec)
     if not report.overall_pass:

@@ -24,10 +24,11 @@ from .model import (
 from .pivot import PivotRun, best_of_restarts
 
 
-def run_cc(g: SignedCompleteGraph, pivot: PivotRun = PivotRun()) -> Clustering:
+def run_cc(g: SignedCompleteGraph, pivot: PivotRun = PivotRun(), scored=None) -> Clustering:
     """Unconstrained best-of-restarts pivot clustering; no fairness
-    guarantee."""
-    return best_of_restarts(g, pivot)
+    guarantee. ``scored`` is the graph's pool of scored restarts, as in
+    ``best_of_restarts``."""
+    return best_of_restarts(g, pivot, scored)
 
 
 def run_wmatch(fairlets) -> Clustering:

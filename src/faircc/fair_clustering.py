@@ -77,12 +77,20 @@ def build_matchings(
     return fairlets, weights
 
 
-def pivot_base(g, colors, spec, pivot) -> Clustering:
+def pivot_base(g, colors, spec, pivot, pool=None) -> Clustering:
     """The seeded second stage: best-of-restarts pivot on the graph induced
-    by the base color, one label per base vertex in vertex order."""
-    lefts = colors.vertices_of(spec.base_color)
-    induced = SignedCompleteGraph(len(lefts), g.signs[np.ix_(lefts, lefts)])
-    return best_of_restarts(induced, pivot)
+    by the base color, one label per base vertex in vertex order.
+
+    ``pool``, a dict the caller keeps for one instance and base color,
+    holds the induced graph and its scored restarts (see
+    ``best_of_restarts``) from the first call on, so that later calls
+    build neither again."""
+    pool = {} if pool is None else pool
+    if not pool:
+        lefts = colors.vertices_of(spec.base_color)
+        pool["graph"] = SignedCompleteGraph(len(lefts), g.signs[np.ix_(lefts, lefts)])
+        pool["scored"] = {}
+    return best_of_restarts(pool["graph"], pivot, pool["scored"])
 
 
 def run_pipeline(fairlets, base: Clustering) -> Clustering:

@@ -40,6 +40,9 @@ class SignedCompleteGraph:
         given = np.asarray(self.signs)
         if given.shape != (self.n, self.n):
             raise InvalidInputError(f"sign matrix must be {self.n}x{self.n}")
+        if given.dtype.kind in "US":  # the cast would parse '1' and compare it unequal
+            kind = "str" if given.dtype.kind == "U" else "bytes"
+            raise InvalidInputError(f"sign matrix must hold numbers, not {kind}")
         with np.errstate(invalid="ignore"):  # NaN and inf are caught below
             s = given.astype(np.int8, copy=False)
         if s is not given:  # the cast wraps 257 to 1 and truncates 1.5 to 1
@@ -463,23 +466,50 @@ def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 # rows counted at a time: the table lookup makes an intp copy of its index
 _POPCOUNT_ROWS = 1024
+# clusters whose member masks are built at a time, each a bool row of n
+_MEMBER_CLUSTERS = 256
 
 
 def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> int:
     """``disagreements`` of the per-vertex cluster ids ``labels`` >= 0, of
     length g.n. Each vertex's row of its cluster's packed member mask,
     ANDed with its packed positive row, holds its positive partners inside
-    its cluster, so the popcount of all rows is 2 * P_within."""
+    its cluster, so the popcount of all rows is 2 * P_within.
+
+    With more than ``_MEMBER_CLUSTERS`` clusters, the masks are built for
+    one block of clusters at a time, over the vertices of those clusters."""
     sizes = np.bincount(labels)
-    members = np.zeros((len(sizes), g.n), bool)
-    members[labels, np.arange(g.n)] = True
+    if len(sizes) <= _MEMBER_CLUSTERS:
+        within = _positive_within(g, labels, len(sizes))
+    else:
+        order = np.argsort(labels, kind="stable")  # vertices cluster by cluster
+        starts = np.concatenate(([0], np.cumsum(sizes)))  # of each cluster in order
+        within = 0
+        for first in range(0, len(sizes), _MEMBER_CLUSTERS):
+            last = min(first + _MEMBER_CLUSTERS, len(sizes))
+            vertices = order[starts[first] : starts[last]]
+            within += _positive_within(g, labels[vertices] - first, last - first, vertices)
+    return int((sizes * (sizes - 1) // 2).sum() + g.positive_pairs - within)
+
+
+def _positive_within(g, labels, clusters, vertices=None):
+    """Twice the positive pairs inside the clusters 0 .. clusters-1, whose
+    members are ``vertices`` (every vertex when None) with cluster ids
+    ``labels``; the popcount runs over blocks of ``_POPCOUNT_ROWS``
+    members."""
+    members = np.zeros((clusters, g.n), bool)
+    members[labels, np.arange(g.n) if vertices is None else vertices] = True
     packed = np.packbits(members, axis=1)
     within = 0
-    for start in range(0, g.n, _POPCOUNT_ROWS):
-        rows = packed.take(labels[start : start + _POPCOUNT_ROWS], axis=0)
-        rows &= g.positive_bits[start : start + _POPCOUNT_ROWS]
+    for start in range(0, len(labels), _POPCOUNT_ROWS):
+        stop = start + _POPCOUNT_ROWS
+        rows = packed.take(labels[start:stop], axis=0)
+        if vertices is None:
+            rows &= g.positive_bits[start:stop]
+        else:
+            rows &= g.positive_bits.take(vertices[start:stop], axis=0)
         within += _POPCOUNT.take(rows).sum(dtype=np.int64)
-    return int((sizes * (sizes - 1) // 2).sum() + g.positive_pairs - within)
+    return within
 
 
 def _color_counts(colors: ColorAssignment, c: Clustering) -> np.ndarray:

@@ -69,11 +69,20 @@ def pivot_cluster(g: SignedCompleteGraph, seeds) -> np.ndarray:
     return labels
 
 
-def best_of_restarts(g: SignedCompleteGraph, run: PivotRun) -> Clustering:
+def best_of_restarts(g: SignedCompleteGraph, run: PivotRun, scored=None) -> Clustering:
     """Pivot with seeds seed .. seed+restarts-1; keep the clustering with
-    the fewest disagreements (ties: earliest seed)."""
-    labels = pivot_cluster(g, range(run.seed, run.seed + run.restarts))
-    costs = [_label_disagreements(g, row) for row in labels]
+    the fewest disagreements (ties: earliest seed).
+
+    ``scored``, a dict the caller keeps for one graph, maps each seed run
+    so far to its (disagreements, labels row). A restart depends only on
+    the graph and its seed, so the seeds it holds are read from it, and
+    the others run in one lockstep pass, are scored once and join it."""
+    scored = {} if scored is None else scored
+    seeds = range(run.seed, run.seed + run.restarts)
+    missing = [seed for seed in seeds if seed not in scored]
+    for seed, row in zip(missing, pivot_cluster(g, missing)):
+        scored[seed] = (_label_disagreements(g, row), row)
+    _, best = min((scored[seed][0], seed) for seed in seeds)
     # a pass's ids, in order of cluster creation, already form a clustering;
     # only the kept one is renumbered by first appearance
-    return Clustering.from_labels(labels[costs.index(min(costs))])
+    return Clustering.from_labels(scored[best][1])

@@ -16,7 +16,7 @@ from faircc import (
     check_fairness,
     run_algorithm,
 )
-from faircc import algorithms, baselines, cli, fair_clustering
+from faircc import algorithms, baselines, cli, fair_clustering, pivot
 from faircc.pivot import PivotRun
 from faircc.cli import main, parse_spec
 from conftest import random_colors, random_graph
@@ -724,7 +724,9 @@ def count_calls(monkeypatch, targets):
 def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     """Five algorithms by five seeds: two matching builds (pair costs and
     unit costs), one cc clustering per seed, which ccmerge reuses, and one
-    base-color pivot per seed, which faircc and ufaircc share."""
+    base-color pivot per seed, which faircc and ufaircc share. The seed
+    windows 0..4, 1..5, ..., 4..8 overlap, so each graph, the full one and
+    the base color's induced one (built once), runs every seed 0..8 once."""
     calls = count_calls(
         monkeypatch,
         [
@@ -732,8 +734,17 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
             (baselines, "run_cc"),
             (fair_clustering, "best_of_restarts"),
             (baselines, "best_of_restarts"),
+            (fair_clustering, "SignedCompleteGraph"),
         ],
     )
+    passed = {}  # graph size -> seeds run, in call order
+    pivot_cluster = pivot.pivot_cluster
+
+    def spy(g, seeds):
+        passed.setdefault(g.n, []).extend(seeds)
+        return pivot_cluster(g, seeds)
+
+    monkeypatch.setattr(pivot, "pivot_cluster", spy)
     write_planted(workspace, 60, (20, 40), seed=3, blocks=4)
     rc = main(
         ["experiment", "--graph", str(workspace / "g.json"),
@@ -742,7 +753,10 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
          "--restarts", "5", "--out", str(workspace / "x.csv")]
     )
     assert rc == 0
-    assert calls == {"build_matchings": 2, "run_cc": 5, "best_of_restarts": 10}
+    assert calls == {
+        "build_matchings": 2, "run_cc": 5, "best_of_restarts": 10, "SignedCompleteGraph": 1
+    }
+    assert passed == {60: list(range(9)), 20: list(range(9))}  # runs + restarts - 1 each
 
 
 def test_experiment_checks_fairness_once_per_fair_cell(workspace, monkeypatch):

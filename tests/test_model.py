@@ -210,6 +210,23 @@ def test_signs_the_int8_cast_would_change_are_rejected(rows, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([["0", "1"], ["1", "0"]], "sign matrix must hold numbers, not str"),
+        (np.array([["0", "1"], ["1", "0"]]), "sign matrix must hold numbers, not str"),
+        (np.array([[b"0", b"1"], [b"1", b"0"]]), "sign matrix must hold numbers, not bytes"),
+    ],
+    ids=["list-of-str", "str-array", "bytes-array"],
+)
+def test_string_signs_are_rejected_by_type(rows, message):
+    """The int8 cast would parse these; the compare with the cast then
+    sees '0' != 0 and blamed the diagonal."""
+    with pytest.raises(InvalidInputError) as info:
+        SignedCompleteGraph(2, rows)
+    assert str(info.value) == message
+
+
 def test_graph_equality_is_by_value():
     g = random_graph(9, seed=2)
     same = SignedCompleteGraph(9, g.signs.copy())
@@ -259,6 +276,16 @@ def test_disagreements_in_row_blocks_match_the_reference():
     graphs of up to 40 vertices cross block edges."""
     with mock.patch.object(model, "_POPCOUNT_ROWS", 3):
         test_disagreements_matches_the_reference()
+
+
+def test_disagreements_in_cluster_blocks_match_the_reference():
+    """The same property with the member masks built 3 clusters at a time,
+    and then with the popcount also taken 2 rows at a time, so that the
+    members of one block of clusters cross row blocks."""
+    with mock.patch.object(model, "_MEMBER_CLUSTERS", 3):
+        test_disagreements_matches_the_reference()
+        with mock.patch.object(model, "_POPCOUNT_ROWS", 2):
+            test_disagreements_matches_the_reference()
 
 
 def test_graph_json_roundtrip():

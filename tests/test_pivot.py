@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from faircc import (
     SignedCompleteGraph,
     disagreements,
 )
+from faircc import pivot
 from faircc.pivot import PivotRun, best_of_restarts, pivot_cluster
 from conftest import (
     all_partitions,
@@ -158,3 +160,28 @@ def test_lockstep_pass_matches_the_per_seed_loop(n, neg_prob, gseed, seeds, star
         assert row.tolist() == reference_pivot_cluster(g, seed).tolist()
     run = PivotRun(start, restarts)
     assert best_of_restarts(g, run) == reference_best_of_restarts(g, run)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 25),
+    neg_prob=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+    gseed=st.integers(0, 2**32),
+    runs=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 15)), min_size=1, max_size=8),
+    order=st.randoms(use_true_random=False),
+)
+def test_shared_pool_keeps_every_runs_clustering(n, neg_prob, gseed, runs, order):
+    """Runs with overlapping, repeated or disjoint seed windows, taken in
+    any order through one pool of scored restarts, each keep the
+    clustering of a run with no pool; the pool scores every seed once."""
+    g = random_graph(n, seed=gseed, neg_prob=neg_prob)
+    order.shuffle(runs)
+    scored, passed = {}, []
+    for seed, restarts in runs:
+        run = PivotRun(seed, restarts)
+        with mock.patch.object(pivot, "pivot_cluster", wraps=pivot_cluster) as spy:
+            pooled = best_of_restarts(g, run, scored)
+        passed += [seed for call in spy.call_args_list for seed in call.args[1]]
+        assert pooled == best_of_restarts(g, run) == reference_best_of_restarts(g, run)
+    window = {seed + k for seed, restarts in runs for k in range(restarts)}
+    assert sorted(passed) == sorted(window) == sorted(scored)

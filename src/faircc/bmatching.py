@@ -32,11 +32,13 @@ depends on both phases.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleSpecError, InvalidInputError
+from .model import _int64_array
 
 _UNREACHED = np.iinfo(np.int64).max
 # shifted costs lie in [-M, M) with M = sum of costs + 1. The row reduction
@@ -54,7 +56,9 @@ class BMatchingInstance:
 
     ``cost`` is stored as a read-only int64 array: a read-only int64 input
     (such as a ``np.broadcast_to`` constant) is kept as it is, and anything
-    else is copied."""
+    else is copied. Costs and degree bounds must be integers; integral
+    floats are taken as costs, and a fractional, NaN, infinite or
+    non-number cost is invalid input, never truncated or parsed."""
 
     cost: np.ndarray
     degree_lo: tuple
@@ -62,13 +66,12 @@ class BMatchingInstance:
 
     def __post_init__(self):
         try:
-            cost = np.asarray(self.cost, dtype=np.int64)
-            if cost.flags.writeable:  # keep no table the caller can still change
-                cost = cost.copy()
-        except (TypeError, ValueError, OverflowError) as exc:
+            cost = _int64_array(self.cost, "cost table")
+        except ValueError as exc:  # a ragged table
             raise InvalidInputError(f"cost table must be rectangular integers: {exc}") from exc
-        lo = tuple(int(x) for x in self.degree_lo)
-        hi = tuple(int(x) for x in self.degree_hi)
+        if cost.flags.writeable:  # keep no table the caller can still change
+            cost = cost.copy()
+        lo, hi = _degrees(self.degree_lo), _degrees(self.degree_hi)
         if cost.ndim != 2 or cost.size == 0:
             raise InvalidInputError("cost table must be a nonempty L x R table")
         if cost.min() < 0:
@@ -94,6 +97,16 @@ class BMatchingInstance:
     @property
     def right_size(self):
         return self.cost.shape[1]
+
+
+def _degrees(bounds):
+    """Degree bounds as a tuple of Python ints, which may exceed int64;
+    anything but an integer (a float, a str, ...) is invalid input."""
+    bounds = tuple(bounds)
+    for x in bounds:
+        if not isinstance(x, numbers.Integral):  # numpy's integers are registered
+            raise InvalidInputError(f"degree bounds must be integers, got {x!r}")
+    return tuple(int(x) for x in bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +259,7 @@ def solve(inst: BMatchingInstance) -> BMatching:
     if inst.cost.min() == inst.cost.max():  # every degree-feasible deal is optimal
         assign = owner[np.argsort(offset, kind="stable")[:R]]
         return BMatching(assign, int(inst.cost[0, 0]) * R)
+    # a copy unless the table is an R x L array's transpose, as pair_cost_table's is
     assign = owner[_assign(np.ascontiguousarray(inst.cost.T), owner, offset)]
     weight = int(inst.cost[assign, np.arange(R)].sum())
     return BMatching(assign, weight)

@@ -163,7 +163,7 @@ def cmd_ingest(args):
         fh.write(colors.to_csv())
     names = ", ".join(f"{value}={color}" for value, color in ids.items())
     print(
-        f"wrote {g.n} vertices, {np.count_nonzero(g.signs < 0) // 2} negative edges, "
+        f"wrote {g.n} vertices, {g.n * (g.n - 1) // 2 - g.positive_pairs} negative edges, "
         f"colors {names}"
     )
     return 0

@@ -38,11 +38,18 @@ def pair_cost_table(g: SignedCompleteGraph, lefts, rights) -> np.ndarray:
     vertices that agree and -1 over those that disagree (the diagonal zeros
     drop w = u and w = v), so the disagreeing count is (n-2 - dot)/2. The
     product runs in float32, exact for integers below 2**24.
+
+    The table is built R x L in place and returned as its read-only
+    transpose, so ``BMatchingInstance`` keeps it and ``solve`` reads its
+    R x L rows, neither making a copy.
     """
     S = g.signs
-    dot = S[lefts].astype(np.float32) @ S[rights].astype(np.float32).T
-    diff = (g.n - 2 - dot.astype(np.int64)) // 2
-    return diff + (S[np.ix_(lefts, rights)] < 0)
+    table = (S[rights].astype(np.float32) @ S[lefts].astype(np.float32).T).astype(np.int64)
+    np.subtract(g.n - 2, table, out=table)
+    table //= 2
+    table += S[np.ix_(rights, lefts)] < 0
+    table.setflags(write=False)
+    return table.T
 
 
 def build_matchings(
@@ -98,16 +105,21 @@ def run_pipeline(fairlets, base: Clustering) -> Clustering:
     return Clustering.from_labels(base.cluster_of[fairlets])
 
 
-def approximation_budget(spec: FairnessSpec, num_colors: int, alpha: int = 3) -> int:
+# pivot's expected approximation ratio on the base color (Ailon, Charikar
+# and Newman 2008)
+_PIVOT_RATIO = 3
+
+
+def approximation_budget(spec: FairnessSpec, num_colors: int) -> int:
     """Worst-case multiplier on the fair optimum guaranteed by the
     pipeline: (q^2+2q)*alpha + 4q^2 for two colors, and the multi-color
-    charging constant otherwise."""
+    charging constant otherwise, with alpha = ``_PIVOT_RATIO``."""
     qs = [q for _, q in spec.bounds.values()]
     qmax = max(qs)
     if num_colors == 2:
-        return (qmax * qmax + 2 * qmax) * alpha + 4 * qmax * qmax
+        return (qmax * qmax + 2 * qmax) * _PIVOT_RATIO + 4 * qmax * qmax
     k = num_colors
-    return (((k - 1) * qmax) ** 2 + 2 * qmax) * alpha + sum(
+    return (((k - 1) * qmax) ** 2 + 2 * qmax) * _PIVOT_RATIO + sum(
         2 * q * (k + 1) * qmax for q in qs
     )
 

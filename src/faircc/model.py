@@ -37,36 +37,30 @@ class SignedCompleteGraph:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError("graph needs at least one vertex")
-        given = np.asarray(self.signs)
-        if given.shape != (self.n, self.n):
+        s = np.asarray(self.signs)
+        if s.shape != (self.n, self.n):
             raise InvalidInputError(f"sign matrix must be {self.n}x{self.n}")
-        if given.dtype.kind in "US":  # the cast would parse '1' and compare it unequal
-            kind = "str" if given.dtype.kind == "U" else "bytes"
-            raise InvalidInputError(f"sign matrix must hold numbers, not {kind}")
-        with np.errstate(invalid="ignore"):  # NaN and inf are caught below
-            s = given.astype(np.int8, copy=False)
-        if s is not given:  # the cast wraps 257 to 1 and truncates 1.5 to 1
-            changed = s != given
-            if changed.diagonal().any():
-                raise InvalidInputError("self-pairs must carry no sign")
-            if changed.any():
-                raise InvalidInputError("every distinct pair needs a +/-1 sign")
-        if not np.array_equal(s, s.T):
-            raise InvalidInputError("sign matrix must be symmetric")
+        _require_numbers(s, "sign matrix")
+        # checked as given, so no cast can make a bad value look like a sign
         if np.any(np.diag(s) != 0):
             raise InvalidInputError("self-pairs must carry no sign")
         # the diagonal is zero, so every other entry is +/-1 iff n(n-1) entries are;
         # counting the -1s first keeps one n x n mask alive at a time
         negatives = np.count_nonzero(s == -1)
         positive = s == 1
-        if negatives + np.count_nonzero(positive) != self.n * (self.n - 1):
+        positives = np.count_nonzero(positive)
+        if negatives + positives != self.n * (self.n - 1):
             raise InvalidInputError("every distinct pair needs a +/-1 sign")
-        s.setflags(write=False)
-        object.__setattr__(self, "signs", s)
         bits = np.packbits(positive, axis=1)
+        del positive  # before the transpose compare makes the next n x n mask
+        if not np.array_equal(s, s.T):
+            raise InvalidInputError("sign matrix must be symmetric")
+        s = s.astype(np.int8, copy=False)  # exact now, and a no-op for int8
+        s.setflags(write=False)
         bits.setflags(write=False)
+        object.__setattr__(self, "signs", s)
         object.__setattr__(self, "positive_bits", bits)
-        object.__setattr__(self, "positive_pairs", np.count_nonzero(positive) // 2)
+        object.__setattr__(self, "positive_pairs", positives // 2)
 
     def __eq__(self, other):
         if not isinstance(other, SignedCompleteGraph):
@@ -77,7 +71,8 @@ class SignedCompleteGraph:
     def from_negative_edges(cls, n, negative_edges):
         """Build from the canonical serialized form: each negative pair
         (u, v) with u < v listed once; unlisted pairs are positive."""
-        return cls._from_edge_blocks(n, [np.asarray(negative_edges, np.int64).reshape(-1, 2)])
+        edges = _int64_array(negative_edges, "negative edge list")
+        return cls._from_edge_blocks(n, [edges.reshape(-1, 2)])
 
     @classmethod
     def _from_edge_blocks(cls, n, blocks, repeat_error=InvalidInputError):
@@ -107,10 +102,11 @@ class SignedCompleteGraph:
             signs[u, v] = -1
             signs[v, u] = -1
             listed += len(edges)
-        repeats = listed - np.count_nonzero(signs < 0) // 2
+        g = cls(n, signs)
+        repeats = listed - (n * (n - 1) // 2 - g.positive_pairs)
         if repeats:
             raise repeat_error(f"{repeats} negative edges are listed more than once")
-        return cls(n, signs)
+        return g
 
     def to_json(self):
         """``{"n": N, "negative_edges": [[u, v], ...]}``, the negative pairs
@@ -175,6 +171,33 @@ def _edge_blocks(edges, chunk=8192):
             raise ParseError("bad graph JSON: negative_edges must be [u, v] integer pairs")
         del edges[start:]
         yield block
+
+
+def _require_numbers(values, noun):
+    """Raise InvalidInputError unless the array ``values`` has a bool, int,
+    uint or float dtype; a str or bytes dtype is named as such, any other
+    (object, complex, ...) by its numpy name."""
+    kind = values.dtype.kind
+    if kind not in "biuf":
+        name = {"U": "str", "S": "bytes"}.get(kind, values.dtype.name)
+        raise InvalidInputError(f"{noun} must hold numbers, not {name}")
+
+
+def _int64_array(values, noun):
+    """``values`` as an int64 array, the input itself when it is one; raise
+    InvalidInputError naming the fault when a value is not a finite
+    integral number within int64. Only a dtype that int64 cannot hold
+    (float, uint64) is checked value by value."""
+    given = np.asarray(values)
+    _require_numbers(given, noun)
+    if given.size and not np.can_cast(given.dtype, np.int64):
+        if not np.isfinite(given).all():
+            raise InvalidInputError(f"{noun} must hold finite numbers")
+        if (given % 1 != 0).any():
+            raise InvalidInputError(f"{noun} must hold integers")
+        if not -(2**63) <= int(given.min()) <= int(given.max()) < 2**63:
+            raise InvalidInputError(f"{noun} must hold integers within int64")
+    return given.astype(np.int64, copy=False)
 
 
 def _physical_memory():
@@ -292,7 +315,7 @@ class ColorAssignment:
         if not ids.size:
             raise InvalidInputError("empty color assignment")
         # bounds before the cast: numpy keeps an id beyond int64 as a Python int
-        if ids.min() < 0:
+        if _any_negative(ids, "color ids must be integers"):
             raise InvalidInputError("color ids must be nonnegative")
         with np.errstate(invalid="ignore"):  # inf % 1 is NaN, and NaN is not integral
             if (ids % 1 != 0).any():
@@ -341,6 +364,16 @@ class ColorAssignment:
         return cls([entries[v] for v in range(len(entries))])
 
 
+def _any_negative(ids, not_integers):
+    """Whether any of the nonempty ``ids`` is below 0; raise
+    InvalidInputError(``not_integers``) for ids that do not compare with
+    numbers, a str array or None in an object array."""
+    try:
+        return bool(ids.min() < 0)
+    except TypeError:  # numpy's UFuncTypeError is one
+        raise InvalidInputError(not_integers) from None
+
+
 @dataclass(frozen=True)
 class FairnessSpec:
     """Integer ratio constraints 1:p_i..1:q_i of the base color against every
@@ -369,9 +402,9 @@ class FairnessSpec:
         return cls(base_color, {c: (p, p) for c, p in ratios.items()})
 
     def describe(self):
-        if self.is_exact:
-            return "1:" + ":".join(str(self.bounds[c][0]) for c in sorted(self.bounds))
         lo = "1:" + ":".join(str(self.bounds[c][0]) for c in sorted(self.bounds))
+        if self.is_exact:
+            return lo
         hi = "1:" + ":".join(str(self.bounds[c][1]) for c in sorted(self.bounds))
         return f"{lo}..{hi}"
 
@@ -388,7 +421,7 @@ class Clustering:
         if not ids.size:
             raise InvalidInputError("empty clustering")
         # bounds before the cast: numpy keeps an id beyond int64 as a Python int
-        if not 0 <= ids.min() <= ids.max() < len(ids):
+        if _any_negative(ids, "cluster ids must be integers") or not ids.max() < len(ids):
             raise InvalidInputError("cluster ids must be contiguous from 0")
         if (ids % 1 != 0).any():  # the bounds have ruled out NaN and inf
             raise InvalidInputError("cluster ids must be integers")
@@ -424,6 +457,10 @@ class Clustering:
         return json.dumps({"cluster_of": self.cluster_of.tolist()})
 
 
+# failing clusters that FairnessReport.describe_violations names
+_VIOLATIONS_SHOWN = 3
+
+
 @dataclass(frozen=True, eq=False)
 class FairnessReport:
     """Per-cluster color counts, a clusters x colors table, and per-cluster
@@ -433,15 +470,16 @@ class FairnessReport:
     cluster_pass: np.ndarray
     overall_pass: bool
 
-    def describe_violations(self, limit=3):
-        """'cluster i {color: count, ...}' for the first ``limit`` failing
-        clusters, plus how many more fail."""
+    def describe_violations(self):
+        """'cluster i {color: count, ...}' for the first
+        ``_VIOLATIONS_SHOWN`` failing clusters, plus how many more fail."""
         bad = np.flatnonzero(~self.cluster_pass).tolist()
         text = "; ".join(
-            f"cluster {i} {_histogram(self.cluster_color_counts[i])}" for i in bad[:limit]
+            f"cluster {i} {_histogram(self.cluster_color_counts[i])}"
+            for i in bad[:_VIOLATIONS_SHOWN]
         )
-        if len(bad) > limit:
-            text += f"; and {len(bad) - limit} more"
+        if len(bad) > _VIOLATIONS_SHOWN:
+            text += f"; and {len(bad) - _VIOLATIONS_SHOWN} more"
         return text
 
 

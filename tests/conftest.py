@@ -138,6 +138,37 @@ def rng():
     return random.Random(0)
 
 
+# The sign checks of the graph constructor before they read the values as
+# given: a cast to int8 first, then a compare with the cast for any other
+# dtype, and a str/bytes rule because the cast parses '1'.
+
+
+def reference_graph_error(n, signs):
+    """The message the cast-first checks gave for an n x n sign matrix
+    (n >= 1), or None when they accepted it."""
+    given = np.asarray(signs)
+    if given.shape != (n, n):
+        return f"sign matrix must be {n}x{n}"
+    if given.dtype.kind in "US":
+        kind = "str" if given.dtype.kind == "U" else "bytes"
+        return f"sign matrix must hold numbers, not {kind}"
+    with np.errstate(invalid="ignore"):  # NaN and inf are caught below
+        s = given.astype(np.int8, copy=False)
+    if s is not given:  # the cast wraps 257 to 1 and truncates 1.5 to 1
+        changed = s != given
+        if changed.diagonal().any():
+            return "self-pairs must carry no sign"
+        if changed.any():
+            return "every distinct pair needs a +/-1 sign"
+    if not np.array_equal(s, s.T):
+        return "sign matrix must be symmetric"
+    if np.any(np.diag(s) != 0):
+        return "self-pairs must carry no sign"
+    if np.count_nonzero(s == -1) + np.count_nonzero(s == 1) != n * (n - 1):
+        return "every distinct pair needs a +/-1 sign"
+    return None
+
+
 # The objective and the pivot before the packed scoring and the lockstep
 # pass: one n x n compare per clustering, one pass per seed.
 

@@ -182,6 +182,40 @@ def test_instance_keeps_a_read_only_int64_input():
         BMatchingInstance(np.broadcast_to(np.int64(-1), (2, 2)), [1, 1], [1, 1])
 
 
+@pytest.mark.parametrize(
+    "cost,lo,hi,message",
+    [
+        ([[1.5, 2]], [1], [2], "cost table must hold integers"),
+        ([["1", "2"]], [1], [2], "cost table must hold numbers, not str"),
+        ([[float("nan"), 1]], [1], [2], "cost table must hold finite numbers"),
+        ([[1, float("inf")]], [1], [2], "cost table must hold finite numbers"),
+        ([[2**63, 1]], [1], [2], "cost table must hold integers within int64"),
+        ([[2**64]], [1], [1], "cost table must hold numbers, not object"),
+        ([[1, 2]], (1.7,), (2,), "degree bounds must be integers, got 1.7"),
+        ([[1, 2]], (1,), (2.9,), "degree bounds must be integers, got 2.9"),
+        ([[1, 2]], ("1",), (2,), "degree bounds must be integers, got '1'"),
+        ([[1, 2]], (1,), (float("nan"),), "degree bounds must be integers, got nan"),
+    ],
+    ids=[
+        "cost-half", "cost-str", "cost-nan", "cost-inf", "cost-uint64", "cost-beyond-uint64",
+        "lo-float", "hi-float", "lo-str", "hi-nan",
+    ],
+)
+def test_inputs_the_cast_would_change_are_rejected(cost, lo, hi, message):
+    """A cost or a degree bound that an int cast would truncate, parse or
+    wrap is invalid input, named by its fault, before any cast."""
+    with pytest.raises(InvalidInputError) as info:
+        BMatchingInstance(cost, lo, hi)
+    assert str(info.value) == message
+
+
+def test_integral_costs_and_bounds_of_any_number_type_are_taken():
+    inst = BMatchingInstance(np.array([[1.0, 2.0]]), [np.int32(1)], [np.int64(2)])
+    assert inst.cost.dtype == np.int64 and inst.cost.tolist() == [[1, 2]]
+    assert inst.degree_lo == (1,) and inst.degree_hi == (2,)
+    assert all(type(x) is int for x in inst.degree_lo + inst.degree_hi)
+
+
 def test_loose_upper_bounds_are_clamped():
     # a degree bound far above R must neither change the optimum nor be
     # expanded into that many slot columns

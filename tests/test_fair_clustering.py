@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircc import (
+    BMatchingInstance,
     ColorAssignment,
     FairnessSpec,
     InfeasibleSpecError,
     InvalidInputError,
     SignedCompleteGraph,
+    bmatching,
     check_fairness,
     disagreements,
     matching_weight_bound_check,
@@ -16,6 +18,7 @@ from faircc import (
     run_cc,
     run_ccmerge,
     run_wmatch,
+    solve,
 )
 from faircc.fair_clustering import (
     approximation_budget,
@@ -69,6 +72,28 @@ def test_pair_cost_table_matches_scalar():
     for i, x in enumerate(lefts):
         for j, u in enumerate(rights):
             assert table[i, j] == pair_cost(g, u, x)
+
+
+def test_pair_cost_table_reaches_the_search_without_a_copy(monkeypatch):
+    """The table is the read-only transpose of an R x L array: the
+    instance keeps it, and the search reads that R x L array itself."""
+    g = random_graph(12, seed=5)
+    lefts, rights = [0, 3, 4, 9], [1, 2, 5, 6, 7, 8, 10, 11]
+    table = pair_cost_table(g, lefts, rights)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.shape == (4, 8) and table.T.flags.c_contiguous
+    inst = BMatchingInstance(table, [2] * 4, [2] * 4)
+    assert inst.cost is table
+    searched = []
+    search = bmatching._assign
+
+    def spy(rows, *rest):
+        searched.append(rows)
+        return search(rows, *rest)
+
+    monkeypatch.setattr(bmatching, "_assign", spy)
+    solve(inst)
+    assert len(searched) == 1 and searched[0].base is table.base
 
 
 @pytest.mark.parametrize("counts", [(5, 7), (4, 4, 6), (3, 9, 2)])

@@ -26,6 +26,7 @@ from conftest import (
     reference_color_distribution,
     reference_disagreements,
     reference_fairness,
+    reference_graph_error,
     reference_labels,
     reference_violations,
 )
@@ -216,8 +217,12 @@ def test_signs_the_int8_cast_would_change_are_rejected(rows, message):
         ([["0", "1"], ["1", "0"]], "sign matrix must hold numbers, not str"),
         (np.array([["0", "1"], ["1", "0"]]), "sign matrix must hold numbers, not str"),
         (np.array([[b"0", b"1"], [b"1", b"0"]]), "sign matrix must hold numbers, not bytes"),
+        (
+            np.array([["0", "1"], ["1", "0"]], dtype=object),
+            "sign matrix must hold numbers, not object",
+        ),
     ],
-    ids=["list-of-str", "str-array", "bytes-array"],
+    ids=["list-of-str", "str-array", "bytes-array", "object-str-array"],
 )
 def test_string_signs_are_rejected_by_type(rows, message):
     """The int8 cast would parse these; the compare with the cast then
@@ -225,6 +230,99 @@ def test_string_signs_are_rejected_by_type(rows, message):
     with pytest.raises(InvalidInputError) as info:
         SignedCompleteGraph(2, rows)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (np.array([[0, 1], [1, 0]], dtype=object), "sign matrix must hold numbers, not object"),
+        (
+            np.array([[0, 1], [1, 0]], np.complex128),
+            "sign matrix must hold numbers, not complex128",
+        ),
+        # asymmetric and holding a 2: the +/-1 count comes before the symmetry
+        (np.array([[0, 2], [1, 0]], np.int8), "every distinct pair needs a +/-1 sign"),
+        # a NaN is never blamed as asymmetry
+        (np.array([[0, np.nan], [1, 0]]), "every distinct pair needs a +/-1 sign"),
+        # asymmetric with a signed diagonal: the diagonal comes first
+        (np.array([[1, 1], [-1, 0]], np.int8), "self-pairs must carry no sign"),
+    ],
+    ids=["object-ints", "complex", "asymmetric-two", "asymmetric-nan", "asymmetric-diagonal"],
+)
+def test_sign_checks_run_in_order_on_the_values_as_given(rows, message):
+    """Only bool, int, uint and float matrices are read; then the
+    diagonal, the +/-1 count and the symmetry are checked in that order."""
+    with pytest.raises(InvalidInputError) as info:
+        SignedCompleteGraph(2, rows)
+    assert str(info.value) == message
+
+
+GRAPH_DTYPES = [np.int8, np.int64, np.uint8, np.float64, np.bool_]
+DIAGONAL_FAULTS = [1, -1, 2, 256, 1.5, np.nan, np.inf]
+PAIR_FAULTS = [0, 2, 257, -255, 1.5, np.nan, np.inf]
+
+
+def holds(dtype, value):
+    """Whether an array of ``dtype`` holds ``value`` exactly."""
+    if dtype.kind == "f":
+        return True
+    if not float(value).is_integer():
+        return False
+    info = np.iinfo(np.uint8 if dtype.kind == "b" else dtype)
+    return info.min <= value <= (1 if dtype.kind == "b" else info.max)
+
+
+@st.composite
+def sign_matrices(draw):
+    """(n, matrix): an n x n sign matrix, n from 1 to 6, of a dtype in
+    ``GRAPH_DTYPES``, valid or with exactly one fault: one diagonal entry
+    that is not 0, one pair holding a value other than +/-1, or one entry
+    of a pair flipped. Only values the dtype holds are drawn, so an
+    unsigned or bool matrix is all positive."""
+    dtype = np.dtype(draw(st.sampled_from(GRAPH_DTYPES)))
+    n = draw(st.integers(1, 6))
+    signed = holds(dtype, -1)
+    iu, iv = np.triu_indices(n, 1)
+    values = [1] * len(iu)
+    if signed:
+        values = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(iu), max_size=len(iu)))
+    signs = np.zeros((n, n))
+    signs[iu, iv] = signs[iv, iu] = values
+    faults = ["none", "diagonal"] + ["pair"] * (n > 1) + ["flip"] * (n > 1 and signed)
+    fault = draw(st.sampled_from(faults))
+    if fault == "diagonal":
+        v = draw(st.integers(0, n - 1))
+        signs[v, v] = draw(st.sampled_from([x for x in DIAGONAL_FAULTS if holds(dtype, x)]))
+    elif fault != "none":
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if fault == "pair":
+            signs[u, v] = signs[v, u] = draw(
+                st.sampled_from([x for x in PAIR_FAULTS if holds(dtype, x)])
+            )
+        else:
+            signs[u, v] = -signs[u, v]
+    return n, signs.astype(dtype)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sign_matrices())
+@example((2, np.array([[0, 257], [257, 0]], np.int64)))
+@example((2, np.array([[0, -1], [1, 0]], np.int8)))
+@example((3, np.array([[0, 1, 1], [1, np.nan, 1], [1, 1, 0]])))
+def test_sign_checks_agree_with_the_cast_first_reference(case):
+    """On valid and single-fault matrices of every numeric dtype, the
+    checks on the values as given accept exactly what the cast-first
+    checks accepted, with the same message, and keep the same int8
+    signs."""
+    n, signs = case
+    want = reference_graph_error(n, signs)
+    try:
+        g = SignedCompleteGraph(n, signs.copy())
+    except InvalidInputError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert g.signs.dtype == np.int8 and np.array_equal(g.signs, signs)
 
 
 def test_graph_equality_is_by_value():
@@ -328,6 +426,32 @@ def test_graph_json_bad_edge_ids(edge):
         SignedCompleteGraph.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0.5, 1)], "negative edge list must hold integers"),
+        ([(0, 1.9)], "negative edge list must hold integers"),
+        ([("0", "2")], "negative edge list must hold numbers, not str"),
+        ([(0, float("nan"))], "negative edge list must hold finite numbers"),
+        ([(0, float("-inf"))], "negative edge list must hold finite numbers"),
+        ([(0, 2**63)], "negative edge list must hold integers within int64"),
+        ([(0, 2**70)], "negative edge list must hold numbers, not object"),
+    ],
+    ids=["half", "one-point-nine", "str", "nan", "minus-inf", "uint64", "beyond-uint64"],
+)
+def test_edge_ids_are_checked_before_the_cast(edges, message):
+    """An id the int64 cast would truncate, parse or wrap is invalid
+    input."""
+    with pytest.raises(InvalidInputError) as info:
+        SignedCompleteGraph.from_negative_edges(3, edges)
+    assert str(info.value) == message
+
+
+def test_integral_float_edge_ids_are_taken():
+    same = SignedCompleteGraph.from_negative_edges(3, [(0.0, 2.0)])
+    assert same == SignedCompleteGraph.from_negative_edges(3, [(0, 2)])
+
+
 def test_from_negative_edges_matches_pairwise_signs():
     rng = random.Random(9)
     n = 12
@@ -398,6 +522,10 @@ def test_clustering_json_roundtrip_and_validation():
         (Clustering, [0.2, 1.9], "cluster ids must be integers"),
         (Clustering, [0, 1, 1.5], "cluster ids must be integers"),
         (Clustering, [0, float("nan")], "cluster ids must be contiguous from 0"),
+        (ColorAssignment, ["a", "b"], "color ids must be integers"),
+        (ColorAssignment, [0, None], "color ids must be integers"),
+        (Clustering, ["a", "b"], "cluster ids must be integers"),
+        (Clustering, [0, None], "cluster ids must be integers"),
     ],
 )
 def test_non_integral_ids_are_invalid_input(build, ids, message):
@@ -520,7 +648,8 @@ def test_check_fairness_matches_the_reference(case):
     assert report.cluster_pass.tolist() == verdicts
     assert report.overall_pass is all(verdicts)
     for limit in (1, 3):
-        assert report.describe_violations(limit) == reference_violations(counts, verdicts, limit)
+        with mock.patch.object(model, "_VIOLATIONS_SHOWN", limit):
+            assert report.describe_violations() == reference_violations(counts, verdicts, limit)
     rows = color_distribution(colors, c)
     assert rows == reference_color_distribution(color_of, cluster_of)
     assert all(type(color) is int and type(n) is int for row in rows for color, n in row.items())

@@ -5,12 +5,15 @@ A memo dict, kept by the caller for one instance and spec, carries the
 layers that several calls share, each built on first use: the seed-free
 fairlet ids and matching weights per cost kind and base color (pair costs
 for ``faircc`` and ``wmatch``, unit costs for ``ufaircc``), the base-color
-pivot per PivotRun and base color, and the ``cc`` clustering per PivotRun,
-which ``ccmerge`` repairs. Below those it keeps the pools of scored pivot
-restarts, one for the graph and one per base color with its induced graph,
-so that PivotRuns whose seed windows overlap run and score each seed once.
-Stages are called through their modules, so code that replaces one there
-(``fair_clustering.build_matchings``, ...) sees every call.
+pivot per PivotRun and base color, and the ``cc`` clustering and its cost
+per PivotRun, which ``ccmerge`` repairs. Below those it keeps the pools of
+scored pivot restarts, one for the graph and one per base color with its
+induced graph, so that PivotRuns whose seed windows overlap run and score
+each seed once. A caller that knows every PivotRun it will ask for puts the
+union of their seed windows, a PivotRun, under ``"window"``; each pool then
+runs and scores that whole window in its first pass, one lockstep pass per
+pool. Stages are called through their modules, so code that replaces one
+there (``fair_clustering.build_matchings``, ...) sees every call.
 """
 
 from __future__ import annotations
@@ -29,6 +32,17 @@ def matchings(g, colors, spec, memo, unit_costs=False) -> tuple:
     key = ("matchings", unit_costs, spec.base_color)
     if key not in memo:
         memo[key] = fair_clustering.build_matchings(g, colors, spec, unit_costs)
+    return memo[key]
+
+
+def cc_clustering(g, pivot, memo) -> tuple:
+    """run_cc(g, pivot) and its disagreements, found once per memo; the
+    cost is the kept restart's score in the graph's pool."""
+    key = ("cc", pivot)
+    if key not in memo:
+        pool = memo.setdefault("restarts", {})
+        clustering = baselines.run_cc(g, pivot, pool, memo.get("window"))
+        memo[key] = clustering, min(pool[seed][0] for seed in pivot.seeds)
     return memo[key]
 
 
@@ -51,14 +65,11 @@ def run_algorithm(
     if try_all_bases and algo != "faircc":
         raise InvalidInputError("try_all_bases applies only to faircc")
     if algo == "cc":
-        if ("cc", pivot) not in memo:
-            memo["cc", pivot] = baselines.run_cc(g, pivot, memo.setdefault("restarts", {}))
-        return memo["cc", pivot]
+        return cc_clustering(g, pivot, memo)[0]
     if colors is None or spec is None:
         raise InvalidInputError(f"algorithm {algo!r} needs colors and a fairness spec")
     if algo == "ccmerge":
-        cc = run_algorithm("cc", g, pivot=pivot, memo=memo)
-        clustering = baselines.run_ccmerge(g, colors, spec, cc)
+        clustering = baselines.run_ccmerge(g, colors, spec, cc_clustering(g, pivot, memo)[0])
     elif try_all_bases:
         if any(bounds != (1, 1) for bounds in spec.bounds.values()):
             raise InvalidInputError("try_all_bases requires all ratios 1:1")
@@ -74,7 +85,9 @@ def run_algorithm(
             key = ("base", pivot, spec.base_color)
             if key not in memo:
                 pool = memo.setdefault(("base restarts", spec.base_color), {})
-                memo[key] = fair_clustering.pivot_base(g, colors, spec, pivot, pool)
+                memo[key] = fair_clustering.pivot_base(
+                    g, colors, spec, pivot, pool, memo.get("window")
+                )
             clustering = fair_clustering.run_pipeline(fairlets, memo[key])
     report = check_fairness(colors, clustering, spec)
     if not report.overall_pass:

@@ -24,11 +24,13 @@ from .model import (
 from .pivot import PivotRun, best_of_restarts
 
 
-def run_cc(g: SignedCompleteGraph, pivot: PivotRun = PivotRun(), scored=None) -> Clustering:
+def run_cc(
+    g: SignedCompleteGraph, pivot: PivotRun = PivotRun(), scored=None, window=None
+) -> Clustering:
     """Unconstrained best-of-restarts pivot clustering; no fairness
-    guarantee. ``scored`` is the graph's pool of scored restarts, as in
-    ``best_of_restarts``."""
-    return best_of_restarts(g, pivot, scored)
+    guarantee. ``scored`` is the graph's pool of scored restarts and
+    ``window`` the seeds its first pass runs, as in ``best_of_restarts``."""
+    return best_of_restarts(g, pivot, scored, window)
 
 
 def run_wmatch(fairlets) -> Clustering:

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import fair_clustering, ingest, oracle
-from .algorithms import ALGORITHMS, matchings, run_algorithm
+from .algorithms import ALGORITHMS, cc_clustering, matchings, run_algorithm
 from .errors import FairCCError, ParseError
 from .model import (
     ColorAssignment,
@@ -121,7 +121,7 @@ def _load_instance(graph_path, colors_path):
     return g, colors
 
 
-def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
+def _result_row(dataset, algo, seed, g, colors, spec, clustering, cost, millis):
     fair = None
     if spec is not None and colors is not None:
         # run_algorithm raises on a fair algorithm's unfair result
@@ -133,7 +133,7 @@ def _result_row(dataset, algo, seed, g, colors, spec, clustering, millis):
         "n": g.n,
         "colors": colors.num_colors if colors else 0,
         "spec": spec.describe() if spec else "",
-        "disagreements": disagreements(g, clustering),
+        "disagreements": cost,
         "fair": fair,
         "clusters": clustering.num_clusters,
         "millis": millis,
@@ -172,7 +172,8 @@ def cmd_ingest(args):
 def _run_cells(args, algos, seeds, try_all_bases=False):
     """Load the instance and spec that ``args`` name and run every (algo,
     seed) cell through one memo, algo-major; returns the result rows, the
-    last cell's clustering and the colors."""
+    last cell's clustering and the colors. The memo's window is the union
+    of the cells' seed windows, so each restart pool runs once."""
     g, colors = _load_instance(args.graph, args.colors)
     spec = parse_spec(args.ratio, args.bounds)
     fair = [algo for algo in algos if algo != "cc"]
@@ -180,14 +181,21 @@ def _run_cells(args, algos, seeds, try_all_bases=False):
         raise ParseError(f"algorithm {fair[0]!r} needs --colors")
     if fair and spec is None:
         raise ParseError(f"algorithm {fair[0]!r} needs --ratio or --bounds")
-    rows, memo = [], {}
+    window = PivotRun(min(seeds), max(seeds) - min(seeds) + args.restarts)
+    rows, memo = [], {"window": window}
     for algo in algos:
         for seed in seeds:
             start = time.perf_counter()
             pivot = PivotRun(seed, args.restarts)
             clustering = run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases)
             millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
-            rows.append(_result_row(args.dataset, algo, seed, g, colors, spec, clustering, millis))
+            if algo == "cc":  # the restart pool has scored the kept clustering
+                cost = cc_clustering(g, pivot, memo)[1]
+            else:
+                cost = disagreements(g, clustering)
+            rows.append(
+                _result_row(args.dataset, algo, seed, g, colors, spec, clustering, cost, millis)
+            )
     return rows, clustering, colors
 
 

@@ -84,20 +84,20 @@ def build_matchings(
     return fairlets, weights
 
 
-def pivot_base(g, colors, spec, pivot, pool=None) -> Clustering:
+def pivot_base(g, colors, spec, pivot, pool=None, window=None) -> Clustering:
     """The seeded second stage: best-of-restarts pivot on the graph induced
     by the base color, one label per base vertex in vertex order.
 
     ``pool``, a dict the caller keeps for one instance and base color,
-    holds the induced graph and its scored restarts (see
-    ``best_of_restarts``) from the first call on, so that later calls
-    build neither again."""
+    holds the induced graph and its scored restarts from the first call
+    on, so that later calls build neither again; ``window`` names the seeds
+    the pool's first pass runs (see ``best_of_restarts``)."""
     pool = {} if pool is None else pool
     if not pool:
         lefts = colors.vertices_of(spec.base_color)
         pool["graph"] = SignedCompleteGraph(len(lefts), g.signs[np.ix_(lefts, lefts)])
         pool["scored"] = {}
-    return best_of_restarts(pool["graph"], pivot, pool["scored"])
+    return best_of_restarts(pool["graph"], pivot, pool["scored"], window)
 
 
 def run_pipeline(fairlets, base: Clustering) -> Clustering:

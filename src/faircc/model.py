@@ -24,9 +24,10 @@ class SignedCompleteGraph:
 
     ``signs`` is an n x n int8 matrix with +1 / -1 off the diagonal and 0 on
     it; it is always symmetric. ``positive_bits`` is ``signs > 0`` packed
-    eight vertices to a byte along each row (n x ceil(n/8) uint8, read-only)
-    and ``positive_pairs`` the number of positive pairs; both are derived
-    from ``signs``, which alone decides equality.
+    eight vertices to a byte along each row and padded with zero bits to
+    whole 64-bit words (n x 8 * ceil(n/64) uint8, read-only), and
+    ``positive_pairs`` the number of positive pairs; both are derived from
+    ``signs``, which alone decides equality.
     """
 
     n: int
@@ -55,6 +56,7 @@ class SignedCompleteGraph:
         del positive  # before the transpose compare makes the next n x n mask
         if not np.array_equal(s, s.T):
             raise InvalidInputError("sign matrix must be symmetric")
+        bits = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))  # to whole 64-bit words
         s = s.astype(np.int8, copy=False)  # exact now, and a no-op for int8
         s.setflags(write=False)
         bits.setflags(write=False)
@@ -72,7 +74,13 @@ class SignedCompleteGraph:
         """Build from the canonical serialized form: each negative pair
         (u, v) with u < v listed once; unlisted pairs are positive."""
         edges = _int64_array(negative_edges, "negative edge list")
-        return cls._from_edge_blocks(n, [edges.reshape(-1, 2)])
+        if edges.shape == (0,):  # an empty list
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise InvalidInputError(
+                f"negative edge list must hold (u, v) pairs, got shape {edges.shape}"
+            )
+        return cls._from_edge_blocks(n, [edges])
 
     @classmethod
     def _from_edge_blocks(cls, n, blocks, repeat_error=InvalidInputError):
@@ -188,7 +196,10 @@ def _int64_array(values, noun):
     InvalidInputError naming the fault when a value is not a finite
     integral number within int64. Only a dtype that int64 cannot hold
     (float, uint64) is checked value by value."""
-    given = np.asarray(values)
+    try:
+        given = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged nesting of sequences
+        raise InvalidInputError(f"{noun} must be a rectangular array") from None
     _require_numbers(given, noun)
     if given.size and not np.can_cast(given.dtype, np.int64):
         if not np.isfinite(given).all():
@@ -497,57 +508,107 @@ def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
     inside clusters, which are counted in both and disagree in neither."""
     if c.n != g.n:
         raise InvalidInputError("clustering length does not match graph")
-    return _label_disagreements(g, c.cluster_of)
+    return int(_label_disagreements(g, c.cluster_of[None])[0])
 
 
-# the number of set bits of every byte value
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
-# rows counted at a time: the table lookup makes an intp copy of its index
+# slots (vertices of one row) counted at a time: a block copies the member
+# words and the positive words of its slots
 _POPCOUNT_ROWS = 1024
 # clusters whose member masks are built at a time, each a bool row of n
 _MEMBER_CLUSTERS = 256
+# the SWAR popcount's masks and shifts, 0-d uint64 arrays: numpy 1.x turns
+# a uint64 mixed with a Python int into float64, and a ufunc takes a 0-d
+# array faster than a scalar
+_M1, _M2, _M4, _H01, _ONE, _TWO, _FOUR, _TOP = (
+    np.array(value, np.uint64)
+    for value in (
+        0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101,
+        1, 2, 4, 56,
+    )
+)
 
 
-def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> int:
-    """``disagreements`` of the per-vertex cluster ids ``labels`` >= 0, of
-    length g.n. Each vertex's row of its cluster's packed member mask,
-    ANDed with its packed positive row, holds its positive partners inside
-    its cluster, so the popcount of all rows is 2 * P_within.
+def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> np.ndarray:
+    """``disagreements`` of every row of ``labels``, an R x g.n matrix of
+    per-vertex cluster ids >= 0, as R int64 costs.
 
-    With more than ``_MEMBER_CLUSTERS`` clusters, the masks are built for
-    one block of clusters at a time, over the vertices of those clusters."""
-    sizes = np.bincount(labels)
+    Each row's ids are offset past the ids of the rows before it, so that
+    one id names one cluster of one row. Each slot's row of its cluster's
+    packed member mask, ANDed with its vertex's packed positive row, holds
+    the vertex's positive partners inside its cluster, so the popcounts of
+    one row's slots sum to 2 * P_within.
+
+    With more than ``_MEMBER_CLUSTERS`` clusters over all rows, the masks
+    are built for one block of clusters at a time, over the slots of those
+    clusters; a block can span rows."""
+    rows, n = labels.shape
+    ids, firsts = labels.ravel(), (0,)  # each row's first id
+    if rows > 1:
+        counts = labels.max(axis=1) + 1
+        firsts = np.cumsum(counts) - counts
+        ids = (labels + firsts[:, None]).ravel()
+    sizes = np.bincount(ids)
     if len(sizes) <= _MEMBER_CLUSTERS:
-        within = _positive_within(g, labels, len(sizes))
+        partners = _positive_partners(g, ids, len(sizes), None)
     else:
-        order = np.argsort(labels, kind="stable")  # vertices cluster by cluster
-        starts = np.concatenate(([0], np.cumsum(sizes)))  # of each cluster in order
-        within = 0
+        partners = np.empty(ids.size, np.int64)
         for first in range(0, len(sizes), _MEMBER_CLUSTERS):
             last = min(first + _MEMBER_CLUSTERS, len(sizes))
-            vertices = order[starts[first] : starts[last]]
-            within += _positive_within(g, labels[vertices] - first, last - first, vertices)
-    return int((sizes * (sizes - 1) // 2).sum() + g.positive_pairs - within)
+            # the clusters first .. last-1 lie in consecutive rows
+            top, bottom = np.searchsorted(firsts, (first, last - 1), side="right") - 1
+            span = ids[top * n : (bottom + 1) * n]
+            slots = np.flatnonzero((span >= first) & (span < last)) + top * n
+            block = ids[slots]
+            block -= first
+            partners[slots] = _positive_partners(g, block, last - first, slots)
+    pairs = np.add.reduceat(sizes * (sizes - 1) // 2, firsts)
+    return pairs + g.positive_pairs - partners.reshape(rows, n).sum(axis=1)
 
 
-def _positive_within(g, labels, clusters, vertices=None):
-    """Twice the positive pairs inside the clusters 0 .. clusters-1, whose
-    members are ``vertices`` (every vertex when None) with cluster ids
-    ``labels``; the popcount runs over blocks of ``_POPCOUNT_ROWS``
-    members."""
-    members = np.zeros((clusters, g.n), bool)
-    members[labels, np.arange(g.n) if vertices is None else vertices] = True
-    packed = np.packbits(members, axis=1)
-    within = 0
-    for start in range(0, len(labels), _POPCOUNT_ROWS):
+def _positive_partners(g, ids, clusters, slots):
+    """The positive partners inside its cluster of the vertex of every slot
+    r * n + v in ``slots`` (every slot in order when None), whose cluster
+    ids ``ids`` lie in 0 .. clusters-1, as int64 counts. The popcount runs
+    over blocks of ``_POPCOUNT_ROWS`` slots, two word arrays at a time."""
+    n = g.n
+    members = np.zeros((clusters, g.positive_bits.shape[1] * 8), bool)
+    if slots is None:
+        members[ids.reshape(-1, n), np.arange(n)] = True
+    else:
+        members[ids, slots % n] = True
+    packed = np.packbits(members, axis=1).view(np.uint64)
+    del members  # before the word blocks are made
+    positive = g.positive_bits.view(np.uint64)
+    partners = np.empty(len(ids), np.uint64)
+    for start in range(0, len(ids), _POPCOUNT_ROWS):
         stop = start + _POPCOUNT_ROWS
-        rows = packed.take(labels[start:stop], axis=0)
-        if vertices is None:
-            rows &= g.positive_bits[start:stop]
-        else:
-            rows &= g.positive_bits.take(vertices[start:stop], axis=0)
-        within += _POPCOUNT.take(rows).sum(dtype=np.int64)
-    return within
+        words = packed.take(ids[start:stop], axis=0)
+        block = np.arange(start, min(stop, len(ids))) if slots is None else slots[start:stop]
+        spare = positive.take(block, axis=0, mode="wrap")  # a slot r * n + v wraps to v
+        words &= spare
+        np.add.reduce(_popcount(words, spare), axis=1, out=partners[start:stop])
+        del words, spare  # before the next block's are made
+    return partners.view(np.int64)  # each count is below 2**63
+
+
+def _popcount(words, spare):
+    """The set bits of each uint64 in ``words``, counted in place by SWAR
+    with ``spare``, a scratch array of the same shape: bit pairs, then
+    nibbles, then bytes hold their counts, and a multiply sums the bytes
+    into the top one."""
+    np.right_shift(words, _ONE, out=spare)
+    spare &= _M1
+    words -= spare
+    np.right_shift(words, _TWO, out=spare)
+    spare &= _M2
+    words &= _M2
+    words += spare
+    np.right_shift(words, _FOUR, out=spare)
+    words += spare
+    words &= _M4
+    words *= _H01
+    words >>= _TOP
+    return words
 
 
 def _color_counts(colors: ColorAssignment, c: Clustering) -> np.ndarray:

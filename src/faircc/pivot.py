@@ -14,6 +14,11 @@ pass run alone, and its pivot is the unclustered vertex of that rank in
 vertex order, the same vertex a pass run alone picks from its sorted
 remaining list. Restarts never share state, so every row of the lockstep
 labels is the labels of that seed's own pass.
+
+The restarts of one pass are scored together: ``_label_disagreements``
+counts every row of the label matrix in one call, from the graph's packed
+positive bits, and the costs are exact integers, so the restart kept is
+the one a per-seed loop keeps.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ class PivotRun:
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
+
+    @property
+    def seeds(self):
+        """The seeds of the run's restarts, in order."""
+        return range(self.seed, self.seed + self.restarts)
 
 
 def pivot_cluster(g: SignedCompleteGraph, seeds) -> np.ndarray:
@@ -69,20 +79,25 @@ def pivot_cluster(g: SignedCompleteGraph, seeds) -> np.ndarray:
     return labels
 
 
-def best_of_restarts(g: SignedCompleteGraph, run: PivotRun, scored=None) -> Clustering:
+def best_of_restarts(
+    g: SignedCompleteGraph, run: PivotRun, scored=None, window: PivotRun | None = None
+) -> Clustering:
     """Pivot with seeds seed .. seed+restarts-1; keep the clustering with
     the fewest disagreements (ties: earliest seed).
 
     ``scored``, a dict the caller keeps for one graph, maps each seed run
     so far to its (disagreements, labels row). A restart depends only on
-    the graph and its seed, so the seeds it holds are read from it, and
-    the others run in one lockstep pass, are scored once and join it."""
+    the graph and its seed, so the seeds it holds are read from it. When
+    any of ``run``'s seeds is missing, every missing seed of ``run`` and of
+    ``window``, the seeds the caller will ask this pool for, runs in one
+    lockstep pass, is scored in one call and joins it."""
     scored = {} if scored is None else scored
-    seeds = range(run.seed, run.seed + run.restarts)
-    missing = [seed for seed in seeds if seed not in scored]
-    for seed, row in zip(missing, pivot_cluster(g, missing)):
-        scored[seed] = (_label_disagreements(g, row), row)
-    _, best = min((scored[seed][0], seed) for seed in seeds)
+    if any(seed not in scored for seed in run.seeds):
+        wanted = set(run.seeds).union(window.seeds if window else ())
+        missing = sorted(wanted - scored.keys())
+        labels = pivot_cluster(g, missing)
+        scored.update(zip(missing, zip(_label_disagreements(g, labels).tolist(), labels)))
+    _, best = min((scored[seed][0], seed) for seed in run.seeds)
     # a pass's ids, in order of cluster creation, already form a clustering;
     # only the kept one is renumbered by first appearance
     return Clustering.from_labels(scored[best][1])

@@ -675,9 +675,9 @@ def test_ingest_non_finite_numeric_exits_3(workspace, capsys, value):
 
 @pytest.mark.parametrize("spec", [["--ratio", "1:2"], ["--bounds", "1:1..1:2"]])
 def test_experiment_cells_match_cluster(workspace, capsys, spec):
-    """Sharing fairlets and cc clusterings across the matrix changes no
-    cell: each row equals a fresh ``cluster`` run of the same algo and
-    seed."""
+    """Sharing fairlets, cc clusterings and one pivot pass per graph across
+    the matrix changes no cell: each row equals, column by column, the row
+    of a fresh ``cluster`` run of the same algo and seed."""
     write_planted(workspace, 60, (20, 40), seed=3, blocks=4)
     files = ["--graph", str(workspace / "g.json"), "--colors", str(workspace / "c.csv")]
     rc = main(
@@ -697,9 +697,9 @@ def test_experiment_cells_match_cluster(workspace, capsys, spec):
         )
         assert rc == 0
         single = json.loads((workspace / "r.json").read_text())
-        assert (int(row["disagreements"]), int(row["clusters"])) == (
-            single["disagreements"], single["clusters"]
-        ), (row["algo"], row["seed"])
+        assert row == {c: str(cli._csv_cell(single[c])) for c in cli.CSV_COLUMNS}, (
+            row["algo"], row["seed"]
+        )
 
 
 def count_calls(monkeypatch, targets):
@@ -726,7 +726,9 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     unit costs), one cc clustering per seed, which ccmerge reuses, and one
     base-color pivot per seed, which faircc and ufaircc share. The seed
     windows 0..4, 1..5, ..., 4..8 overlap, so each graph, the full one and
-    the base color's induced one (built once), runs every seed 0..8 once."""
+    the base color's induced one (built once), runs every seed 0..8 once,
+    in one pivot pass. The cc rows take their cost from the restart pool,
+    so only the 20 other rows score their clustering."""
     calls = count_calls(
         monkeypatch,
         [
@@ -735,13 +737,14 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
             (fair_clustering, "best_of_restarts"),
             (baselines, "best_of_restarts"),
             (fair_clustering, "SignedCompleteGraph"),
+            (cli, "disagreements"),
         ],
     )
-    passed = {}  # graph size -> seeds run, in call order
+    passed = {}  # graph size -> the seeds of each pivot pass, in call order
     pivot_cluster = pivot.pivot_cluster
 
     def spy(g, seeds):
-        passed.setdefault(g.n, []).extend(seeds)
+        passed.setdefault(g.n, []).append(list(seeds))
         return pivot_cluster(g, seeds)
 
     monkeypatch.setattr(pivot, "pivot_cluster", spy)
@@ -754,9 +757,11 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     )
     assert rc == 0
     assert calls == {
-        "build_matchings": 2, "run_cc": 5, "best_of_restarts": 10, "SignedCompleteGraph": 1
+        "build_matchings": 2, "run_cc": 5, "best_of_restarts": 10, "SignedCompleteGraph": 1,
+        "disagreements": 20,
     }
-    assert passed == {60: list(range(9)), 20: list(range(9))}  # runs + restarts - 1 each
+    # one pass per graph, of runs + restarts - 1 seeds
+    assert passed == {60: [list(range(9))], 20: [list(range(9))]}
 
 
 def test_experiment_checks_fairness_once_per_fair_cell(workspace, monkeypatch):

@@ -339,10 +339,13 @@ def test_graph_equality_is_by_value():
 
 
 def test_graph_positive_bits():
-    g = random_graph(13, seed=4)
-    assert g.positive_bits.shape == (13, 2) and not g.positive_bits.flags.writeable
-    assert np.array_equal(np.unpackbits(g.positive_bits, axis=1, count=13), g.signs > 0)
-    assert g.positive_pairs == np.count_nonzero(np.triu(g.signs > 0, 1))
+    """The packed rows are padded with zero bits to whole 64-bit words."""
+    for n, width in [(13, 8), (64, 8), (65, 16)]:
+        g = random_graph(n, seed=4)
+        assert g.positive_bits.shape == (n, width) and not g.positive_bits.flags.writeable
+        unpacked = np.unpackbits(g.positive_bits, axis=1)
+        assert np.array_equal(unpacked[:, :n], g.signs > 0) and not unpacked[:, n:].any()
+        assert g.positive_pairs == np.count_nonzero(np.triu(g.signs > 0, 1))
 
 
 @st.composite
@@ -384,6 +387,51 @@ def test_disagreements_in_cluster_blocks_match_the_reference():
         test_disagreements_matches_the_reference()
         with mock.patch.object(model, "_POPCOUNT_ROWS", 2):
             test_disagreements_matches_the_reference()
+
+
+@st.composite
+def label_matrices(draw):
+    """(graph, R x n label matrix): R from 1 to 30 and n from 1 to 70, so
+    rows of 1 to 2 packed words and some not a multiple of 64 wide, and
+    each row one cluster, all singletons or random ids below a random k."""
+    n = draw(st.integers(1, 70))
+    rows = draw(st.integers(1, 30))
+    neg_prob = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    g = random_graph(n, seed=draw(st.integers(0, 2**32)), neg_prob=neg_prob)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    row_kind = st.sampled_from(["one", "singletons", "random"])
+    kinds = draw(st.lists(row_kind, min_size=rows, max_size=rows))
+    labels = np.array(
+        [
+            np.zeros(n, np.int64) if kind == "one"
+            else rng.permutation(n) if kind == "singletons"
+            else rng.integers(0, rng.integers(1, n + 1), n)
+            for kind in kinds
+        ]
+    )
+    return g, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_matrices())
+def test_batched_costs_match_the_reference(case):
+    """One call scores every row of a label matrix as the n x n compare
+    scores that row alone."""
+    g, labels = case
+    costs = model._label_disagreements(g, labels)
+    assert costs.dtype == np.int64
+    expected = [reference_disagreements(g, Clustering.from_labels(row)) for row in labels]
+    assert costs.tolist() == expected
+
+
+def test_batched_costs_in_small_blocks_match_the_reference():
+    """The same property with the member masks built 3 clusters at a time
+    and the popcount taken 5 slots at a time, so that blocks of clusters
+    and of slots cross the boundaries between rows."""
+    with mock.patch.object(model, "_MEMBER_CLUSTERS", 3), mock.patch.object(
+        model, "_POPCOUNT_ROWS", 5
+    ):
+        test_batched_costs_match_the_reference()
 
 
 def test_graph_json_roundtrip():
@@ -445,6 +493,22 @@ def test_edge_ids_are_checked_before_the_cast(edges, message):
     with pytest.raises(InvalidInputError) as info:
         SignedCompleteGraph.from_negative_edges(3, edges)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0, 1, 2), (3, 4, 5)], r"must hold \(u, v\) pairs, got shape \(2, 3\)"),
+        ([(0, 1, 2)], r"must hold \(u, v\) pairs, got shape \(1, 3\)"),
+        ([(0, 1), (2,)], "negative edge list must be a rectangular array"),
+        ([0, 1], r"must hold \(u, v\) pairs, got shape \(2,\)"),
+    ],
+    ids=["triples", "one-triple", "ragged", "flat"],
+)
+def test_edges_that_are_not_pairs_are_invalid_input(edges, message):
+    """Rows of any length but two are refused, never re-paired."""
+    with pytest.raises(InvalidInputError, match=message):
+        SignedCompleteGraph.from_negative_edges(6, edges)
 
 
 def test_integral_float_edge_ids_are_taken():

@@ -6,7 +6,7 @@ verifying the approximation bounds on small instances.
 """
 
 from .algorithms import ALGORITHMS, run_algorithm
-from .baselines import run_cc, run_ccmerge, run_wmatch
+from .baselines import run_ccmerge
 from .bmatching import BMatching, BMatchingInstance, solve
 from .errors import (
     FairCCError,
@@ -15,13 +15,9 @@ from .errors import (
     OracleLimitError,
     ParseError,
 )
-from .fair_clustering import (
-    approximation_budget,
-    matching_weight_bound_check,
-)
+from .fair_clustering import approximation_budget
 from .ingest import (
     Schema,
-    SimilarityConfig,
     TabularDataset,
     build_graph,
     load_csv,

@@ -65,10 +65,7 @@ class BMatchingInstance:
     degree_hi: tuple
 
     def __post_init__(self):
-        try:
-            cost = _int64_array(self.cost, "cost table")
-        except ValueError as exc:  # a ragged table
-            raise InvalidInputError(f"cost table must be rectangular integers: {exc}") from exc
+        cost = _int64_array(self.cost, "cost table")
         if cost.flags.writeable:  # keep no table the caller can still change
             cost = cost.copy()
         lo, hi = _degrees(self.degree_lo), _degrees(self.degree_hi)

@@ -5,7 +5,13 @@ The stages take values, so a caller that runs several of them on one
 instance (the registry ``algorithms.run_algorithm`` and its memo) builds
 each seed-free or per-seed layer once: ``build_matchings`` is the
 seed-free fairlet stage, ``pivot_base`` is seeded, and ``run_pipeline``
-attaches the fairlets to the base clusters.
+attaches the fairlets to the base clusters. ``approximation_budget`` is
+the pipeline's guarantee against the fair optimum.
+
+``build_matchings`` also returns every matching weight w(M_i), which the
+paper's lemma bounds by 2*q_i*OPT_fair. The module computes no optimum:
+``faircc verify`` checks the lemma and the budget against one
+``oracle.opt_fair`` per instance.
 
 The pair cost of clustering a non-base vertex u with a base vertex v is the
 number of third vertices whose edge labels to u and v disagree, plus one if
@@ -14,8 +20,6 @@ count grows when the two are forced together.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .model import (
     SignedCompleteGraph,
     check_spec,
 )
-from .oracle import opt_fair
 from .pivot import best_of_restarts
 
 
@@ -123,28 +126,3 @@ def approximation_budget(spec: FairnessSpec, num_colors: int) -> int:
         2 * q * (k + 1) * qmax for q in qs
     )
 
-
-@dataclass(frozen=True)
-class MatchingBoundReport:
-    """Per-color matching weights against the 2*q_i*OPT_fair budget."""
-
-    weights: dict  # color -> w(M_i)
-    opt_fair_value: int
-    budgets: dict  # color -> 2*q_i*OPT_fair
-    passes: dict
-    overall_pass: bool
-
-
-def matching_weight_bound_check(
-    g: SignedCompleteGraph,
-    colors: ColorAssignment,
-    spec: FairnessSpec,
-    weights: dict,
-) -> MatchingBoundReport:
-    """Verify w(M_i) <= 2*q_i*OPT_fair for every per-color matching weight
-    of ``weights`` = build_matchings(g, colors, spec)[1] (with q_i = p_i in
-    exact-ratio mode this is the 2p bound, and 2*OPT at 1:1)."""
-    _, opt_value = opt_fair(g, colors, spec)
-    budgets = {color: 2 * spec.bounds[color][1] * opt_value for color in weights}
-    passes = {color: weights[color] <= budgets[color] for color in weights}
-    return MatchingBoundReport(dict(weights), opt_value, budgets, passes, all(passes.values()))

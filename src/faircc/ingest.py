@@ -2,8 +2,10 @@
 
 Edge signs come from thresholded attribute similarity: the mean over
 feature columns of an equality indicator (categorical) or 1 - |normalized
-difference| (numeric, min-max scaled). The protected attribute supplies the
-colors and is excluded from similarity.
+difference| (numeric, min-max scaled over the dataset). A pair is positive
+when its similarity reaches the threshold ``tau`` in [0, 1] of
+``build_graph(ds, tau=..., ids=...)``. The protected attribute supplies
+the colors and is excluded from similarity.
 """
 
 from __future__ import annotations
@@ -171,27 +173,16 @@ def sample(ds: TabularDataset, n, seed, balance=None) -> TabularDataset:
     return TabularDataset(tuple(ds.rows[i] for i in picked), ds.schema)
 
 
-@dataclass(frozen=True)
-class SimilarityConfig:
-    """The similarity threshold tau; numeric columns are min-max scaled
-    over the dataset."""
-
-    tau: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise InvalidInputError("tau must lie in [0, 1]")
-
-
-def build_graph(
-    ds: TabularDataset, cfg: SimilarityConfig = SimilarityConfig(), ids=None
-):
+def build_graph(ds: TabularDataset, tau=0.5, ids=None):
     """Signed complete graph plus colors from the protected attribute,
     numbered by ``ids`` (value -> color id, default color_ids(ds)).
 
     similarity(u, v) = mean over feature columns; positive sign iff
-    similarity >= tau. Deterministic, no randomness anywhere.
+    similarity >= tau, a threshold in [0, 1]. Deterministic, no randomness
+    anywhere.
     """
+    if not 0.0 <= tau <= 1.0:
+        raise InvalidInputError("tau must lie in [0, 1]")
     if ds.n < 2:
         raise InvalidInputError("need at least 2 rows to build a graph")
     features = ds.schema.feature_columns()
@@ -213,7 +204,7 @@ def build_graph(
                 col_sim = np.ones((n, n))  # constant column
         sims += col_sim
     sims /= len(features)
-    signs = np.where(sims >= cfg.tau, 1, -1).astype(np.int8)
+    signs = np.where(sims >= tau, 1, -1).astype(np.int8)
     np.fill_diagonal(signs, 0)
     g = SignedCompleteGraph(n, signs)
 

@@ -9,6 +9,7 @@ function, so instances can be shared freely between threads.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -153,15 +154,20 @@ class SignedCompleteGraph:
         return cls._from_edge_blocks(n, _edge_blocks(edges), repeat_error=ParseError)
 
 
-def _edge_blocks(edges, chunk=8192):
+# pairs per block of a parsed JSON edge list
+_EDGE_CHUNK = 8192
+
+
+def _edge_blocks(edges):
     """Yield a parsed JSON list of [u, v] integer pairs as k x 2 int64
-    blocks, emptying the list from its end so that its objects are freed
-    while the graph is built rather than after.
+    blocks of at most ``_EDGE_CHUNK`` pairs, emptying the list from its end
+    so that its objects are freed while the graph is built rather than
+    after.
 
     numpy reads a JSON boolean paired with an integer as 0 or 1, so only
     the ids equal to 0 or 1 are checked for booleans."""
     while edges:
-        start = max(len(edges) - chunk, 0)
+        start = max(len(edges) - _EDGE_CHUNK, 0)
         pairs = edges[start:]
         try:
             block = np.array(pairs)
@@ -322,7 +328,7 @@ class ColorAssignment:
     counts: tuple = field(init=False)
 
     def __post_init__(self):
-        ids = np.asarray(self.color_of)
+        ids = _id_array(self.color_of, "color ids")
         if not ids.size:
             raise InvalidInputError("empty color assignment")
         # bounds before the cast: numpy keeps an id beyond int64 as a Python int
@@ -375,6 +381,19 @@ class ColorAssignment:
         return cls([entries[v] for v in range(len(entries))])
 
 
+def _id_array(ids, noun):
+    """Per-vertex ``ids`` as an array, refused with InvalidInputError
+    unless they form one flat sequence: a scalar, a nested or a ragged
+    sequence is not one id per vertex."""
+    try:
+        ids = np.asarray(ids)
+    except ValueError:  # numpy refuses a ragged nesting of sequences
+        ids = None
+    if ids is None or ids.ndim != 1:
+        raise InvalidInputError(f"{noun} must be a flat sequence, one per vertex")
+    return ids
+
+
 def _any_negative(ids, not_integers):
     """Whether any of the nonempty ``ids`` is below 0; raise
     InvalidInputError(``not_integers``) for ids that do not compare with
@@ -394,14 +413,17 @@ class FairnessSpec:
     bounds: dict  # non-base color id -> (p, q)
 
     def __post_init__(self):
+        bounds = {}
         for color, (p, q) in self.bounds.items():
             if color == self.base_color:
                 raise InvalidInputError("base color cannot carry a bound")
-            if not (isinstance(p, int) and isinstance(q, int)):
+            # numpy's integers are registered as Integral
+            if not (isinstance(p, numbers.Integral) and isinstance(q, numbers.Integral)):
                 raise InvalidInputError("ratio bounds must be integers")
             if not 1 <= p <= q:
                 raise InvalidInputError(f"need 1 <= p <= q for color {color}")
-        object.__setattr__(self, "bounds", dict(self.bounds))
+            bounds[color] = (int(p), int(q))
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def is_exact(self):
@@ -428,7 +450,7 @@ class Clustering:
     cluster_of: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.cluster_of)
+        ids = _id_array(self.cluster_of, "cluster ids")
         if not ids.size:
             raise InvalidInputError("empty clustering")
         # bounds before the cast: numpy keeps an id beyond int64 as a Python int

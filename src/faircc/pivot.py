@@ -23,6 +23,7 @@ the one a per-seed loop keeps.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -40,6 +41,11 @@ class PivotRun:
     restarts: int = 25
 
     def __post_init__(self):
+        for name in ("seed", "restarts"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):  # numpy's integers are registered
+                raise InvalidInputError(f"pivot {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
 

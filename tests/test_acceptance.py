@@ -22,15 +22,13 @@ from faircc import (
     SignedCompleteGraph,
     check_fairness,
     disagreements,
-    matching_weight_bound_check,
     mirror_graph,
     opt_fair,
     run_algorithm,
-    run_cc,
     run_ccmerge,
-    run_wmatch,
     solve,
 )
+from faircc.baselines import run_cc, run_wmatch
 from faircc.cli import main as cli_main
 from faircc.fair_clustering import approximation_budget, build_matchings
 from faircc.pivot import PivotRun, best_of_restarts
@@ -149,8 +147,9 @@ def test_matching_weight_lemmas():
         for seed in range(reps):
             g = random_graph(sum(counts), seed * 13 + instances)
             colors = random_colors(counts, seed)
-            rep = matching_weight_bound_check(g, colors, spec, build_matchings(g, colors, spec)[1])
-            if not rep.overall_pass:
+            weights = build_matchings(g, colors, spec)[1]
+            opt = opt_fair(g, colors, spec)[1]
+            if any(w > 2 * spec.bounds[c][1] * opt for c, w in weights.items()):
                 violations += 1
             instances += 1
     ok = instances >= 200 and violations == 0

@@ -11,10 +11,9 @@ from faircc import (
     check_fairness,
     disagreements,
     run_algorithm,
-    run_cc,
     run_ccmerge,
-    run_wmatch,
 )
+from faircc.baselines import run_cc, run_wmatch
 from faircc.pivot import PivotRun
 from conftest import brute_opt, fairlets_of, random_colors, random_graph
 

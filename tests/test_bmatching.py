@@ -195,10 +195,11 @@ def test_instance_keeps_a_read_only_int64_input():
         ([[1, 2]], (1,), (2.9,), "degree bounds must be integers, got 2.9"),
         ([[1, 2]], ("1",), (2,), "degree bounds must be integers, got '1'"),
         ([[1, 2]], (1,), (float("nan"),), "degree bounds must be integers, got nan"),
+        ([[1, 2], [3]], [1, 1], [1, 1], "cost table must be a rectangular array"),
     ],
     ids=[
         "cost-half", "cost-str", "cost-nan", "cost-inf", "cost-uint64", "cost-beyond-uint64",
-        "lo-float", "hi-float", "lo-str", "hi-nan",
+        "lo-float", "hi-float", "lo-str", "hi-nan", "cost-ragged",
     ],
 )
 def test_inputs_the_cast_would_change_are_rejected(cost, lo, hi, message):

@@ -16,7 +16,7 @@ from faircc import (
     check_fairness,
     run_algorithm,
 )
-from faircc import algorithms, baselines, cli, fair_clustering, pivot
+from faircc import algorithms, baselines, cli, fair_clustering, oracle, pivot
 from faircc.pivot import PivotRun
 from faircc.cli import main, parse_spec
 from conftest import random_colors, random_graph
@@ -787,11 +787,30 @@ def test_experiment_checks_fairness_once_per_fair_cell(workspace, monkeypatch):
 
 def test_verify_builds_matchings_once_per_instance(monkeypatch, capsys):
     """The bound check and faircc of one verify instance share its
-    matchings."""
-    calls = count_calls(monkeypatch, [(fair_clustering, "build_matchings")])
+    matchings, and both bounds its one exhaustive search."""
+    calls = count_calls(monkeypatch, [(fair_clustering, "build_matchings"), (oracle, "opt_fair")])
     assert main(["verify", "--random", "3"]) == 0
-    assert calls == {"build_matchings": 3}
+    assert calls == {"build_matchings": 3, "opt_fair": 3}
     assert capsys.readouterr().out.count("PASS  cost(faircc)") == 3
+
+
+VERIFY_SEED_3 = """\
+{}  w(M_1) <= 2*1*OPT_fair: 3 <= {}
+PASS  cost(faircc) <= 13*OPT_fair: 4 <= {}
+{}  w(M_1) <= 2*1*OPT_fair: 3 <= {}
+PASS  cost(faircc) <= 13*OPT_fair: 3 <= {}
+"""
+
+
+def test_verify_checks_both_bounds_against_its_opt_fair(monkeypatch, capsys):
+    """verify prints one line per bound, each right-hand side a multiple of
+    the instance's OPT_fair: 2*q for the matching weight, the budget for
+    faircc's cost. A failed bound prints FAIL and exits 1."""
+    assert main(["verify", "--random", "2", "--max-n", "10", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == VERIFY_SEED_3.format("PASS", 4, 26, "PASS", 6, 39)
+    monkeypatch.setattr(oracle, "opt_fair", lambda g, colors, spec: (None, 1))
+    assert main(["verify", "--random", "2", "--max-n", "10", "--seed", "3"]) == 1
+    assert capsys.readouterr().out == VERIFY_SEED_3.format("FAIL", 2, 13, "FAIL", 2, 13)
 
 
 def test_base_sweep_shares_the_memo(monkeypatch):

@@ -5,7 +5,6 @@ from faircc import (
     InvalidInputError,
     ParseError,
     Schema,
-    SimilarityConfig,
     build_graph,
     load_csv,
     sample,
@@ -127,7 +126,7 @@ def test_sample_needs_at_least_one_row(n):
 
 def test_build_graph_identical_rows_positive():
     ds = make_dataset(["R", "B", "R"])  # ages differ, job constant
-    g, colors = build_graph(ds, SimilarityConfig(tau=0.0))
+    g, colors = build_graph(ds, tau=0.0)
     assert (g.signs[~(g.signs == 0)] == 1).all()
     assert colors.color_of.tolist() == [0, 1, 0]
 
@@ -138,7 +137,7 @@ def test_build_graph_all_different_rows_negative():
         for i in range(3)
     )
     ds = TabularDataset(rows, SCHEMA)
-    g, _ = build_graph(ds, SimilarityConfig(tau=0.9))
+    g, _ = build_graph(ds, tau=0.9)
     assert g.signs[0, 1] == -1 and g.signs[0, 2] == -1 and g.signs[1, 2] == -1
 
 
@@ -156,7 +155,7 @@ def test_build_graph_hand_computed_signs():
                   ("c", 20.0, "y", "B"), ("d", 40.0, "y", "B")]
     )
     ds = TabularDataset(rows, SCHEMA)
-    g, colors = build_graph(ds, SimilarityConfig(tau=0.5))
+    g, colors = build_graph(ds, tau=0.5)
     neg = {(u, v) for u in range(4) for v in range(u + 1, 4) if g.signs[u, v] < 0}
     assert neg == {(0, 2), (0, 3), (1, 2), (1, 3)}
     assert colors.color_of.tolist() == [0, 0, 1, 1]
@@ -166,7 +165,7 @@ def test_build_graph_tau_monotone():
     ds = make_dataset(["R", "B", "R", "B", "R", "B"])
     prev = None
     for tau in (0.0, 0.3, 0.6, 0.9, 1.0):
-        g, _ = build_graph(ds, SimilarityConfig(tau=tau))
+        g, _ = build_graph(ds, tau=tau)
         pos = int((g.signs > 0).sum())
         if prev is not None:
             assert pos <= prev
@@ -183,8 +182,13 @@ def test_build_graph_needs_two_rows_and_features():
 
 
 def test_similarity_config_validation():
-    with pytest.raises(InvalidInputError):
-        SimilarityConfig(tau=1.5)
+    """The threshold tau must lie in [0, 1], and is checked before the rows."""
+    ds = make_dataset(["R", "B"])
+    for tau in (1.5, -0.1, float("nan")):
+        with pytest.raises(InvalidInputError, match=r"tau must lie in \[0, 1\]"):
+            build_graph(ds, tau=tau)
+    with pytest.raises(InvalidInputError, match="tau"):
+        build_graph(make_dataset(["R"]), tau=1.5)
 
 
 def test_balanced_sample_keeps_the_ratio_color_order():
@@ -195,5 +199,5 @@ def test_balanced_sample_keeps_the_ratio_color_order():
     assert ids == {"F": 0, "M": 1}
     for seed in range(6):
         got = sample(ds, 6, seed, balance="1:2")
-        _, colors = build_graph(got, SimilarityConfig(), ids)
+        _, colors = build_graph(got, ids=ids)
         assert colors.counts == (2, 4)

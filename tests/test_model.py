@@ -600,6 +600,27 @@ def test_non_integral_ids_are_invalid_input(build, ids, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build,ids,message",
+    [
+        (ColorAssignment, [[0, 1], [1, 0]], "color ids must be a flat sequence, one per vertex"),
+        (Clustering, [[0]], "cluster ids must be a flat sequence, one per vertex"),
+        (ColorAssignment, 0, "color ids must be a flat sequence, one per vertex"),
+        (Clustering, 5, "cluster ids must be a flat sequence, one per vertex"),
+        (ColorAssignment, [[0], [1, 0]], "color ids must be a flat sequence, one per vertex"),
+        (Clustering, [0, [1]], "cluster ids must be a flat sequence, one per vertex"),
+    ],
+    ids=["colors-2d", "clustering-2d", "colors-scalar", "clustering-scalar",
+         "colors-ragged", "clustering-ragged"],
+)
+def test_ids_that_are_not_one_per_vertex_are_invalid_input(build, ids, message):
+    """A scalar or a nested sequence of ids is invalid input, refused
+    before any other check."""
+    with pytest.raises(InvalidInputError) as info:
+        build(ids)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("build", [ColorAssignment, Clustering])
 def test_integral_float_ids_are_accepted(build):
     ids = build([0.0, 1.0, 1.0])
@@ -615,6 +636,19 @@ def test_fairness_spec_validation():
     assert not spec.is_exact
     assert spec.describe() == "1:1..1:2"
     assert FairnessSpec.exact({1: 2, 2: 3}).describe() == "1:2:3"
+
+
+def test_fairness_spec_takes_integers_of_any_type():
+    """numpy integers are taken and stored as Python ints, as degree bounds
+    are; a float, even an integral one, or a str is refused."""
+    spec = FairnessSpec(0, {1: (np.int64(1), np.int64(1)), 2: (np.int32(1), 2)})
+    assert spec.bounds == {1: (1, 1), 2: (1, 2)}
+    assert all(type(x) is int for bound in spec.bounds.values() for x in bound)
+    assert spec.describe() == FairnessSpec(0, {1: (1, 1), 2: (1, 2)}).describe() == "1:1:1..1:1:2"
+    assert spec == FairnessSpec(0, {1: (1, 1), 2: (1, 2)})
+    for bad in ((1.0, 1), (1, 2.5), ("1", 1), (np.float64(1), 1)):
+        with pytest.raises(InvalidInputError, match="ratio bounds must be integers"):
+            FairnessSpec(0, {1: bad})
 
 
 def outcome(build, ids):

@@ -11,6 +11,7 @@ from faircc import (
     InvalidInputError,
     SignedCompleteGraph,
     disagreements,
+    run_algorithm,
 )
 from faircc import pivot
 from faircc.pivot import PivotRun, best_of_restarts, pivot_cluster
@@ -85,6 +86,37 @@ def test_pivot_cluster_matches_scalar_loop(neg_prob):
 def test_zero_restarts_rejected():
     with pytest.raises(InvalidInputError):
         PivotRun(0, 0)
+
+
+@pytest.mark.parametrize(
+    "seed,restarts,message",
+    [
+        (1.5, 3, "pivot seed must be an integer, got 1.5"),
+        (0, 2.5, "pivot restarts must be an integer, got 2.5"),
+        ("0", 3, "pivot seed must be an integer, got '0'"),
+        (0, None, "pivot restarts must be an integer, got None"),
+        (0, 0.0, "pivot restarts must be an integer, got 0.0"),
+    ],
+    ids=["seed-float", "restarts-float", "seed-str", "restarts-none", "restarts-integral-float"],
+)
+def test_non_integer_seed_or_restarts_rejected(seed, restarts, message):
+    with pytest.raises(InvalidInputError) as info:
+        PivotRun(seed, restarts)
+    assert str(info.value) == message
+
+
+def test_non_integer_restarts_rejected_by_the_registry():
+    with pytest.raises(InvalidInputError, match="pivot restarts must be an integer"):
+        run_algorithm("cc", all_positive(3), pivot=PivotRun(0, 2.5))
+
+
+def test_numpy_integer_seed_and_restarts_are_stored_as_ints():
+    run = PivotRun(np.int64(3), np.int32(4))
+    assert run == PivotRun(3, 4) and hash(run) == hash(PivotRun(3, 4))
+    assert type(run.seed) is int and type(run.restarts) is int
+    assert list(run.seeds) == [3, 4, 5, 6]
+    g = random_graph(7, seed=6)
+    assert best_of_restarts(g, run) == best_of_restarts(g, PivotRun(3, 4))
 
 
 def test_single_restart_equals_pivot_cluster():

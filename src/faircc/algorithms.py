@@ -4,23 +4,25 @@ five clusterings the paper compares.
 A memo dict, kept by the caller for one instance and spec, carries the
 layers that several calls share, each built on first use: the seed-free
 fairlet ids and matching weights per cost kind and base color (pair costs
-for ``faircc`` and ``wmatch``, unit costs for ``ufaircc``), the base-color
-pivot per PivotRun and base color, and the ``cc`` clustering and its cost
-per PivotRun, which ``ccmerge`` repairs. Below those it keeps the pools of
-scored pivot restarts, one for the graph and one per base color with its
-induced graph, so that PivotRuns whose seed windows overlap run and score
-each seed once. A caller that knows every PivotRun it will ask for puts the
-union of their seed windows, a PivotRun, under ``"window"``; each pool then
-runs and scores that whole window in its first pass, one lockstep pass per
-pool. Stages are called through their modules, so code that replaces one
-there (``fair_clustering.build_matchings``, ...) sees every call.
+for ``faircc`` and ``wmatch``, unit costs for ``ufaircc``), and per graph,
+the full one (``cc``, ``ccmerge``) or a base color's induced one
+(``faircc``, ``ufaircc``), its pool of scored pivot restarts and its pivot
+clustering and cost per PivotRun, all kept by ``cc_clustering``. PivotRuns
+whose seed windows overlap so run and score each seed once. A caller that
+knows every PivotRun it will ask for puts the union of their seed windows,
+a PivotRun, under ``"window"``; each pool then runs and scores that whole
+window in its first pass, one lockstep pass per pool. Stages are called
+through their modules, so code that replaces one there
+(``fair_clustering.build_matchings``, ...) sees every call.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import baselines, fair_clustering
 from .errors import FairCCError, InvalidInputError
-from .model import FairnessSpec, check_fairness, disagreements
+from .model import FairnessSpec, SignedCompleteGraph, check_fairness, disagreements
 from .pivot import PivotRun
 
 ALGORITHMS = ("cc", "wmatch", "ufaircc", "ccmerge", "faircc")
@@ -35,13 +37,20 @@ def matchings(g, colors, spec, memo, unit_costs=False) -> tuple:
     return memo[key]
 
 
-def cc_clustering(g, pivot, memo) -> tuple:
-    """run_cc(g, pivot) and its disagreements, found once per memo; the
-    cost is the kept restart's score in the graph's pool."""
-    key = ("cc", pivot)
+def cc_clustering(g, pivot, memo, colors=None, base=None) -> tuple:
+    """run_cc(pivot) and its disagreements, found once per memo, on ``g``
+    or, with ``colors`` and ``base``, on the graph that base color induces
+    (built once per memo), one label per base vertex in vertex order; the
+    cost is the kept restart's score in that graph's pool."""
+    key = ("cc", base, pivot)
     if key not in memo:
-        pool = memo.setdefault("restarts", {})
-        clustering = baselines.run_cc(g, pivot, pool, memo.get("window"))
+        if ("restarts", base) not in memo:
+            if base is not None:
+                lefts = colors.vertices_of(base)
+                g = SignedCompleteGraph(len(lefts), g.signs[np.ix_(lefts, lefts)])
+            memo[("restarts", base)] = g, {}
+        graph, pool = memo[("restarts", base)]
+        clustering = baselines.run_cc(graph, pivot, pool, memo.get("window"))
         memo[key] = clustering, min(pool[seed][0] for seed in pivot.seeds)
     return memo[key]
 
@@ -68,6 +77,8 @@ def run_algorithm(
         return cc_clustering(g, pivot, memo)[0]
     if colors is None or spec is None:
         raise InvalidInputError(f"algorithm {algo!r} needs colors and a fairness spec")
+    if colors.n != g.n:
+        raise InvalidInputError(f"colors cover {colors.n} vertices but the graph has {g.n}")
     if algo == "ccmerge":
         clustering = baselines.run_ccmerge(g, colors, spec, cc_clustering(g, pivot, memo)[0])
     elif try_all_bases:
@@ -82,13 +93,8 @@ def run_algorithm(
         if algo == "wmatch":
             clustering = baselines.run_wmatch(fairlets)
         else:
-            key = ("base", pivot, spec.base_color)
-            if key not in memo:
-                pool = memo.setdefault(("base restarts", spec.base_color), {})
-                memo[key] = fair_clustering.pivot_base(
-                    g, colors, spec, pivot, pool, memo.get("window")
-                )
-            clustering = fair_clustering.run_pipeline(fairlets, memo[key])
+            base = cc_clustering(g, pivot, memo, colors, spec.base_color)[0]
+            clustering = fair_clustering.run_pipeline(fairlets, base)
     report = check_fairness(colors, clustering, spec)
     if not report.overall_pass:
         raise FairCCError(

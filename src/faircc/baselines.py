@@ -27,9 +27,10 @@ from .pivot import PivotRun, best_of_restarts
 def run_cc(
     g: SignedCompleteGraph, pivot: PivotRun = PivotRun(), scored=None, window=None
 ) -> Clustering:
-    """Unconstrained best-of-restarts pivot clustering; no fairness
-    guarantee. ``scored`` is the graph's pool of scored restarts and
-    ``window`` the seeds its first pass runs, as in ``best_of_restarts``."""
+    """Unconstrained best-of-restarts pivot clustering, the ``cc`` baseline
+    and, on the base color's graph, faircc's second stage. ``scored`` is the
+    graph's pool of scored restarts and ``window`` the seeds its first pass
+    runs, as in ``best_of_restarts``."""
     return best_of_restarts(g, pivot, scored, window)
 
 

@@ -1,12 +1,14 @@
 """Fairlet pipeline: pair costs, the per-color b-matchings that give the
-fairlet ids, pivot clustering on the base color, and attachment.
+fairlet ids, and attachment of the fairlets to a clustering of the base
+color.
 
 The stages take values, so a caller that runs several of them on one
 instance (the registry ``algorithms.run_algorithm`` and its memo) builds
-each seed-free or per-seed layer once: ``build_matchings`` is the
-seed-free fairlet stage, ``pivot_base`` is seeded, and ``run_pipeline``
-attaches the fairlets to the base clusters. ``approximation_budget`` is
-the pipeline's guarantee against the fair optimum.
+each layer once: ``build_matchings`` is the seed-free fairlet stage, and
+``run_pipeline`` attaches the fairlets to the base clusters, which the
+registry finds as it finds every pivot clustering, by ``cc`` on the graph
+the base color induces. ``approximation_budget`` is the pipeline's
+guarantee against the fair optimum.
 
 ``build_matchings`` also returns every matching weight w(M_i), which the
 paper's lemma bounds by 2*q_i*OPT_fair. The module computes no optimum:
@@ -24,14 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bmatching import BMatchingInstance, solve
-from .model import (
-    Clustering,
-    ColorAssignment,
-    FairnessSpec,
-    SignedCompleteGraph,
-    check_spec,
-)
-from .pivot import best_of_restarts
+from .model import Clustering, ColorAssignment, FairnessSpec, SignedCompleteGraph, check_spec
 
 
 def pair_cost_table(g: SignedCompleteGraph, lefts, rights) -> np.ndarray:
@@ -85,22 +80,6 @@ def build_matchings(
         weights[color] = matching.weight
     fairlets.setflags(write=False)
     return fairlets, weights
-
-
-def pivot_base(g, colors, spec, pivot, pool=None, window=None) -> Clustering:
-    """The seeded second stage: best-of-restarts pivot on the graph induced
-    by the base color, one label per base vertex in vertex order.
-
-    ``pool``, a dict the caller keeps for one instance and base color,
-    holds the induced graph and its scored restarts from the first call
-    on, so that later calls build neither again; ``window`` names the seeds
-    the pool's first pass runs (see ``best_of_restarts``)."""
-    pool = {} if pool is None else pool
-    if not pool:
-        lefts = colors.vertices_of(spec.base_color)
-        pool["graph"] = SignedCompleteGraph(len(lefts), g.signs[np.ix_(lefts, lefts)])
-        pool["scored"] = {}
-    return best_of_restarts(pool["graph"], pivot, pool["scored"], window)
 
 
 def run_pipeline(fairlets, base: Clustering) -> Clustering:

@@ -413,16 +413,22 @@ class FairnessSpec:
     bounds: dict  # non-base color id -> (p, q)
 
     def __post_init__(self):
+        for color in (self.base_color, *self.bounds):  # numpy's integers are Integral
+            if not (isinstance(color, numbers.Integral) and color >= 0):
+                raise InvalidInputError(f"color ids must be nonnegative integers, got {color!r}")
         bounds = {}
-        for color, (p, q) in self.bounds.items():
+        for color, bound in self.bounds.items():
             if color == self.base_color:
                 raise InvalidInputError("base color cannot carry a bound")
-            # numpy's integers are registered as Integral
+            if not (isinstance(bound, (tuple, list)) and len(bound) == 2):
+                raise InvalidInputError(f"color {color}: bound {bound!r} is not a pair (p, q)")
+            p, q = bound
             if not (isinstance(p, numbers.Integral) and isinstance(q, numbers.Integral)):
                 raise InvalidInputError("ratio bounds must be integers")
             if not 1 <= p <= q:
                 raise InvalidInputError(f"need 1 <= p <= q for color {color}")
-            bounds[color] = (int(p), int(q))
+            bounds[int(color)] = (int(p), int(q))
+        object.__setattr__(self, "base_color", int(self.base_color))
         object.__setattr__(self, "bounds", bounds)
 
     @property
@@ -536,8 +542,9 @@ def disagreements(g: SignedCompleteGraph, c: Clustering) -> int:
 # slots (vertices of one row) counted at a time: a block copies the member
 # words and the positive words of its slots
 _POPCOUNT_ROWS = 1024
-# clusters whose member masks are built at a time, each a bool row of n
-_MEMBER_CLUSTERS = 256
+# bytes of the member masks built at a time, one bool row per cluster: 256
+# clusters at n = 6400, and as many clusters as fit, at least one, at any n
+_MEMBER_BYTES = 256 * 6400
 # the SWAR popcount's masks and shifts, 0-d uint64 arrays: numpy 1.x turns
 # a uint64 mixed with a Python int into float64, and a ufunc takes a 0-d
 # array faster than a scalar
@@ -560,9 +567,9 @@ def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> np.ndarr
     the vertex's positive partners inside its cluster, so the popcounts of
     one row's slots sum to 2 * P_within.
 
-    With more than ``_MEMBER_CLUSTERS`` clusters over all rows, the masks
-    are built for one block of clusters at a time, over the slots of those
-    clusters; a block can span rows."""
+    When the masks of all clusters over all rows take more than
+    ``_MEMBER_BYTES``, they are built for one block of clusters at a time,
+    over the slots of those clusters; a block can span rows."""
     rows, n = labels.shape
     ids, firsts = labels.ravel(), (0,)  # each row's first id
     if rows > 1:
@@ -570,12 +577,13 @@ def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> np.ndarr
         firsts = np.cumsum(counts) - counts
         ids = (labels + firsts[:, None]).ravel()
     sizes = np.bincount(ids)
-    if len(sizes) <= _MEMBER_CLUSTERS:
+    step = max(1, _MEMBER_BYTES // (8 * g.positive_bits.shape[1]))  # clusters per block
+    if len(sizes) <= step:
         partners = _positive_partners(g, ids, len(sizes), None)
     else:
         partners = np.empty(ids.size, np.int64)
-        for first in range(0, len(sizes), _MEMBER_CLUSTERS):
-            last = min(first + _MEMBER_CLUSTERS, len(sizes))
+        for first in range(0, len(sizes), step):
+            last = min(first + step, len(sizes))
             # the clusters first .. last-1 lie in consecutive rows
             top, bottom = np.searchsorted(firsts, (first, last - 1), side="right") - 1
             span = ids[top * n : (bottom + 1) * n]

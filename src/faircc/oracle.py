@@ -151,7 +151,10 @@ def opt_cc(g: SignedCompleteGraph):
 
 def opt_fair(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec):
     """Exhaustive minimum over partitions whose every block passes the
-    fairness check; a spec that fails check_spec raises first."""
+    fairness check; colors that do not cover the graph, then a spec that
+    fails check_spec, raise first."""
+    if colors.n != g.n:
+        raise InvalidInputError(f"colors cover {colors.n} vertices but the graph has {g.n}")
     check_spec(colors, spec)
     _check_size(g.n)
     cost, assign = best_partition(g, colors, spec)

@@ -723,20 +723,19 @@ def count_calls(monkeypatch, targets):
 
 def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     """Five algorithms by five seeds: two matching builds (pair costs and
-    unit costs), one cc clustering per seed, which ccmerge reuses, and one
-    base-color pivot per seed, which faircc and ufaircc share. The seed
-    windows 0..4, 1..5, ..., 4..8 overlap, so each graph, the full one and
-    the base color's induced one (built once), runs every seed 0..8 once,
-    in one pivot pass. The cc rows take their cost from the restart pool,
-    so only the 20 other rows score their clustering."""
+    unit costs), one cc clustering per seed on the full graph, which
+    ccmerge reuses, and one per seed on the base color's induced graph
+    (built once), which faircc and ufaircc share, all through run_cc. The
+    seed windows 0..4, 1..5, ..., 4..8 overlap, so each graph runs every
+    seed 0..8 once, in one pivot pass. The cc rows take their cost from the
+    restart pool, so only the 20 other rows score their clustering."""
     calls = count_calls(
         monkeypatch,
         [
             (fair_clustering, "build_matchings"),
             (baselines, "run_cc"),
-            (fair_clustering, "best_of_restarts"),
             (baselines, "best_of_restarts"),
-            (fair_clustering, "SignedCompleteGraph"),
+            (algorithms, "SignedCompleteGraph"),
             (cli, "disagreements"),
         ],
     )
@@ -757,7 +756,7 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     )
     assert rc == 0
     assert calls == {
-        "build_matchings": 2, "run_cc": 5, "best_of_restarts": 10, "SignedCompleteGraph": 1,
+        "build_matchings": 2, "run_cc": 10, "best_of_restarts": 10, "SignedCompleteGraph": 1,
         "disagreements": 20,
     }
     # one pass per graph, of runs + restarts - 1 seeds

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircc import (
+    ALGORITHMS,
     BMatchingInstance,
     ColorAssignment,
     FairnessSpec,
@@ -24,7 +25,6 @@ from faircc.fair_clustering import (
     build_matchings,
     check_spec,
     pair_cost_table,
-    pivot_base,
     run_pipeline,
 )
 from faircc.pivot import PivotRun
@@ -304,17 +304,19 @@ def test_fair_cc_pinned_labels():
 
 def test_two_stages_compose_to_fair_cc():
     """The fairlet stage is seed-free and the base pivot is seeded: one
-    fairlet build serves every seed, and run_pipeline on the stages gives
-    faircc's clustering."""
+    fairlet build serves every seed, and run_pipeline on the fairlets and
+    run_cc on the graph the base color induces gives faircc's clustering."""
     g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
     spec = FairnessSpec.exact({1: 1, 2: 1})
     fairlets, _ = build_matchings(g, colors, spec)
     assert not fairlets.flags.writeable
     assert fairlets.tolist() == reference_fairlets(g, colors, spec)[0].tolist()
-    assert fairlets[colors.vertices_of(0)].tolist() == list(range(8))
+    lefts = colors.vertices_of(0)
+    assert fairlets[lefts].tolist() == list(range(8))
+    induced = SignedCompleteGraph(8, g.signs[np.ix_(lefts, lefts)])
     for seed in range(4):
         pivot = PivotRun(seed, 5)
-        base = pivot_base(g, colors, spec, pivot)
+        base = run_cc(induced, pivot)
         assert base.n == 8
         c = run_pipeline(fairlets, base)
         assert c == run_algorithm("faircc", g, colors, spec, pivot)
@@ -366,6 +368,58 @@ def test_fairness_invariant_over_random_specs(instance, seed):
     for color, (p, q) in spec.bounds.items():
         partners = np.bincount(fairlets[colors.vertices_of(color)], minlength=len(lefts))
         assert p <= partners.min() and partners.max() <= q, color
+
+
+@st.composite
+def memo_orders(draw):
+    """(graph, colors, spec, cells): an instance from fair_instances or one
+    whose every ratio is 1:1, and 1 to 10 cells ((algo, try_all_bases),
+    seed) over seeds 0..3, faircc with try_all_bases among the algorithms
+    when every ratio is 1:1."""
+    if draw(st.booleans()):
+        g, colors, spec = draw(fair_instances())
+    else:
+        num_colors, lefts = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+        base, seed = draw(st.integers(0, num_colors - 1)), draw(st.integers(0, 2**32 - 1))
+        colors = random_colors([lefts] * num_colors, seed)
+        g = random_graph(colors.n, seed, draw(st.sampled_from([0.1, 0.5, 0.9])))
+        spec = FairnessSpec.exact({c: 1 for c in range(num_colors) if c != base}, base)
+    algos = [(algo, False) for algo in ALGORITHMS]
+    if all(bounds == (1, 1) for bounds in spec.bounds.values()):
+        algos.append(("faircc", True))
+    cell = st.tuples(st.sampled_from(algos), st.integers(0, 3))
+    return g, colors, spec, draw(st.lists(cell, min_size=1, max_size=10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(memo_orders())
+def test_one_memo_gives_every_cell_its_fresh_clustering(case):
+    """Cells in any order through one memo, whose window covers every
+    cell's seeds, give the clustering a fresh memo gives: the full graph's
+    restart pool and each base color's never mix."""
+    g, colors, spec, cells = case
+    seeds = [seed for _, seed in cells]
+    memo = {"window": PivotRun(min(seeds), max(seeds) - min(seeds) + 3)}
+    for (algo, try_all_bases), seed in cells:
+        pivot = PivotRun(seed, 3)
+        shared = run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases)
+        fresh = run_algorithm(algo, g, colors, spec, pivot, {}, try_all_bases)
+        assert shared == fresh, (algo, try_all_bases, seed)
+
+
+@pytest.mark.parametrize("n_colored", [6, 2])
+@pytest.mark.parametrize("entry", ["faircc", "wmatch", "ufaircc", "ccmerge", "opt_fair"])
+def test_colors_must_cover_the_graph(entry, n_colored):
+    """Every fair entry point refuses colors for more or fewer vertices
+    than the graph has with one InvalidInputError naming both counts."""
+    g, colors = random_graph(4, 5), ColorAssignment(np.arange(n_colored) % 2)
+    spec = FairnessSpec.exact({1: 1})
+    message = f"colors cover {n_colored} vertices but the graph has 4"
+    with pytest.raises(InvalidInputError, match=message):
+        if entry == "opt_fair":
+            opt_fair(g, colors, spec)
+        else:
+            run_algorithm(entry, g, colors, spec)
 
 
 @settings(max_examples=60, deadline=None)

@@ -380,10 +380,11 @@ def test_disagreements_in_row_blocks_match_the_reference():
 
 
 def test_disagreements_in_cluster_blocks_match_the_reference():
-    """The same property with the member masks built 3 clusters at a time,
-    and then with the popcount also taken 2 rows at a time, so that the
-    members of one block of clusters cross row blocks."""
-    with mock.patch.object(model, "_MEMBER_CLUSTERS", 3):
+    """The same property with the member masks built 192 bytes, so 3
+    clusters of up to 64 vertices, at a time, and then with the popcount
+    also taken 2 rows at a time, so that the members of one block of
+    clusters cross row blocks."""
+    with mock.patch.object(model, "_MEMBER_BYTES", 192):
         test_disagreements_matches_the_reference()
         with mock.patch.object(model, "_POPCOUNT_ROWS", 2):
             test_disagreements_matches_the_reference()
@@ -425,10 +426,11 @@ def test_batched_costs_match_the_reference(case):
 
 
 def test_batched_costs_in_small_blocks_match_the_reference():
-    """The same property with the member masks built 3 clusters at a time
-    and the popcount taken 5 slots at a time, so that blocks of clusters
-    and of slots cross the boundaries between rows."""
-    with mock.patch.object(model, "_MEMBER_CLUSTERS", 3), mock.patch.object(
+    """The same property with the member masks built 192 bytes at a time,
+    3 clusters of rows up to 64 wide and 1 of wider rows, and the popcount
+    taken 5 slots at a time, so that blocks of clusters and of slots cross
+    the boundaries between rows."""
+    with mock.patch.object(model, "_MEMBER_BYTES", 192), mock.patch.object(
         model, "_POPCOUNT_ROWS", 5
     ):
         test_batched_costs_match_the_reference()
@@ -649,6 +651,27 @@ def test_fairness_spec_takes_integers_of_any_type():
     for bad in ((1.0, 1), (1, 2.5), ("1", 1), (np.float64(1), 1)):
         with pytest.raises(InvalidInputError, match="ratio bounds must be integers"):
             FairnessSpec(0, {1: bad})
+    spec = FairnessSpec(np.int64(1), {np.int32(0): [1, np.int8(2)]})
+    assert spec.base_color == 1 and spec.bounds == {0: (1, 2)}
+    assert type(spec.base_color) is int and all(type(c) is int for c in spec.bounds)
+
+
+@pytest.mark.parametrize(
+    "base, bounds, message",
+    [
+        (0, {1: 1}, "color 1: bound 1 is not a pair (p, q)"),
+        (0, {1: (1, 2, 3)}, "color 1: bound (1, 2, 3) is not a pair (p, q)"),
+        (0, {1: "12"}, "color 1: bound '12' is not a pair (p, q)"),
+        (0.5, {1: (1, 1)}, "color ids must be nonnegative integers, got 0.5"),
+        (-1, {1: (1, 1)}, "color ids must be nonnegative integers, got -1"),
+        (0, {"a": (1, 1)}, "color ids must be nonnegative integers, got 'a'"),
+        (0, {-2: (1, 1)}, "color ids must be nonnegative integers, got -2"),
+    ],
+)
+def test_fairness_spec_refuses_malformed_ids_and_bounds(base, bounds, message):
+    with pytest.raises(InvalidInputError) as info:
+        FairnessSpec(base, bounds)
+    assert str(info.value) == message
 
 
 def outcome(build, ids):

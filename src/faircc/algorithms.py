@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, fair_clustering
 from .errors import FairCCError, InvalidInputError
-from .model import FairnessSpec, SignedCompleteGraph, check_fairness, disagreements
+from .model import FairnessSpec, SignedCompleteGraph, check_fairness, check_spec, disagreements
 from .pivot import PivotRun
 
 ALGORITHMS = ("cc", "wmatch", "ufaircc", "ccmerge", "faircc")
@@ -61,9 +61,9 @@ def run_algorithm(
     """The clustering ``algo`` finds on one instance; ``cc`` needs only the
     graph, the fair algorithms also ``colors`` and ``spec``.
 
-    With ``try_all_bases`` (``faircc`` only, every ratio 1:1) faircc runs
-    once per candidate base color and keeps the cheapest result, ties to the
-    smallest base color.
+    With ``try_all_bases`` (``faircc`` only, every ratio 1:1, a spec that
+    check_spec accepts) faircc runs once per candidate base color and keeps
+    the cheapest result, ties to the smallest base color.
 
     A fair algorithm never returns a clustering that breaks ``spec``; it
     raises FairCCError naming the algorithm, the seed and the unfair clusters.
@@ -84,6 +84,7 @@ def run_algorithm(
     elif try_all_bases:
         if any(bounds != (1, 1) for bounds in spec.bounds.values()):
             raise InvalidInputError("try_all_bases requires all ratios 1:1")
+        check_spec(colors, spec)
         bases = range(colors.num_colors)
         specs = [FairnessSpec.exact({c: 1 for c in bases if c != base}, base) for base in bases]
         results = [run_algorithm("faircc", g, colors, one, pivot, memo) for one in specs]

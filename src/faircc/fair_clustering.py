@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bmatching import BMatchingInstance, solve
+from .errors import InvalidInputError
 from .model import Clustering, ColorAssignment, FairnessSpec, SignedCompleteGraph, check_spec
 
 
@@ -97,6 +98,8 @@ def approximation_budget(spec: FairnessSpec, num_colors: int) -> int:
     pipeline: (q^2+2q)*alpha + 4q^2 for two colors, and the multi-color
     charging constant otherwise, with alpha = ``_PIVOT_RATIO``."""
     qs = [q for _, q in spec.bounds.values()]
+    if not qs:
+        raise InvalidInputError("approximation_budget needs a spec that bounds a color")
     qmax = max(qs)
     if num_colors == 2:
         return (qmax * qmax + 2 * qmax) * _PIVOT_RATIO + 4 * qmax * qmax

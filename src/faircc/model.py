@@ -545,16 +545,6 @@ _POPCOUNT_ROWS = 1024
 # bytes of the member masks built at a time, one bool row per cluster: 256
 # clusters at n = 6400, and as many clusters as fit, at least one, at any n
 _MEMBER_BYTES = 256 * 6400
-# the SWAR popcount's masks and shifts, 0-d uint64 arrays: numpy 1.x turns
-# a uint64 mixed with a Python int into float64, and a ufunc takes a 0-d
-# array faster than a scalar
-_M1, _M2, _M4, _H01, _ONE, _TWO, _FOUR, _TOP = (
-    np.array(value, np.uint64)
-    for value in (
-        0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101,
-        1, 2, 4, 56,
-    )
-)
 
 
 def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> np.ndarray:
@@ -579,7 +569,7 @@ def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> np.ndarr
     sizes = np.bincount(ids)
     step = max(1, _MEMBER_BYTES // (8 * g.positive_bits.shape[1]))  # clusters per block
     if len(sizes) <= step:
-        partners = _positive_partners(g, ids, len(sizes), None)
+        partners = _positive_partners(g, ids, len(sizes), np.arange(ids.size))
     else:
         partners = np.empty(ids.size, np.int64)
         for first in range(0, len(sizes), step):
@@ -597,48 +587,22 @@ def _label_disagreements(g: SignedCompleteGraph, labels: np.ndarray) -> np.ndarr
 
 def _positive_partners(g, ids, clusters, slots):
     """The positive partners inside its cluster of the vertex of every slot
-    r * n + v in ``slots`` (every slot in order when None), whose cluster
-    ids ``ids`` lie in 0 .. clusters-1, as int64 counts. The popcount runs
-    over blocks of ``_POPCOUNT_ROWS`` slots, two word arrays at a time."""
-    n = g.n
+    r * n + v in ``slots``, whose cluster ids ``ids`` lie in
+    0 .. clusters-1, as int64 counts. The popcount runs over blocks of
+    ``_POPCOUNT_ROWS`` slots."""
     members = np.zeros((clusters, g.positive_bits.shape[1] * 8), bool)
-    if slots is None:
-        members[ids.reshape(-1, n), np.arange(n)] = True
-    else:
-        members[ids, slots % n] = True
+    members[ids, slots % g.n] = True
     packed = np.packbits(members, axis=1).view(np.uint64)
     del members  # before the word blocks are made
     positive = g.positive_bits.view(np.uint64)
-    partners = np.empty(len(ids), np.uint64)
+    partners = np.empty(len(ids), np.int64)
     for start in range(0, len(ids), _POPCOUNT_ROWS):
         stop = start + _POPCOUNT_ROWS
         words = packed.take(ids[start:stop], axis=0)
-        block = np.arange(start, min(stop, len(ids))) if slots is None else slots[start:stop]
-        spare = positive.take(block, axis=0, mode="wrap")  # a slot r * n + v wraps to v
-        words &= spare
-        np.add.reduce(_popcount(words, spare), axis=1, out=partners[start:stop])
-        del words, spare  # before the next block's are made
-    return partners.view(np.int64)  # each count is below 2**63
-
-
-def _popcount(words, spare):
-    """The set bits of each uint64 in ``words``, counted in place by SWAR
-    with ``spare``, a scratch array of the same shape: bit pairs, then
-    nibbles, then bytes hold their counts, and a multiply sums the bytes
-    into the top one."""
-    np.right_shift(words, _ONE, out=spare)
-    spare &= _M1
-    words -= spare
-    np.right_shift(words, _TWO, out=spare)
-    spare &= _M2
-    words &= _M2
-    words += spare
-    np.right_shift(words, _FOUR, out=spare)
-    words += spare
-    words &= _M4
-    words *= _H01
-    words >>= _TOP
-    return words
+        words &= positive.take(slots[start:stop], axis=0, mode="wrap")  # r * n + v wraps to v
+        partners[start:stop] = np.bitwise_count(words).sum(axis=1)
+        del words  # before the next block's are made
+    return partners
 
 
 def _color_counts(colors: ColorAssignment, c: Clustering) -> np.ndarray:

@@ -325,10 +325,13 @@ def test_exit_code_graph_too_large(workspace, capsys, n):
     assert f"n={n}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algo", ["faircc", "wmatch", "ufaircc", "ccmerge"])
+@pytest.mark.parametrize(
+    "algo", ["faircc", "wmatch", "ufaircc", "ccmerge", "faircc --try-all-bases"]
+)
 def test_exit_code_spec_misses_a_color(workspace, capsys, algo):
     """A two-color ratio on a three-color instance is one infeasible spec
-    for every fair algorithm."""
+    for every fair algorithm and for faircc's base sweep, which checks the
+    1:1 spec it is given before it builds one per base color."""
     g = random_graph(6, 0)
     (workspace / "g.json").write_text(g.to_json())
     (workspace / "c.csv").write_text(random_colors((2, 2, 2), 0).to_csv())
@@ -337,7 +340,7 @@ def test_exit_code_spec_misses_a_color(workspace, capsys, algo):
             "cluster",
             "--graph", str(workspace / "g.json"),
             "--colors", str(workspace / "c.csv"),
-            "--algo", algo,
+            "--algo", *algo.split(),
             "--ratio", "1:1",
             "--out-clustering", str(workspace / "c.json"),
             "--out-result", str(workspace / "r.json"),

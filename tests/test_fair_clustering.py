@@ -272,6 +272,22 @@ def test_try_all_bases_never_worse():
             FairnessSpec(0, {1: (1, 2)}),
             try_all_bases=True,
         )
+    # a 1:1 spec that omits a color is refused as without the sweep, not
+    # swept into the 1:1:1 problem on every color
+    with pytest.raises(InfeasibleSpecError, match="spec must bound every non-base color"):
+        run_algorithm(
+            "faircc",
+            random_graph(9, 1),
+            random_colors((3, 3, 3), 0),
+            FairnessSpec.exact({1: 1}),
+            try_all_bases=True,
+        )
+
+
+def test_approximation_budget_needs_a_bounded_color():
+    """A spec that bounds no color is valid, but has no budget."""
+    with pytest.raises(InvalidInputError, match="bounds a color"):
+        approximation_budget(FairnessSpec(0, {}), 1)
 
 
 

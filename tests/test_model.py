@@ -364,8 +364,17 @@ def objective_cases(draw):
     return g, Clustering.from_labels(labels)
 
 
+# whole 64-bit words: every member and positive word all ones, bit 63 too,
+# then two words per row, all ones or one bit each
+ALL_POSITIVE_64 = SignedCompleteGraph.from_negative_edges(64, [])
+ALL_POSITIVE_128 = SignedCompleteGraph.from_negative_edges(128, [])
+
+
 @settings(max_examples=400, deadline=None)
 @given(objective_cases())
+@example((ALL_POSITIVE_64, Clustering.from_labels([0] * 64)))
+@example((ALL_POSITIVE_128, Clustering.from_labels([0] * 128)))
+@example((ALL_POSITIVE_128, Clustering.from_labels(range(128))))
 def test_disagreements_matches_the_reference(case):
     """The packed count equals the n x n compare it replaced."""
     g, c = case
@@ -415,6 +424,8 @@ def label_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(label_matrices())
+@example((ALL_POSITIVE_64, np.zeros((1, 64), np.int64)))
+@example((ALL_POSITIVE_128, np.array([np.zeros(128, np.int64), np.arange(128)])))
 def test_batched_costs_match_the_reference(case):
     """One call scores every row of a label matrix as the n x n compare
     scores that row alone."""

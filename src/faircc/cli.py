@@ -271,9 +271,11 @@ def _print_check(label, lhs, rel, rhs):
 
 def _verify_instance(g, colors, spec, pivot):
     ok = True
+    # opt_fair checks the colors, the spec and the oracle's size cap before
+    # any matcher work
+    _, opt = oracle.opt_fair(g, colors, spec)
     memo = {}
     _, weights = matchings(g, colors, spec, memo)
-    _, opt = oracle.opt_fair(g, colors, spec)
     # the matching lemma, with q = p in exact-ratio mode
     for color in sorted(weights):
         q = spec.bounds[color][1]

@@ -31,9 +31,13 @@ class Schema:
 
     def __post_init__(self):
         cols = tuple((str(n), str(k)) for n, k in self.columns)
+        seen = set()
         for name, kind in cols:
             if kind not in KINDS:
                 raise ParseError(f"unknown column kind {kind!r} for {name!r}")
+            if name in seen:
+                raise ParseError(f"column {name!r} is named twice")
+            seen.add(name)
         if sum(1 for _, k in cols if k == "protected") != 1:
             raise ParseError("schema needs exactly one protected column")
         object.__setattr__(self, "columns", cols)

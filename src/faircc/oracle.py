@@ -86,16 +86,22 @@ def best_partition(g: SignedCompleteGraph, colors=None, spec=None):
         """False when no placement of v+1..n-1 makes every block fair."""
         after = left[v + 1]
         spare = after[base]
-        blocks = hist[:num_blocks]
-        if sum(h[base] == 0 for h in blocks) > spare:
+        bare = 0
+        for b in range(num_blocks):
+            if not hist[b][base]:
+                bare += 1
+        if bare > spare:
             return False
         for c, (p, q) in bounds:
             short = 0
-            for h in blocks:
-                if h[c] > q * (h[base] + spare):
+            for b in range(num_blocks):
+                h = hist[b]
+                n1, n_c = h[base], h[c]
+                if n_c > q * (n1 + spare):
                     return False
-                if p * h[base] > h[c]:
-                    short += p * h[base] - h[c]
+                lack = p * n1 - n_c
+                if lack > 0:
+                    short += lack
             if short > after[c]:
                 return False
         return True
@@ -108,19 +114,23 @@ def best_partition(g: SignedCompleteGraph, colors=None, spec=None):
         if v == n:
             best_cost, best_assign = cost, list(assign)
             return
+        rest = v + 1
         to_come = 0
         if num_blocks:
-            cheapest = list(map(min, zeros, *extra))
-            to_come = sum(pos_in[v + 1 :]) + sum(cheapest[v + 1 :])
+            to_come = sum(pos_in[rest:]) + sum(map(min, zeros[rest:], *(x[rest:] for x in extra)))
+        joined = cost + pos_in[v]
+        if fair:
+            color = color_of[v]
         child_pos_in = None
-        for b in range(min(num_blocks + 1, max_blocks)):
-            new_cost = cost + pos_in[v] + (extra[b][v] if b < num_blocks else 0)
+        for b in range(num_blocks + 1 if num_blocks < max_blocks else max_blocks):
+            new_cost = joined + extra[b][v] if b < num_blocks else joined
             if best_cost >= 0 and new_cost + to_come >= best_cost:
                 continue
             if fair:
-                hist[b][color_of[v]] += 1
-                if not can_be_fair(v, max(num_blocks, b + 1)):
-                    hist[b][color_of[v]] -= 1
+                h = hist[b]
+                h[color] += 1
+                if not can_be_fair(v, num_blocks if b < num_blocks else b + 1):
+                    h[color] -= 1
                     continue
             assign[v] = b
             if child_pos_in is None:
@@ -135,7 +145,7 @@ def best_partition(g: SignedCompleteGraph, colors=None, spec=None):
                 walk(v + 1, num_blocks + 1, new_cost, child_pos_in, extra)
                 extra.pop()
             if fair:
-                hist[b][color_of[v]] -= 1
+                h[color] -= 1
 
     walk(0, 0, 0, zeros, [])
     return best_cost, best_assign

@@ -448,6 +448,23 @@ def test_exit_code_oracle_limit(workspace, capsys):
     assert rc == 4
 
 
+def test_verify_refuses_an_oversized_instance_before_the_matchings(workspace, monkeypatch, capsys):
+    """verify checks the oracle's size cap before any matcher work."""
+    (workspace / "big.json").write_text(random_graph(12, 0).to_json())
+    (workspace / "big.csv").write_text("".join(f"{v},{v % 2}\n" for v in range(12)))
+    calls = count_calls(monkeypatch, [(fair_clustering, "build_matchings")])
+    rc = main(
+        [
+            "verify",
+            "--graph", str(workspace / "big.json"),
+            "--colors", str(workspace / "big.csv"),
+            "--ratio", "1:1",
+        ]
+    )
+    assert rc == 4 and calls == {"build_matchings": 0}
+    assert "n=12 exceeds oracle limit 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", ["abc", "0", "-3"])
 def test_malformed_oracle_cap_exits_1(monkeypatch, capsys, cap):
     monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", cap)

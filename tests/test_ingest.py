@@ -77,6 +77,11 @@ def test_schema_validation():
     assert s.protected_column == "g"
     with pytest.raises(ParseError):
         Schema.from_json("not json")
+    for kinds in (("numeric", "protected"), ("protected", "numeric")):
+        with pytest.raises(ParseError, match="column 'a' is named twice"):
+            Schema.from_json(
+                '{"columns": [{"name": "a", "kind": "%s"}, {"name": "a", "kind": "%s"}]}' % kinds
+            )
 
 
 def make_dataset(groups):

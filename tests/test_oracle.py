@@ -142,6 +142,25 @@ def test_search_matches_the_reference_at_n10(seed):
     colors = random_colors((5, 5), seed)
     spec = FairnessSpec.exact({1: 1})
     assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
+    assert best_partition(g) == reference_best_partition(g)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "counts,bounds",
+    [
+        ((4, 8), {1: (1, 2)}),
+        ((4, 4, 4), {1: (1, 1), 2: (1, 1)}),
+        ((3, 4, 5), {1: (1, 2), 2: (1, 2)}),
+        ((6, 6), {1: (1, 1)}),
+    ],
+    ids=["4:8-interval", "4:4:4-exact", "3:4:5-interval", "6:6-exact"],
+)
+def test_search_matches_the_reference_at_n12(counts, bounds, seed):
+    g = random_graph(12, seed + 700)
+    colors = random_colors(counts, seed)
+    spec = FairnessSpec(0, bounds)
+    assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
 
 
 def test_opt_cc_extremes():

@@ -73,42 +73,46 @@ def _algorithm_list(text):
 
 
 def _read(path):
-    """Text of an input file; one that cannot be read is a ParseError."""
+    """Text of a UTF-8 input file; one that cannot be read or decoded is a
+    ParseError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
 
 
-def _check_out_dirs(*paths):
-    """Raise a ParseError, before any input is read, for an output path
-    whose directory does not exist."""
-    for path in paths:
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ParseError(f"cannot write {path}: no such directory")
+# The types below raise ParseError, which argparse passes through, not
+# ArgumentTypeError, so their messages carry no "argument --flag:" prefix.
+def _out_path(path):
+    """argparse type: an output path whose directory exists, so a run
+    refuses it before any input is read."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ParseError(f"cannot write {path}: no such directory")
+    return path
 
 
-def parse_spec(ratio, bounds):
-    """--ratio '1:p[:p3...]' or --bounds '1:p[:p3...]..1:q[:q3...]'."""
-    if ratio and bounds:
-        raise ParseError("--ratio and --bounds are mutually exclusive")
-    if ratio:
-        parts = ingest._parse_ratio(ratio)
-        return FairnessSpec.exact({i: p for i, p in enumerate(parts) if i > 0})
-    if bounds:
-        if ".." not in bounds:
-            raise ParseError(f"bad bounds {bounds!r}, expected lo..hi")
-        lo_text, hi_text = bounds.split("..", 1)
-        lo = ingest._parse_ratio(lo_text)
-        hi = ingest._parse_ratio(hi_text)
-        if len(lo) != len(hi):
-            raise ParseError("bounds sides must name the same colors")
-        for color, (p, q) in enumerate(zip(lo, hi)):
-            if p > q:
-                raise ParseError(f"bounds for color {color}: lower 1:{p} exceeds upper 1:{q}")
-        return FairnessSpec(0, {i: (lo[i], hi[i]) for i in range(1, len(lo))})
-    return None
+def _ratio_spec(text):
+    """argparse type: --ratio '1:p[:p3...]', an exact spec."""
+    parts = ingest._parse_ratio(text)
+    return FairnessSpec.exact({i: p for i, p in enumerate(parts) if i > 0})
+
+
+def _bounds_spec(text):
+    """argparse type: --bounds '1:p[:p3...]..1:q[:q3...]', an interval spec."""
+    if ".." not in text:
+        raise ParseError(f"bad bounds {text!r}, expected lo..hi")
+    lo_text, hi_text = text.split("..", 1)
+    lo = ingest._parse_ratio(lo_text)
+    hi = ingest._parse_ratio(hi_text)
+    if len(lo) != len(hi):
+        raise ParseError("bounds sides must name the same colors")
+    for color, (p, q) in enumerate(zip(lo, hi)):
+        if p > q:
+            raise ParseError(f"bounds for color {color}: lower 1:{p} exceeds upper 1:{q}")
+    return FairnessSpec(0, {i: (lo[i], hi[i]) for i in range(1, len(lo))})
 
 
 def _load_instance(graph_path, colors_path):
@@ -145,7 +149,6 @@ def cmd_ingest(args):
         if args.sample is None:
             raise ParseError("--balance needs --sample")
         ingest._parse_ratio(args.balance)  # a bad ratio exits before any input is read
-    _check_out_dirs(args.out_graph, args.out_colors)
     schema = ingest.Schema.from_json(_read(args.schema))
     ds, dropped = ingest.load_csv(args.csv, schema)
     if dropped:
@@ -157,9 +160,9 @@ def cmd_ingest(args):
         if args.balance is None:
             ids = ingest.color_ids(ds)  # a plain sample may miss a color
     g, colors = ingest.build_graph(ds, args.tau, ids)
-    with open(args.out_graph, "w") as fh:
+    with open(args.out_graph, "w", encoding="utf-8") as fh:
         fh.write(g.to_json() + "\n")
-    with open(args.out_colors, "w") as fh:
+    with open(args.out_colors, "w", encoding="utf-8") as fh:
         fh.write(colors.to_csv())
     names = ", ".join(f"{value}={color}" for value, color in ids.items())
     print(
@@ -170,17 +173,18 @@ def cmd_ingest(args):
 
 
 def _run_cells(args, algos, seeds, try_all_bases=False):
-    """Load the instance and spec that ``args`` name and run every (algo,
-    seed) cell through one memo, algo-major; returns the result rows, the
-    last cell's clustering and the colors. The memo's window is the union
-    of the cells' seed windows, so each restart pool runs once."""
-    g, colors = _load_instance(args.graph, args.colors)
-    spec = parse_spec(args.ratio, args.bounds)
+    """Load the instance that ``args`` names and run every (algo, seed)
+    cell under ``args.spec`` through one memo, algo-major; returns the
+    result rows, the last cell's clustering and the colors. The memo's
+    window is the union of the cells' seed windows, so each restart pool
+    runs once."""
     fair = [algo for algo in algos if algo != "cc"]
-    if fair and colors is None:
+    if fair and args.colors is None:
         raise ParseError(f"algorithm {fair[0]!r} needs --colors")
-    if fair and spec is None:
+    if fair and args.spec is None:
         raise ParseError(f"algorithm {fair[0]!r} needs --ratio or --bounds")
+    g, colors = _load_instance(args.graph, args.colors)
+    spec = args.spec
     window = PivotRun(min(seeds), max(seeds) - min(seeds) + args.restarts)
     rows, memo = [], {"window": window}
     for algo in algos:
@@ -202,13 +206,12 @@ def _run_cells(args, algos, seeds, try_all_bases=False):
 def cmd_cluster(args):
     if args.try_all_bases and args.algo != "faircc":
         raise ParseError("--try-all-bases applies only to --algo faircc")
-    _check_out_dirs(args.out_clustering, args.out_result)
     (row,), clustering, colors = _run_cells(args, [args.algo], [args.seed], args.try_all_bases)
     hists = [] if colors is None else color_distribution(colors, clustering)[:5]
     row["top5"] = [{str(c): cnt for c, cnt in sorted(hist.items())} for hist in hists]
-    with open(args.out_clustering, "w") as fh:
+    with open(args.out_clustering, "w", encoding="utf-8") as fh:
         fh.write(clustering.to_json() + "\n")
-    with open(args.out_result, "w") as fh:
+    with open(args.out_result, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(row) + "\n")
     print(f"{args.algo}: {row['disagreements']} disagreements, {row['clusters']} clusters")
     return 0
@@ -250,11 +253,10 @@ def _mean_row(group):
 
 
 def cmd_experiment(args):
-    _check_out_dirs(args.out)
     seeds = [args.seed + k for k in range(args.runs)]
     rows, _, _ = _run_cells(args, args.algos, seeds)
     means = [_mean_row([row for row in rows if row["algo"] == algo]) for algo in args.algos]
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows + means:
@@ -291,10 +293,10 @@ def cmd_verify(args):
     pivot = PivotRun(args.seed, args.restarts)
     if args.mirror:
         g = SignedCompleteGraph.from_json(_read(args.mirror))
-        _, opt_g = oracle.opt_cc(g)
         h, colors = oracle.mirror_graph(g)
-        spec = FairnessSpec.exact({1: 1})
-        _, opt_h = oracle.opt_fair(h, colors, spec)
+        # the 2n-vertex mirror meets the oracle's size cap first
+        _, opt_h = oracle.opt_fair(h, colors, FairnessSpec.exact({1: 1}))
+        _, opt_g = oracle.opt_cc(g)
         ok = _print_check("opt_fair(mirror) == 4*opt_cc", opt_h, "==", 4 * opt_g)
         return 0 if ok else 1
     if args.random is not None:
@@ -317,20 +319,18 @@ def cmd_verify(args):
         return 0 if ok else 1
     if args.graph is None:
         raise ParseError("verify needs --graph, --mirror or --random")
-    g, colors = _load_instance(args.graph, args.colors)
-    spec = parse_spec(args.ratio, args.bounds)
-    if spec is None or colors is None:
+    if args.spec is None or args.colors is None:
         raise ParseError("verify needs --colors and --ratio/--bounds")
-    return 0 if _verify_instance(g, colors, spec, pivot) else 1
+    g, colors = _load_instance(args.graph, args.colors)
+    return 0 if _verify_instance(g, colors, args.spec, pivot) else 1
 
 
 def cmd_gen(args):
-    _check_out_dirs(args.out_graph, args.out_colors)
     g = SignedCompleteGraph.from_json(_read(args.mirror))
     h, colors = oracle.mirror_graph(g)
-    with open(args.out_graph, "w") as fh:
+    with open(args.out_graph, "w", encoding="utf-8") as fh:
         fh.write(h.to_json() + "\n")
-    with open(args.out_colors, "w") as fh:
+    with open(args.out_colors, "w", encoding="utf-8") as fh:
         fh.write(colors.to_csv())
     print(f"wrote mirror instance with {h.n} vertices")
     return 0
@@ -340,66 +340,61 @@ def cmd_gen(args):
 def build_parser():
     """The argument parser, built once per process; parsing leaves it
     unchanged. Each subcommand's ``func`` is the ``cmd_*`` function bound
-    at the first call."""
+    at the first call. ``--colors``, ``--ratio`` | ``--bounds``,
+    ``--seed`` and ``--restarts`` are declared once, in parents shared by
+    ``cluster``, ``experiment`` and ``verify``, and every spec and output
+    path is checked while parsing, before any input is read."""
     parser = _Parser(prog="faircc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    instance = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    instance.add_argument("--colors", default=None)
+    spec = instance.add_mutually_exclusive_group()
+    spec.add_argument("--ratio", dest="spec", type=_ratio_spec, metavar="RATIO")
+    spec.add_argument("--bounds", dest="spec", type=_bounds_spec, metavar="BOUNDS")
+    instance.add_argument("--restarts", type=_at_least(1), default=25)
 
-    p = sub.add_parser("ingest", help="CSV -> signed graph + colors")
+    p = sub.add_parser("ingest", parents=[seeded], help="CSV -> signed graph + colors")
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--tau", type=_unit_interval, default=0.5)
     p.add_argument("--sample", type=_at_least(1), default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--balance", default=None, help="exact color ratio of the --sample, e.g. 1:2")
-    p.add_argument("--out-graph", required=True)
-    p.add_argument("--out-colors", required=True)
+    p.add_argument("--out-graph", required=True, type=_out_path)
+    p.add_argument("--out-colors", required=True, type=_out_path)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("cluster", help="run one algorithm on one instance")
+    p = sub.add_parser("cluster", parents=[instance], help="run one algorithm on one instance")
     p.add_argument("--graph", required=True)
-    p.add_argument("--colors", default=None)
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p.add_argument("--ratio", default=None)
-    p.add_argument("--bounds", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=_at_least(1), default=25)
     p.add_argument("--try-all-bases", action="store_true")
     p.add_argument("--timing", action="store_true", help="record real wall time")
     p.add_argument("--dataset", default="instance")
-    p.add_argument("--out-clustering", required=True)
-    p.add_argument("--out-result", required=True)
+    p.add_argument("--out-clustering", required=True, type=_out_path)
+    p.add_argument("--out-result", required=True, type=_out_path)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("experiment", help="algorithm x seed matrix -> CSV")
+    p = sub.add_parser("experiment", parents=[instance], help="algorithm x seed matrix -> CSV")
     p.add_argument("--graph", required=True)
-    p.add_argument("--colors", default=None)
     p.add_argument("--algos", required=True, type=_algorithm_list, help="comma-separated list")
-    p.add_argument("--ratio", default=None)
-    p.add_argument("--bounds", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=_at_least(1), default=5)
-    p.add_argument("--restarts", type=_at_least(1), default=25)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--dataset", default="instance")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_path)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("verify", help="check the approximation bounds")
+    p = sub.add_parser("verify", parents=[instance], help="check the approximation bounds")
     p.add_argument("--graph", default=None)
-    p.add_argument("--colors", default=None)
-    p.add_argument("--ratio", default=None)
-    p.add_argument("--bounds", default=None)
     p.add_argument("--mirror", default=None, help="base graph for the mirror identity")
     p.add_argument("--random", type=_at_least(1), default=None, help="random instance sweep")
     p.add_argument("--max-n", type=_at_least(2), default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=_at_least(1), default=25)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit derived instances")
     p.add_argument("--mirror", required=True, help="graph to duplicate")
-    p.add_argument("--out-graph", required=True)
-    p.add_argument("--out-colors", required=True)
+    p.add_argument("--out-graph", required=True, type=_out_path)
+    p.add_argument("--out-colors", required=True, type=_out_path)
     p.set_defaults(func=cmd_gen)
     return parser
 

@@ -11,6 +11,7 @@ the colors and is excluded from similarity.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
 from dataclasses import dataclass
@@ -81,44 +82,46 @@ def load_csv(path, schema: Schema):
     (dataset, dropped_count).
     """
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        expected = [name for name, _ in schema.columns]
-        if header != expected:
-            raise ParseError(f"{path}: header {header} does not match schema {expected}")
-        kinds = dict(schema.columns)
-        protected = schema.protected_column
-        rows = []
-        dropped = 0
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(expected):
-                raise ParseError(f"{path}: line {lineno}: expected {len(expected)} fields")
-            row = dict(zip(expected, (field.strip() for field in record)))
-            if row[protected] == "":
-                dropped += 1
-                continue
-            for name in expected:
-                if kinds[name] == "numeric":
-                    try:
-                        value = float(row[name])
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: line {lineno}: non-numeric value in {name!r}"
-                        ) from None
-                    # nan would make the column look constant, inf its similarities nan
-                    if not np.isfinite(value):
-                        raise ParseError(
-                            f"{path}: line {lineno}: non-finite value {row[name]!r} in {name!r}"
-                        )
-                    row[name] = value
-            rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    expected = [name for name, _ in schema.columns]
+    if header != expected:
+        raise ParseError(f"{path}: header {header} does not match schema {expected}")
+    kinds = dict(schema.columns)
+    protected = schema.protected_column
+    rows = []
+    dropped = 0
+    for lineno, record in enumerate(reader, start=2):
+        if len(record) != len(expected):
+            raise ParseError(f"{path}: line {lineno}: expected {len(expected)} fields")
+        row = dict(zip(expected, (field.strip() for field in record)))
+        if row[protected] == "":
+            dropped += 1
+            continue
+        for name in expected:
+            if kinds[name] == "numeric":
+                try:
+                    value = float(row[name])
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}: non-numeric value in {name!r}"
+                    ) from None
+                # nan would make the column look constant, inf its similarities nan
+                if not np.isfinite(value):
+                    raise ParseError(
+                        f"{path}: line {lineno}: non-finite value {row[name]!r} in {name!r}"
+                    )
+                row[name] = value
+        rows.append(row)
     return TabularDataset(tuple(rows), schema), dropped
 
 

@@ -18,7 +18,7 @@ from faircc import (
 )
 from faircc import algorithms, baselines, cli, fair_clustering, oracle, pivot
 from faircc.pivot import PivotRun
-from faircc.cli import main, parse_spec
+from faircc.cli import _bounds_spec, _ratio_spec, main
 from conftest import random_colors, random_graph
 
 
@@ -65,19 +65,18 @@ def run_ingest(ws):
 
 
 def test_parse_spec():
-    assert parse_spec(None, None) is None
-    spec = parse_spec("1:2", None)
+    spec = _ratio_spec("1:2")
     assert spec.is_exact and spec.bounds == {1: (2, 2)}
-    spec = parse_spec(None, "1:1..1:2")
+    spec = _bounds_spec("1:1..1:2")
     assert not spec.is_exact and spec.bounds == {1: (1, 2)}
     from faircc import ParseError
 
     with pytest.raises(ParseError):
-        parse_spec("1:2", "1:1..1:2")
+        _ratio_spec("1:x")
     with pytest.raises(ParseError):
-        parse_spec(None, "1:1")
+        _bounds_spec("1:1")
     with pytest.raises(ParseError):
-        parse_spec(None, "1:1..1:2:3")
+        _bounds_spec("1:1..1:2:3")
 
 
 def test_end_to_end_flow(workspace, capsys):
@@ -104,7 +103,7 @@ def test_end_to_end_flow(workspace, capsys):
     assert row["algo"] == "faircc" and row["seed"] == 3
     assert row["fair"] is True and row["millis"] == 0
     # independent recheck of the reported numbers
-    report = check_fairness(colors, clustering, parse_spec("1:1", None))
+    report = check_fairness(colors, clustering, _ratio_spec("1:1"))
     assert report.overall_pass
     assert row["clusters"] == clustering.num_clusters
 
@@ -260,6 +259,19 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          "argument --algos: unknown algorithm 'kmeans'"),
         ("experiment --graph {ws}/missing.json --algos cc,cc --out {ws}/x.csv",
          "argument --algos: an algorithm is named twice in 'cc,cc'"),
+        ("cluster --graph {ws}/missing.json --ratio 1:x --algo cc " + OUTS, "bad ratio '1:x'"),
+        ("cluster --algo faircc --graph {ws}/missing.json " + OUTS,
+         "algorithm 'faircc' needs --colors"),
+        ("verify --graph {ws}/missing.json --ratio 1:1",
+         "verify needs --colors and --ratio/--bounds"),
+        ("verify --random 1 --bounds 1:1", "bad bounds '1:1', expected lo..hi"),
+        ("cluster --graph {ws}/g.json --colors {ws}/c.csv --algo faircc --ratio 1:1 "
+         "--bounds 1:1..1:2 " + OUTS, "argument --bounds: not allowed with argument --ratio"),
+        ("experiment --graph {ws}/g.json --colors {ws}/c.csv --algos faircc --ratio 1:1 "
+         "--bounds 1:1..1:2 --out {ws}/x.csv",
+         "argument --bounds: not allowed with argument --ratio"),
+        ("verify --graph {ws}/g.json --colors {ws}/c.csv --bounds 1:1..1:2 --ratio 1:1",
+         "argument --ratio: not allowed with argument --bounds"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
@@ -270,11 +282,16 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         "cluster-bounds-reversed", "ingest-balance-bad-ratio", "ingest-tau-above-1",
         "ingest-tau-negative", "ingest-tau-nan", "ingest-tau-not-a-number",
         "cluster-no-spec", "experiment-unknown-algo", "experiment-repeated-algo",
+        "cluster-bad-ratio-before-input", "cluster-no-colors-before-input",
+        "verify-no-colors-before-input", "verify-random-bad-bounds", "cluster-ratio-and-bounds",
+        "experiment-ratio-and-bounds", "verify-ratio-and-bounds",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):
     """Bad arguments and unreadable input files exit 3 with the reason on
-    stderr, before any output file is written."""
+    stderr, before any output file is written. Spec text, flag
+    combinations and output directories are refused before any input is
+    read, so a missing input file does not hide them."""
     g = random_graph(4, seed=1)
     (workspace / "g.json").write_text(g.to_json())
     (workspace / "c.csv").write_text(ColorAssignment((0, 1, 0, 1)).to_csv())
@@ -415,7 +432,7 @@ def test_ccmerge_interval_bounds_on_planted_instances(workspace, capsys, n, coun
         assert rc == 0, f"n={n} seed={seed}"
         colors = ColorAssignment.from_csv((workspace / "c.csv").read_text())
         c = Clustering(json.loads((workspace / "out.json").read_text())["cluster_of"])
-        spec = parse_spec(None, "1:1:1..1:2:3")
+        spec = _bounds_spec("1:1:1..1:2:3")
         assert check_fairness(colors, c, spec).overall_pass
 
 
@@ -438,7 +455,7 @@ def test_loose_upper_bound_on_cli(workspace, capsys, algo):
     assert rc == 0
     colors = ColorAssignment.from_csv((workspace / "c.csv").read_text())
     c = Clustering(json.loads((workspace / "out.json").read_text())["cluster_of"])
-    assert check_fairness(colors, c, parse_spec(None, "1:1..1:1000000")).overall_pass
+    assert check_fairness(colors, c, _bounds_spec("1:1..1:1000000")).overall_pass
 
 
 def test_exit_code_oracle_limit(workspace, capsys):
@@ -446,6 +463,38 @@ def test_exit_code_oracle_limit(workspace, capsys):
     (workspace / "big.json").write_text(g.to_json())
     rc = main(["verify", "--mirror", str(workspace / "big.json")])
     assert rc == 4
+
+
+def test_verify_mirror_refuses_an_oversized_mirror_before_searching(
+    workspace, monkeypatch, capsys
+):
+    """verify --mirror meets the oracle's cap on the 2n-vertex mirror before
+    it searches the n-vertex base graph."""
+    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "14")
+    (workspace / "base.json").write_text(random_graph(14, 0).to_json())
+    calls = count_calls(monkeypatch, [(oracle, "best_partition")])
+    assert main(["verify", "--mirror", str(workspace / "base.json")]) == 4
+    assert calls == {"best_partition": 0}
+    assert "n=28 exceeds oracle limit 14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        ("cluster --graph {ws}/bad.json --algo cc " + OUTS, "bad.json"),
+        ("verify --mirror {ws}/bad.json", "bad.json"),
+        ("ingest --csv {ws}/bad.csv --schema {ws}/schema.json " + INGEST_OUTS, "bad.csv"),
+    ],
+    ids=["cluster", "verify-mirror", "ingest"],
+)
+def test_non_utf8_input_exits_3(workspace, capsys, argv, name):
+    """An input file that is not UTF-8 text is a parse error naming it."""
+    (workspace / "bad.json").write_bytes(b"\xff\xfe{}")
+    (workspace / "bad.csv").write_bytes(b"id,age,job,group\nv0,1,\xff,R\nv1,2,x,B\n")
+    before = sorted(workspace.iterdir())
+    assert main(argv.format(ws=workspace).split()) == 3
+    assert f"cannot read {workspace / name}: not UTF-8 text" in capsys.readouterr().err
+    assert sorted(workspace.iterdir()) == before
 
 
 def test_verify_refuses_an_oversized_instance_before_the_matchings(workspace, monkeypatch, capsys):

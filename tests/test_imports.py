@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 module-level function and class is named somewhere else in the package,
-and the package imports nothing beyond the standard library and numpy.
+the package imports nothing beyond the standard library and numpy, and
+every file it opens as text names its encoding.
 
 A stdlib ``ast`` walk stands in for a linter's unused-import rule; the
 package's ``__init__.py`` imports names only to export them, so it is left
@@ -8,6 +9,8 @@ out of that rule. The same walk over the whole package, ``__init__.py``
 included, finds a stage that nothing calls any more. The last rule keeps
 the package runnable where only numpy is installed, and keeps slow imports
 such as scipy's (a quarter of a second) out of every CLI call's set-up time.
+An ``open`` with no encoding decodes by the locale, so the same file would
+read, or fail to read, differently from one machine to the next.
 """
 
 import ast
@@ -110,3 +113,31 @@ def test_foreign_imports_are_found():
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=[path.name for path in PACKAGE_FILES])
 def test_module_imports_only_stdlib_and_numpy(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def open_calls_without_encoding(source):
+    """Line numbers of the ``open`` calls in ``source`` that open a file as
+    text and pass no encoding; a constant mode holding "b" is binary."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in mode.value
+        if not binary and "encoding" not in keywords and len(node.args) < 4:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_open_calls_without_encoding_are_found():
+    source = (
+        'open(p)\nopen(p, "rb")\nopen(p, "w", encoding="utf-8")\n'
+        'open(p, mode="w", newline="")\nopen(p, mode="wb")\nopen(p, "r", -1, "utf-8")\n'
+    )
+    assert open_calls_without_encoding(source) == [1, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=[path.name for path in PACKAGE_FILES])
+def test_module_opens_text_with_an_encoding(path):
+    assert open_calls_without_encoding(path.read_text()) == []

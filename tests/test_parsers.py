@@ -19,7 +19,7 @@ from faircc import (
     Schema,
     SignedCompleteGraph,
 )
-from faircc.cli import parse_spec
+from faircc.cli import _bounds_spec, _ratio_spec
 from faircc.ingest import KINDS
 from conftest import random_graph
 
@@ -74,9 +74,10 @@ def test_colors_csv_gives_colors_or_an_exit_code(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.none() | RATIO, st.none() | BOUNDS)
+@given(RATIO, BOUNDS)
 def test_ratio_and_bounds_give_a_spec_or_an_exit_code(ratio, bounds):
-    value_or_fair_cc_error(parse_spec, ratio, bounds)
+    value_or_fair_cc_error(_ratio_spec, ratio)
+    value_or_fair_cc_error(_bounds_spec, bounds)
 
 
 @settings(max_examples=300, deadline=None)

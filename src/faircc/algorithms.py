@@ -47,7 +47,8 @@ def cc_clustering(g, pivot, memo, colors=None, base=None) -> tuple:
         if ("restarts", base) not in memo:
             if base is not None:
                 lefts = colors.vertices_of(base)
-                g = SignedCompleteGraph(len(lefts), g.signs[np.ix_(lefts, lefts)])
+                # a principal submatrix of a valid sign matrix is one
+                g = SignedCompleteGraph._trusted(g.signs[np.ix_(lefts, lefts)])
             memo[("restarts", base)] = g, {}
         graph, pool = memo[("restarts", base)]
         clustering = baselines.run_cc(graph, pivot, pool, memo.get("window"))

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 invalid input, 2 infeasible fairness spec,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -72,16 +73,31 @@ def _algorithm_list(text):
     return algos
 
 
-def _read(path):
-    """Text of a UTF-8 input file; one that cannot be read or decoded is a
-    ParseError."""
+@contextlib.contextmanager
+def _reading(path):
+    """Turn a failure to read input file ``path``, or to decode it as UTF-8,
+    into a ParseError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        yield
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+
+
+def _read(path):
+    """Text of a UTF-8 input file."""
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_graph(path):
+    """The graph of a graph JSON file, handed to ``from_json`` as bytes:
+    it decodes only the text that its byte scan declines."""
+    with _reading(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return SignedCompleteGraph.from_json(data)
 
 
 # The types below raise ParseError, which argparse passes through, not
@@ -116,7 +132,7 @@ def _bounds_spec(text):
 
 
 def _load_instance(graph_path, colors_path):
-    g = SignedCompleteGraph.from_json(_read(graph_path))
+    g = _read_graph(graph_path)
     colors = None
     if colors_path:
         colors = ColorAssignment.from_csv(_read(colors_path))
@@ -292,7 +308,7 @@ def _verify_instance(g, colors, spec, pivot):
 def cmd_verify(args):
     pivot = PivotRun(args.seed, args.restarts)
     if args.mirror:
-        g = SignedCompleteGraph.from_json(_read(args.mirror))
+        g = _read_graph(args.mirror)
         h, colors = oracle.mirror_graph(g)
         # the 2n-vertex mirror meets the oracle's size cap first
         _, opt_h = oracle.opt_fair(h, colors, FairnessSpec.exact({1: 1}))
@@ -326,7 +342,7 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
-    g = SignedCompleteGraph.from_json(_read(args.mirror))
+    g = _read_graph(args.mirror)
     h, colors = oracle.mirror_graph(g)
     with open(args.out_graph, "w", encoding="utf-8") as fh:
         fh.write(h.to_json() + "\n")

@@ -50,20 +50,34 @@ class SignedCompleteGraph:
         # counting the -1s first keeps one n x n mask alive at a time
         negatives = np.count_nonzero(s == -1)
         positive = s == 1
-        positives = np.count_nonzero(positive)
-        if negatives + positives != self.n * (self.n - 1):
+        if negatives + np.count_nonzero(positive) != self.n * (self.n - 1):
             raise InvalidInputError("every distinct pair needs a +/-1 sign")
-        bits = np.packbits(positive, axis=1)
+        bits = _packed_rows(positive)
         del positive  # before the transpose compare makes the next n x n mask
         if not np.array_equal(s, s.T):
             raise InvalidInputError("sign matrix must be symmetric")
-        bits = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))  # to whole 64-bit words
-        s = s.astype(np.int8, copy=False)  # exact now, and a no-op for int8
-        s.setflags(write=False)
+        self._freeze(s.astype(np.int8, copy=False), bits)  # the cast is exact now
+
+    def _freeze(self, signs, bits):
+        """Keep ``signs`` and its packed positive rows ``bits``, both made
+        read-only, and count the positive pairs from the bits."""
+        signs.setflags(write=False)
         bits.setflags(write=False)
-        object.__setattr__(self, "signs", s)
+        object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "positive_bits", bits)
-        object.__setattr__(self, "positive_pairs", positives // 2)
+        object.__setattr__(self, "positive_pairs", int(np.bitwise_count(bits).sum()) // 2)
+
+    @classmethod
+    def _trusted(cls, signs):
+        """The graph of ``signs``, an n x n int8 matrix that is a valid sign
+        matrix by construction (zero diagonal, +/-1 elsewhere, symmetric),
+        kept without a copy and without the constructor's checks: only its
+        positive bits are packed and counted. The caller hands the matrix
+        over and writes to it no more."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(signs))
+        g._freeze(signs, _packed_rows(signs > 0))
+        return g
 
     def __eq__(self, other):
         if not isinstance(other, SignedCompleteGraph):
@@ -85,9 +99,15 @@ class SignedCompleteGraph:
 
     @classmethod
     def _from_edge_blocks(cls, n, blocks, repeat_error=InvalidInputError):
-        """``from_negative_edges`` over an iterable of E_i x 2 int64 blocks;
-        a pair listed twice raises ``repeat_error``. An n x n sign matrix
-        larger than physical memory is refused before it is allocated."""
+        """``from_negative_edges`` over an iterable of E_i x 2 integer
+        blocks; a pair listed twice raises ``repeat_error``. An n x n sign
+        matrix larger than physical memory is refused before it is
+        allocated.
+
+        Each pair, once checked, writes its -1 into the upper triangle
+        through a flat index; one elementwise minimum with the transpose
+        then mirrors the triangle, and the matrix, valid by construction,
+        is kept without the constructor's checks."""
         if n < 1:
             raise InvalidInputError("graph needs at least one vertex")
         memory = _physical_memory()
@@ -101,6 +121,7 @@ class SignedCompleteGraph:
         except MemoryError as exc:  # physical memory that is in use elsewhere
             raise InvalidInputError(f"a graph with n={n} vertices is too large") from exc
         np.fill_diagonal(signs, 0)
+        flat = signs.reshape(-1)
         listed = 0
         for edges in blocks:
             u, v = edges[:, 0], edges[:, 1]
@@ -108,10 +129,11 @@ class SignedCompleteGraph:
             if bad.any():
                 k = int(np.argmax(bad))
                 raise InvalidInputError(f"bad negative edge ({u[k]}, {v[k]})")
-            signs[u, v] = -1
-            signs[v, u] = -1
+            flat[u.astype(np.int64) * n + v] = -1  # in int64, since n * n can pass int32
             listed += len(edges)
-        g = cls(n, signs)
+        # numpy reads the transpose from a copy where it overlaps the output
+        np.minimum(signs, signs.T, out=signs)
+        g = cls._trusted(signs)
         repeats = listed - (n * (n - 1) // 2 - g.positive_pairs)
         if repeats:
             raise repeat_error(f"{repeats} negative edges are listed more than once")
@@ -127,19 +149,28 @@ class SignedCompleteGraph:
 
     @classmethod
     def from_json(cls, text):
-        """Read graph JSON, ``{"n": N, "negative_edges": [[u, v], ...]}``.
+        """Read graph JSON, ``{"n": N, "negative_edges": [[u, v], ...]}``,
+        from a str or from the bytes (or bytearray) of UTF-8 text.
 
         Text in exactly the shape ``to_json`` writes, with any JSON
         whitespace, is read by a byte scan (``_canonical_edge_blocks``)
         that builds no Python object per edge. Any other text, and any
         scanned graph that fails a check, goes through ``json.loads``, so
-        every error has one source and one message."""
-        if isinstance(text, str):
+        every error has one source and one message. Bytes go there as the
+        str a file opened in text mode reads, UTF-8 with universal
+        newlines, never as bytes, from which json.loads would guess UTF-16
+        or UTF-32; bytes that are not UTF-8 raise UnicodeDecodeError."""
+        data = text
+        if isinstance(text, str):  # isascii is O(1) on a str
+            data = text.encode("ascii") if text.isascii() else None
+        if isinstance(data, (bytes, bytearray)):
             try:
-                n, blocks = _canonical_edge_blocks(text)
+                n, blocks = _canonical_edge_blocks(data)
                 return cls._from_edge_blocks(n, blocks)
             except (_NotCanonical, InvalidInputError):
                 pass
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         try:
             obj = json.loads(text)
             n = obj["n"]
@@ -222,79 +253,92 @@ def _physical_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _packed_rows(positive):
+    """An n x n bool matrix packed eight vertices to a byte along each row
+    and padded with zero bits to whole 64-bit words."""
+    bits = np.packbits(positive, axis=1)
+    return np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))
+
+
 class _NotCanonical(Exception):
     """The text is not in the shape ``_canonical_edge_blocks`` reads."""
 
 
 # JSON whitespace is exactly these four characters; regex \s would also
 # take \f and \v, which json.loads rejects.
-_WS = "[ \t\n\r]*"
-# The ids are decimal integers of at most 18 digits, so that every value
-# fits in int64; a longer or zero-padded number is left to json.loads.
+_WS = b"[ \t\n\r]*"
+# n is a decimal integer of at most 18 digits, so that it fits in int64; a
+# longer or zero-padded number is left to json.loads.
 _HEAD = re.compile(
-    _WS + _WS.join([r"\{", '"n"', ":", "(0|[1-9][0-9]{0,17})", ",", '"negative_edges"', ":", r"\["])
+    _WS
+    + _WS.join(
+        [rb"\{", b'"n"', b":", rb"(0|[1-9][0-9]{0,17})", b",", b'"negative_edges"', b":", rb"\["]
+    )
 )
-_TAIL = re.compile(_WS.join([r"\]", r"\}", r"\Z"]))
+_TAIL = re.compile(_WS.join([rb"\]", rb"\}", rb"\Z"]))
 # Each pair of the body, with JSON space dropped, is "," "[" u "," v "]",
 # the first pair's comma left out; its four non-digit bytes read as one
 # native-endian word.
 _PAIR_WORD = np.frombuffer(b",[,]", np.uint32)[0]
+# An id is read in int32, so it has at most 9 digits. A longer one needs
+# n > 10**9 vertices, whose n x n sign bytes no memory holds, so it names no
+# vertex of a graph that can be built; json.loads reads it, and the build
+# refuses it with the message it always gives.
+_ID_DIGITS = 9
+# the least id of k digits that has no leading zero (0 for k <= 1): a k-digit
+# id below it starts with a zero, which json.loads refuses
+_LEAST_ID = np.array([0, 0] + [10**k for k in range(1, _ID_DIGITS)], np.int32)
 
 
-def _canonical_edge_blocks(text, window=1 << 18):
-    """(n, blocks of k x 2 int64 pairs) of graph JSON in the canonical
-    shape, scanning the edge list in windows of about ``window``
-    characters, each cut after a pair's closing bracket; raise
-    ``_NotCanonical`` when the text has any other shape, as soon as the
-    scan finds that out.
+def _canonical_edge_blocks(data, window=1 << 18):
+    """(n, blocks of k x 2 int32 pairs) of graph JSON bytes in the
+    canonical shape, scanning the edge list in windows of about ``window``
+    bytes, each cut after a pair's closing bracket; raise ``_NotCanonical``
+    when the text has any other shape, as soon as the scan finds that out.
 
     The blocks are a generator: the scan of each window runs when the
     caller asks for its block, so a window's temporaries are freed before
     the next one is made, and ``_NotCanonical`` can come from any block."""
-    head = _HEAD.match(text)
+    head = _HEAD.match(data)
     # only the last 4 KB are searched for the closing "]}", so that the
     # search never walks the edge list; longer trailing space is left to
     # json.loads
-    tail = _TAIL.search(text, max(head.end(), len(text) - 4096)) if head else None
+    tail = _TAIL.search(data, max(head.end(), len(data) - 4096)) if head else None
     if tail is None:
         raise _NotCanonical
-    return int(head.group(1)), _scan_windows(text, head.end(), tail.start(), window)
+    return int(head.group(1)), _scan_windows(data, head.end(), tail.start(), window)
 
 
-def _scan_windows(text, pos, stop, window):
-    """Pairs of the body ``text[pos:stop]``, one block per window."""
+def _scan_windows(data, pos, stop, window):
+    """Pairs of the body ``data[pos:stop]``, one block per window."""
     first = True
     while pos < stop:
         cut = stop
         if pos + window < stop:
-            cut = text.rfind("]", pos, pos + window) + 1
-            if cut == 0:  # a run of over ``window`` characters without a pair
+            cut = data.rfind(b"]", pos, pos + window) + 1
+            if cut == 0:  # a run of over ``window`` bytes without a pair
                 raise _NotCanonical
-        try:
-            chunk = text[pos:cut].encode("ascii")
-        except UnicodeEncodeError:
-            raise _NotCanonical from None
-        yield _scan_pairs(chunk, first)
+        yield _scan_pairs(data[pos:cut], first)
         pos, first = cut, False
 
 
 def _scan_pairs(chunk, first):
-    """k x 2 int64 pairs of one window of the body, ASCII bytes that start
-    at the body's start (``first``) or right after a pair's ``]``.
+    """k x 2 int32 pairs of one window of the body, bytes that start at the
+    body's start (``first``) or right after a pair's ``]``.
 
     JSON space is dropped first, so the window is read from the positions
     of its non-digit bytes alone: per pair they must read ``,[,]``, the
     first window given a leading comma. Any byte but a digit, a bracket or
-    a comma is one of them and breaks that pattern. With both id slots of
-    every pair holding digits, the window has exactly twice as many digit
-    runs as pairs only when no digit sits anywhere else and no JSON space
-    split an id, as in ``[1 2, 3]``."""
+    a comma, a non-ASCII one included, is one of them and breaks that
+    pattern. With both id slots of every pair holding digits, the window
+    has exactly twice as many digit runs as pairs only when no digit sits
+    anywhere else and no JSON space split an id, as in ``[1 2, 3]``."""
     raw = np.frombuffer(chunk, np.uint8)
     digit = np.subtract(raw, 48, dtype=np.uint8) < 10
     runs = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[0])
     stripped = chunk.translate(None, b" \t\n\r")
     if not stripped:
-        return np.zeros((0, 2), np.int64)
+        return np.zeros((0, 2), np.int32)
     if first:
         stripped = b"," + stripped
     kept = np.frombuffer(stripped, np.uint8)
@@ -303,19 +347,23 @@ def _scan_pairs(chunk, first):
     marks = np.flatnonzero(other)
     if len(marks) % 4 or (kept.take(marks).view(np.uint32) != _PAIR_WORD).any():
         raise _NotCanonical
-    seps = np.array((marks[1::4], marks[2::4]))  # the "[" and "," before u and v
-    ends = np.array((marks[2::4], marks[3::4])) - 1  # the last digits of u and v
+    # one contiguous row per mark of the pairs: ",", "[", "," and "]"
+    rows = marks.reshape(-1, 4).T.copy()
+    seps = rows[1:3]  # the "[" and "," before u and v
+    ends = rows[2:] - 1  # the last digits of u and v
     lengths = ends - seps
-    if runs != lengths.size or lengths.min() < 1 or lengths.max() > 18:
-        raise _NotCanonical
-    if ((lengths > 1) & (value.take(seps + 1) == 0)).any():  # a leading zero
+    if runs != lengths.size or lengths.min() < 1 or lengths.max() > _ID_DIGITS:
         raise _NotCanonical
     # each id is read right-aligned from its last digit; a step past its
     # first digit reads its separator, zeroed here
     value *= ~other
-    ids = value.take(ends).astype(np.int64)
+    ids = value.take(ends).astype(np.int32)
     for k in range(1, int(lengths.max())):
-        ids += value.take(np.maximum(ends - k, seps)).astype(np.int64) * 10**k
+        ends -= 1
+        np.maximum(ends, seps, out=ends)
+        ids += value.take(ends) * np.int32(10**k)
+    if (ids < _LEAST_ID.take(lengths)).any():
+        raise _NotCanonical
     return ids.T
 
 
@@ -363,6 +411,9 @@ class ColorAssignment:
 
     @classmethod
     def from_csv(cls, text):
+        """Colors from ``vertex,color`` rows, one per line, blank lines
+        skipped: each row exactly two ASCII decimal integers, with space
+        allowed around them."""
         entries = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -370,8 +421,11 @@ class ColorAssignment:
                 continue
             parts = line.split(",")
             try:
+                # int() alone would also take "1_0" and non-ASCII digits
+                if len(parts) != 2 or "_" in line or not line.isascii():
+                    raise ValueError(line)
                 v, c = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad colors CSV at line {lineno}: {line!r}") from exc
             if v in entries:
                 raise ParseError(f"duplicate vertex {v} at line {lineno}")

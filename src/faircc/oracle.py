@@ -183,4 +183,4 @@ def mirror_graph(g: SignedCompleteGraph):
     signs = np.tile(g.signs, (2, 2))
     u = np.arange(n)
     signs[u, n + u] = signs[n + u, u] = 1
-    return SignedCompleteGraph(2 * n, signs), ColorAssignment(np.repeat([0, 1], n))
+    return SignedCompleteGraph._trusted(signs), ColorAssignment(np.repeat([0, 1], n))

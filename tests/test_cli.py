@@ -497,6 +497,75 @@ def test_non_utf8_input_exits_3(workspace, capsys, argv, name):
     assert sorted(workspace.iterdir()) == before
 
 
+def cluster_cc(ws, graph):
+    return main(
+        [
+            "cluster", "--graph", str(graph), "--algo", "cc",
+            "--out-clustering", str(ws / "k.json"), "--out-result", str(ws / "r.json"),
+        ]
+    )
+
+
+def test_utf16_graph_without_a_bom_exits_3(workspace, capsys):
+    """A UTF-16-LE graph file with no BOM and ASCII text is all ASCII bytes,
+    so it decodes as UTF-8, to text that is not graph JSON. json.loads,
+    given the bytes, would detect UTF-16 and read the graph; it is given
+    the UTF-8 text instead."""
+    data = random_graph(4, 0).to_json().encode("utf-16-le")
+    assert data.isascii()
+    (workspace / "g16.json").write_bytes(data)
+    assert cluster_cc(workspace, workspace / "g16.json") == 3
+    assert capsys.readouterr().err == (
+        "error: bad graph JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n"
+    )
+
+
+def test_utf8_graph_with_a_non_ascii_key_reads_as_its_graph(workspace, capsys):
+    """Non-ASCII text sends a graph file past the byte scan to json.loads,
+    which reads the graph an extra key does not change."""
+    plain = random_graph(6, 1).to_json()
+    (workspace / "plain.json").write_text(plain, encoding="utf-8")
+    (workspace / "named.json").write_text(
+        '{"name": "s\u00e4\u00e4ti\u00f6", ' + plain[1:], encoding="utf-8"
+    )
+    outputs = []
+    for graph in ("plain.json", "named.json"):
+        assert cluster_cc(workspace, workspace / graph) == 0
+        outputs.append(
+            (capsys.readouterr(), (workspace / "k.json").read_text(), (workspace / "r.json").read_text())
+        )
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b'{"n": 2,\r\n "negative_edges": [[0, 1],]}\r\n', "Expecting value: line 2 column 28 (char 36)"),
+        (
+            b'{"n": 2,\r "negative_edges":\r [[0, 1]]\r, }',
+            "Expecting property name enclosed in double quotes: line 4 column 3 (char 40)",
+        ),
+    ],
+    ids=["crlf", "cr"],
+)
+def test_graph_json_errors_count_positions_in_text_mode(workspace, capsys, data, message):
+    """The graph file is read as bytes, but json.loads's error positions are
+    those of the text a text-mode read gives, with universal newlines."""
+    (workspace / "g.json").write_bytes(data)
+    assert cluster_cc(workspace, workspace / "g.json") == 3
+    assert capsys.readouterr().err == f"error: bad graph JSON: {message}\n"
+
+
+@pytest.mark.parametrize("row", ["1,1,9", "1,1_0", "1,\u0661"])
+def test_malformed_colors_row_exits_3(workspace, capsys, row):
+    (workspace / "g.json").write_text(random_graph(2, 0).to_json())
+    (workspace / "c.csv").write_text(f"0,0\n{row}\n", encoding="utf-8")
+    argv = ["verify", "--graph", str(workspace / "g.json"), "--colors", str(workspace / "c.csv")]
+    assert main(argv + ["--ratio", "1:1"]) == 3
+    assert capsys.readouterr().err == f"error: bad colors CSV at line 2: {row!r}\n"
+
+
 def test_verify_refuses_an_oversized_instance_before_the_matchings(workspace, monkeypatch, capsys):
     """verify checks the oracle's size cap before any matcher work."""
     (workspace / "big.json").write_text(random_graph(12, 0).to_json())
@@ -794,7 +863,8 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     """Five algorithms by five seeds: two matching builds (pair costs and
     unit costs), one cc clustering per seed on the full graph, which
     ccmerge reuses, and one per seed on the base color's induced graph
-    (built once), which faircc and ufaircc share, all through run_cc. The
+    (built once, like the graph the file gives, through the trusted
+    constructor), which faircc and ufaircc share, all through run_cc. The
     seed windows 0..4, 1..5, ..., 4..8 overlap, so each graph runs every
     seed 0..8 once, in one pivot pass. The cc rows take their cost from the
     restart pool, so only the 20 other rows score their clustering."""
@@ -804,7 +874,7 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
             (fair_clustering, "build_matchings"),
             (baselines, "run_cc"),
             (baselines, "best_of_restarts"),
-            (algorithms, "SignedCompleteGraph"),
+            (algorithms.SignedCompleteGraph, "_trusted"),
             (cli, "disagreements"),
         ],
     )
@@ -825,7 +895,7 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     )
     assert rc == 0
     assert calls == {
-        "build_matchings": 2, "run_cc": 10, "best_of_restarts": 10, "SignedCompleteGraph": 1,
+        "build_matchings": 2, "run_cc": 10, "best_of_restarts": 10, "_trusted": 2,
         "disagreements": 20,
     }
     # one pass per graph, of runs + restarts - 1 seeds

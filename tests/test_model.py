@@ -18,7 +18,9 @@ from faircc import (
     color_distribution,
     disagreements,
 )
-from faircc import model
+from faircc import algorithms, model
+from faircc.oracle import mirror_graph
+from faircc.pivot import PivotRun
 from conftest import (
     random_graph,
     reference_clustering,
@@ -544,6 +546,49 @@ def test_from_negative_edges_matches_pairwise_signs():
         SignedCompleteGraph.from_negative_edges(3, [(0, 1), (0, 1)])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2**16),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    st.sampled_from([np.int32, np.int64]),
+    st.integers(0, 3),
+)
+def test_trusted_constructions_equal_the_checked_constructor(n, seed, neg_prob, dtype, cuts):
+    """_from_edge_blocks, faircc's induced base-color graph and mirror_graph
+    build a matrix that is valid by construction and skip the constructor's
+    checks; each gives what the checked constructor gives on the same
+    signs: the signs, the positive bits and the positive pair count."""
+    g = random_graph(n, seed, neg_prob)
+    rng = np.random.default_rng(seed)
+
+    def same(trusted, signs):
+        checked = SignedCompleteGraph(len(signs), signs)
+        assert trusted.n == checked.n
+        assert trusted.signs.dtype == np.int8 and not trusted.signs.flags.writeable
+        assert np.array_equal(trusted.signs, checked.signs)
+        assert not trusted.positive_bits.flags.writeable
+        assert np.array_equal(trusted.positive_bits, checked.positive_bits)
+        assert trusted.positive_pairs == checked.positive_pairs
+
+    # the negative pairs in random order, in up to four blocks
+    pairs = rng.permutation(np.argwhere(np.triu(g.signs < 0, 1))).astype(dtype)
+    blocks = np.split(pairs, np.sort(rng.integers(0, len(pairs) + 1, cuts)))
+    same(SignedCompleteGraph._from_edge_blocks(n, blocks), g.signs)
+
+    colors = ColorAssignment(np.r_[0, rng.integers(0, 2, n - 1)])
+    memo = {}
+    algorithms.cc_clustering(g, PivotRun(0, 1), memo, colors, 0)
+    lefts = colors.vertices_of(0)
+    same(memo[("restarts", 0)][0], g.signs[np.ix_(lefts, lefts)])
+
+    # vertex u and its copy n + u share every sign but their own pair's, +1
+    copy = np.arange(2 * n) % n
+    signs = g.signs[np.ix_(copy, copy)]
+    signs[(copy[:, None] == copy) & ~np.eye(2 * n, dtype=bool)] = 1
+    same(mirror_graph(g)[0], signs)
+
+
 @pytest.mark.parametrize(
     "n,seed,neg_prob",
     [(1, 0, 0.5), (2, 0, 1.0), (2, 1, 0.0), (7, 2, 0.0), (7, 3, 1.0), (9, 4, 0.5), (40, 5, 0.3)],
@@ -577,6 +622,26 @@ def test_colors_csv_roundtrip():
         ColorAssignment.from_csv("0,0\n0,1\n")
     with pytest.raises(ParseError):
         ColorAssignment.from_csv("1,0\n2,0\n")
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["1,1,9", "1,1,", "1,1_0", "1,\u0661", "1", "1;0", "1,0x1", "\u0661,1", "1\u00a0,1"],
+    ids=[
+        "third-field", "trailing-comma", "underscore", "arabic-indic-digit", "one-field",
+        "semicolon", "hex", "arabic-indic-vertex", "inner-nbsp",
+    ],
+)
+def test_colors_csv_row_is_two_ascii_integers(row):
+    """int() alone takes "1_0" and non-ASCII digits, and the row split took
+    any fields past the second; each such row is a parse error naming it."""
+    with pytest.raises(ParseError) as info:
+        ColorAssignment.from_csv(f"0,0\n{row}\n")
+    assert str(info.value) == f"bad colors CSV at line 2: {row!r}"
+
+
+def test_colors_csv_takes_space_around_its_fields():
+    assert ColorAssignment.from_csv(" 0 , 1\n1,\t0 \n\n").color_of.tolist() == [1, 0]
 
 
 def test_clustering_json_roundtrip_and_validation():

@@ -3,6 +3,7 @@
 a FairCCError, which the CLI maps to a documented exit code; any other
 exception would end the CLI in a traceback."""
 
+import io
 import json
 from unittest import mock
 
@@ -117,12 +118,13 @@ def test_integer_of_too_many_digits_is_a_parse_error(parse, text):
 # the byte scan must hand to json.loads.
 JSON_SPACE = st.text(" \t\n\r", max_size=2)
 NEAR_MISSES = (
-    "f-space", "v-space", "leading-zero", "19-digits", "minus", "float", "true",
+    "f-space", "v-space", "leading-zero", "10-digits", "19-digits", "minus", "float", "true",
     "list-comma", "pair-comma", "short-pair", "long-pair", "garbage", "reordered", "extra-key",
     "split-id", "stray-digit",
 )
-# ids of up to 18 digits are read by the scan, so the extra pair reaches them
-ID = st.integers(0, 14) | st.integers(0, 10**18 - 1)
+# ids of up to 9 digits are read by the scan, so the extra pair reaches
+# them and the longer ones it leaves to json.loads
+ID = st.integers(0, 14) | st.integers(10**8 - 1, 10**10) | st.integers(0, 10**18 - 1)
 
 
 @st.composite
@@ -146,9 +148,9 @@ def mutate(tokens, edges, kind, k):
     ids = [i for i, t in enumerate(tokens) if t.isdigit()]
     i = ids[k % len(ids)]
     pair = 8  # the first pair's "[", when there are edges
-    if kind in ("leading-zero", "19-digits", "minus", "float", "true", "split-id"):
-        new = {"leading-zero": "0" + tokens[i], "19-digits": "9" * 19, "minus": "-1",
-               "float": tokens[i] + ".0", "true": "true",
+    if kind in ("leading-zero", "10-digits", "19-digits", "minus", "float", "true", "split-id"):
+        new = {"leading-zero": "0" + tokens[i], "10-digits": "1" * 10, "19-digits": "9" * 19,
+               "minus": "-1", "float": tokens[i] + ".0", "true": "true",
                "split-id": ("1 ", "1\t")[k % 2] + tokens[i]}[kind]
         return tokens[:i] + [new] + tokens[i + 1 :]
     if kind == "list-comma":
@@ -187,9 +189,9 @@ def json_loads_path(text):
 @given(graph_edges(), st.none() | st.sampled_from(NEAR_MISSES), st.integers(0, 99), st.data())
 def test_byte_scan_agrees_with_json_loads(graph, near_miss, k, data):
     """Canonical graph JSON with random whitespace, and near misses of it,
-    read the same with and without the byte scan: the same signs or the
-    same exception and message. At any window size the scan itself gives
-    json.loads's n and pairs, or declines the text."""
+    read the same with and without the byte scan, as str and as bytes: the
+    same signs or the same exception and message. At any window size the
+    scan itself gives json.loads's n and pairs, or declines the text."""
     n, edges = graph
     tokens = graph_tokens(n, edges)
     if near_miss:
@@ -199,8 +201,13 @@ def test_byte_scan_agrees_with_json_loads(graph, near_miss, k, data):
         space[k % len(space)] += "\f" if near_miss == "f-space" else "\v"
     text = "".join(s + t for s, t in zip(space, tokens + [""]))
     assert outcome(SignedCompleteGraph.from_json, text) == outcome(json_loads_path, text)
+    # bytes read as the text of a file opened in text mode, whose universal
+    # newlines move json.loads's error positions past a "\r"
+    raw = text.encode()
+    as_file = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    assert outcome(SignedCompleteGraph.from_json, raw) == outcome(json_loads_path, as_file)
     try:
-        n_scanned, blocks = model._canonical_edge_blocks(text, window=data.draw(st.integers(1, 40)))
+        n_scanned, blocks = model._canonical_edge_blocks(raw, window=data.draw(st.integers(1, 40)))
         pairs = np.concatenate([np.zeros((0, 2), np.int64), *blocks])
     except model._NotCanonical:
         return
@@ -209,11 +216,26 @@ def test_byte_scan_agrees_with_json_loads(graph, near_miss, k, data):
     assert pairs.tolist() == obj["negative_edges"]
 
 
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_graph_bytes_reach_json_loads_as_utf8_text(kind):
+    """Bytes the scan declines are decoded as UTF-8 before json.loads sees
+    them: given bytes, json.loads would detect UTF-16 without a BOM and
+    read this graph. Non-ASCII UTF-8 text reads as its str does."""
+    utf16 = kind('{"n": 2, "negative_edges": [[0, 1]]}'.encode("utf-16-le"))
+    with pytest.raises(ParseError, match="bad graph JSON: Expecting property name"):
+        SignedCompleteGraph.from_json(utf16)
+    text = '{"name": "s\u00e4\u00e4ti\u00f6", "n": 3, "negative_edges": [[0, 2]]}'
+    assert SignedCompleteGraph.from_json(kind(text.encode())) == SignedCompleteGraph.from_json(text)
+    with pytest.raises(UnicodeDecodeError):
+        SignedCompleteGraph.from_json(kind(b'{"n": 1, "negative_edges": [], "x": "\xff"}'))
+
+
 def test_canonical_text_is_read_without_json_loads():
     """The writers' shape at n = 800 (about 2 MB, so several scan windows)
-    is read by the byte scan alone."""
+    is read by the byte scan alone, as str and as bytes."""
     g = random_graph(800, seed=3)
     text = g.to_json() + "\n"
-    with mock.patch.object(model.json, "loads", side_effect=AssertionError("json.loads called")):
-        again = SignedCompleteGraph.from_json(text)
-    assert np.array_equal(again.signs, g.signs)
+    for given in (text, text.encode()):
+        with mock.patch.object(model.json, "loads", side_effect=AssertionError("json.loads called")):
+            again = SignedCompleteGraph.from_json(given)
+        assert np.array_equal(again.signs, g.signs)

@@ -439,12 +439,18 @@ def _id_array(ids, noun):
     """Per-vertex ``ids`` as an array, refused with InvalidInputError
     unless they form one flat sequence: a scalar, a nested or a ragged
     sequence is not one id per vertex."""
+    original = ids
     try:
         ids = np.asarray(ids)
     except ValueError:  # numpy refuses a ragged nesting of sequences
         ids = None
     if ids is None or ids.ndim != 1:
         raise InvalidInputError(f"{noun} must be a flat sequence, one per vertex")
+    if ids.dtype.kind == "f" and not isinstance(original, np.ndarray):
+        # numpy makes float64 of ints that mix int64 with uint64 range, as
+        # [0, 2**63 + 1]; an object array keeps every such id exact
+        if all(isinstance(x, (int, np.integer)) for x in original):
+            ids = np.array(original, dtype=object)
     return ids
 
 

@@ -779,6 +779,7 @@ IDS = st.lists(st.integers(-2, 6) | st.integers(), max_size=8)
 
 @settings(max_examples=500, deadline=None)
 @given(IDS)
+@example([0, 2**63 + 1])  # a numpy array of these is float64
 def test_color_assignment_matches_the_reference(ids):
     """Same color ids and counts, or the same error and message, as the
     tuple-based constructor, ids beyond int64 included."""

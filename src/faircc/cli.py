@@ -160,6 +160,15 @@ def _result_row(dataset, algo, seed, g, colors, spec, clustering, cost, millis):
     }
 
 
+def _write_instance(args, g, colors):
+    """Write graph ``g`` to ``args.out_graph`` as graph JSON and ``colors``
+    to ``args.out_colors`` as a colors CSV."""
+    with open(args.out_graph, "w", encoding="utf-8") as fh:
+        fh.write(g.to_json() + "\n")
+    with open(args.out_colors, "w", encoding="utf-8") as fh:
+        fh.write(colors.to_csv())
+
+
 def cmd_ingest(args):
     if args.balance is not None:
         if args.sample is None:
@@ -176,10 +185,7 @@ def cmd_ingest(args):
         if args.balance is None:
             ids = ingest.color_ids(ds)  # a plain sample may miss a color
     g, colors = ingest.build_graph(ds, args.tau, ids)
-    with open(args.out_graph, "w", encoding="utf-8") as fh:
-        fh.write(g.to_json() + "\n")
-    with open(args.out_colors, "w", encoding="utf-8") as fh:
-        fh.write(colors.to_csv())
+    _write_instance(args, g, colors)
     names = ", ".join(f"{value}={color}" for value, color in ids.items())
     print(
         f"wrote {g.n} vertices, {g.n * (g.n - 1) // 2 - g.positive_pairs} negative edges, "
@@ -307,7 +313,18 @@ def _verify_instance(g, colors, spec, pivot):
 
 def cmd_verify(args):
     pivot = PivotRun(args.seed, args.restarts)
-    if args.mirror:
+    if args.graph is not None:
+        if args.spec is None or args.colors is None:
+            raise ParseError("verify needs --colors and --ratio/--bounds")
+        g, colors = _load_instance(args.graph, args.colors)
+        return 0 if _verify_instance(g, colors, args.spec, pivot) else 1
+    if args.mirror is None and args.random is None:
+        raise ParseError("verify needs --graph, --mirror or --random")
+    # each makes its own colors and 1:1 spec
+    if args.colors is not None or args.spec is not None:
+        flag = "--mirror" if args.mirror is not None else "--random"
+        raise ParseError(f"verify {flag} takes no --colors, --ratio or --bounds")
+    if args.mirror is not None:
         g = _read_graph(args.mirror)
         h, colors = oracle.mirror_graph(g)
         # the 2n-vertex mirror meets the oracle's size cap first
@@ -315,39 +332,29 @@ def cmd_verify(args):
         _, opt_g = oracle.opt_cc(g)
         ok = _print_check("opt_fair(mirror) == 4*opt_cc", opt_h, "==", 4 * opt_g)
         return 0 if ok else 1
-    if args.random is not None:
-        rng = random.Random(args.seed)
-        ok = True
-        for _ in range(args.random):
-            half = rng.randrange(1, args.max_n // 2 + 1)
-            n = 2 * half
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            g = SignedCompleteGraph.from_negative_edges(
-                n, [pair for pair in pairs if rng.random() >= 0.5]
-            )
-            order = list(range(n))
-            rng.shuffle(order)
-            color_of = np.zeros(n, np.int64)
-            color_of[order[half:]] = 1
-            colors = ColorAssignment(color_of)
-            spec = FairnessSpec.exact({1: 1})
-            ok &= _verify_instance(g, colors, spec, pivot)
-        return 0 if ok else 1
-    if args.graph is None:
-        raise ParseError("verify needs --graph, --mirror or --random")
-    if args.spec is None or args.colors is None:
-        raise ParseError("verify needs --colors and --ratio/--bounds")
-    g, colors = _load_instance(args.graph, args.colors)
-    return 0 if _verify_instance(g, colors, args.spec, pivot) else 1
+    rng = random.Random(args.seed)
+    ok = True
+    for _ in range(args.random):
+        half = rng.randrange(1, args.max_n // 2 + 1)
+        n = 2 * half
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = SignedCompleteGraph.from_negative_edges(
+            n, [pair for pair in pairs if rng.random() >= 0.5]
+        )
+        order = list(range(n))
+        rng.shuffle(order)
+        color_of = np.zeros(n, np.int64)
+        color_of[order[half:]] = 1
+        colors = ColorAssignment(color_of)
+        spec = FairnessSpec.exact({1: 1})
+        ok &= _verify_instance(g, colors, spec, pivot)
+    return 0 if ok else 1
 
 
 def cmd_gen(args):
     g = _read_graph(args.mirror)
     h, colors = oracle.mirror_graph(g)
-    with open(args.out_graph, "w", encoding="utf-8") as fh:
-        fh.write(h.to_json() + "\n")
-    with open(args.out_colors, "w", encoding="utf-8") as fh:
-        fh.write(colors.to_csv())
+    _write_instance(args, h, colors)
     print(f"wrote mirror instance with {h.n} vertices")
     return 0
 
@@ -401,9 +408,10 @@ def build_parser():
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", parents=[instance], help="check the approximation bounds")
-    p.add_argument("--graph", default=None)
-    p.add_argument("--mirror", default=None, help="base graph for the mirror identity")
-    p.add_argument("--random", type=_at_least(1), default=None, help="random instance sweep")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graph", default=None)
+    source.add_argument("--mirror", default=None, help="base graph for the mirror identity")
+    source.add_argument("--random", type=_at_least(1), default=None, help="random instance sweep")
     p.add_argument("--max-n", type=_at_least(2), default=8)
     p.set_defaults(func=cmd_verify)
 

@@ -198,22 +198,22 @@ def build_graph(ds: TabularDataset, tau=0.5, ids=None):
     n = ds.n
     sims = np.zeros((n, n))
     for name, kind in features:
-        if kind == "categorical":
-            vals = np.array([row[name] for row in ds.rows], dtype=object)
-            col_sim = (vals[:, None] == vals[None, :]).astype(float)
+        if kind == "categorical":  # equal values share their first-appearance code
+            index = {}
+            codes = np.array([index.setdefault(row[name], len(index)) for row in ds.rows])
+            sims += codes[:, None] == codes[None, :]
         else:
             vals = np.array([row[name] for row in ds.rows], dtype=float)
             lo, hi = vals.min(), vals.max()
-            if hi > lo:
-                norm = (vals - lo) / (hi - lo)
-                col_sim = 1.0 - np.abs(norm[:, None] - norm[None, :])
-            else:
-                col_sim = np.ones((n, n))  # constant column
-        sims += col_sim
+            norm = (vals - lo) / ((hi - lo) or 1.0)  # a constant column is all 0
+            diff = np.subtract.outer(norm, norm)
+            sims += np.subtract(1.0, np.abs(diff, out=diff), out=diff)
+            del diff  # before the next column makes its own
     sims /= len(features)
-    signs = np.where(sims >= tau, 1, -1).astype(np.int8)
+    # symmetric: each pair sums the same terms in the same column order
+    signs = np.where(sims >= tau, np.int8(1), np.int8(-1))
     np.fill_diagonal(signs, 0)
-    g = SignedCompleteGraph(n, signs)
+    g = SignedCompleteGraph._trusted(signs)
 
     ids = color_ids(ds) if ids is None else ids
     return g, ColorAssignment([ids[v] for v in ds.protected_values()])

@@ -56,7 +56,8 @@ class SignedCompleteGraph:
         del positive  # before the transpose compare makes the next n x n mask
         if not np.array_equal(s, s.T):
             raise InvalidInputError("sign matrix must be symmetric")
-        self._freeze(s.astype(np.int8, copy=False), bits)  # the cast is exact now
+        # the cast is exact now; a copy keeps the caller's writable matrix writable
+        self._freeze(s.astype(np.int8, copy=s.flags.writeable), bits)
 
     def _freeze(self, signs, bits):
         """Keep ``signs`` and its packed positive rows ``bits``, both made

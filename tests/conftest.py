@@ -17,6 +17,7 @@ from faircc import (
 )
 from faircc.bmatching import _UNREACHED, BMatching, BMatchingInstance, solve
 from faircc.fair_clustering import build_matchings, pair_cost_table
+from faircc.ingest import color_ids
 from faircc.model import check_spec
 
 
@@ -204,6 +205,45 @@ def reference_best_of_restarts(g, run):
     restarts = (Clustering(reference_pivot_cluster(g, run.seed + k)) for k in range(run.restarts))
     best = min(restarts, key=lambda c: reference_disagreements(g, c))
     return Clustering.from_labels(best.cluster_of)
+
+
+# The dataset-to-graph step before it summed first-appearance codes into one
+# similarity matrix: one object-array compare per categorical column, an
+# all-ones matrix for a constant numeric column, and the checked constructor.
+
+
+def reference_similarities(ds):
+    """The n x n mean similarity of ``ds``'s rows as the object-compare
+    ``build_graph`` summed it, for two or more rows and a feature column."""
+    features = ds.schema.feature_columns()
+    n = ds.n
+    sims = np.zeros((n, n))
+    for name, kind in features:
+        if kind == "categorical":
+            vals = np.array([row[name] for row in ds.rows], dtype=object)
+            col_sim = (vals[:, None] == vals[None, :]).astype(float)
+        else:
+            vals = np.array([row[name] for row in ds.rows], dtype=float)
+            lo, hi = vals.min(), vals.max()
+            if hi > lo:
+                norm = (vals - lo) / (hi - lo)
+                col_sim = 1.0 - np.abs(norm[:, None] - norm[None, :])
+            else:
+                col_sim = np.ones((n, n))  # constant column
+        sims += col_sim
+    sims /= len(features)
+    return sims
+
+
+def reference_build_graph(ds, tau=0.5, ids=None):
+    """(graph, colors) of ``ds`` as the object-compare ``build_graph``
+    built them from ``reference_similarities``, through the checked
+    constructor."""
+    signs = np.where(reference_similarities(ds) >= tau, 1, -1).astype(np.int8)
+    np.fill_diagonal(signs, 0)
+    g = SignedCompleteGraph(ds.n, signs)
+    ids = color_ids(ds) if ids is None else ids
+    return g, ColorAssignment([ids[v] for v in ds.protected_values()])
 
 
 # Tuple-based references for the per-vertex model: the validation, label

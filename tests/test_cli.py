@@ -272,6 +272,12 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          "argument --bounds: not allowed with argument --ratio"),
         ("verify --graph {ws}/g.json --colors {ws}/c.csv --bounds 1:1..1:2 --ratio 1:1",
          "argument --ratio: not allowed with argument --bounds"),
+        ("verify --graph {ws}/g.json --mirror {ws}/g.json",
+         "argument --mirror: not allowed with argument --graph"),
+        ("verify --random 2 --ratio 1:3 --colors {ws}/missing.csv",
+         "verify --random takes no --colors, --ratio or --bounds"),
+        ("verify --mirror {ws}/missing.json --bounds 1:1..1:2",
+         "verify --mirror takes no --colors, --ratio or --bounds"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
@@ -284,7 +290,8 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         "cluster-no-spec", "experiment-unknown-algo", "experiment-repeated-algo",
         "cluster-bad-ratio-before-input", "cluster-no-colors-before-input",
         "verify-no-colors-before-input", "verify-random-bad-bounds", "cluster-ratio-and-bounds",
-        "experiment-ratio-and-bounds", "verify-ratio-and-bounds",
+        "experiment-ratio-and-bounds", "verify-ratio-and-bounds", "verify-graph-and-mirror",
+        "verify-random-with-spec", "verify-mirror-with-spec",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):

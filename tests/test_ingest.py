@@ -1,16 +1,21 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircc import (
     InfeasibleSpecError,
     InvalidInputError,
     ParseError,
     Schema,
+    SignedCompleteGraph,
     build_graph,
     load_csv,
     sample,
     TabularDataset,
 )
 from faircc.ingest import color_ids
+from conftest import reference_build_graph, reference_similarities
 
 SCHEMA = Schema(
     (
@@ -206,3 +211,64 @@ def test_balanced_sample_keeps_the_ratio_color_order():
         got = sample(ds, 6, seed, balance="1:2")
         _, colors = build_graph(got, ids=ids)
         assert colors.counts == (2, 4)
+
+
+# Categorical values that == and a dict key agree on: 1, 1.0 and True are
+# one value, "1" another. Numeric values with exact halves, a value near 0
+# and a negative one, so normalized differences tie and columns go constant.
+CATEGORIES = ["a", "b", "", "1", 1, 1.0, True, 0, None]
+NUMBERS = [0.0, 0.5, 1e-9, 1.0, 2.5, -3.0]
+
+
+@st.composite
+def similarity_cases(draw):
+    """(dataset, taus): 2-30 rows, 0-3 categorical and 0-3 numeric columns
+    (one at least) in a random order, each drawn from a small alphabet of
+    one to four values; one tau at 0, 1, a multiple of 1/features or any
+    value in [0, 1], and the reference similarities of up to eight pairs
+    of rows."""
+    n = draw(st.integers(2, 30))
+    kinds = ["categorical"] * draw(st.integers(0, 3)) + ["numeric"] * draw(st.integers(0, 3))
+    if not kinds:
+        kinds = [draw(st.sampled_from(["categorical", "numeric"]))]
+    kinds = draw(st.permutations(kinds))
+    columns = [(f"f{i}", kind) for i, kind in enumerate(kinds)] + [("group", "protected")]
+    rows = [{"group": draw(st.sampled_from("RBG"))} for _ in range(n)]
+    for name, kind in columns[:-1]:
+        pool = st.sampled_from(CATEGORIES if kind == "categorical" else NUMBERS)
+        if kind == "numeric":  # and values whose sums round
+            pool |= st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-999, 999).map(
+                lambda k: k / 7
+            )
+        alphabet = draw(st.lists(pool, min_size=1, max_size=4))
+        for row in rows:
+            row[name] = draw(st.sampled_from(alphabet))
+    ds = TabularDataset(tuple(rows), Schema(tuple(columns)))
+    k = draw(st.integers(0, len(kinds)))
+    taus = [draw(st.sampled_from([0.0, 1.0, k / len(kinds)]) | st.floats(0, 1))]
+    # ties that a change in rounding would break
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    sims = reference_similarities(ds)
+    return ds, taus + [float(sims[u, v]) for u, v in pairs if u != v]
+
+
+@settings(max_examples=400, deadline=None)
+@given(similarity_cases())
+def test_build_graph_matches_the_object_compare_reference(case):
+    """Summing first-appearance codes and normalized numeric columns into
+    one similarity matrix, with a constant column normalized to all 0s,
+    gives the signs, packed bits, positive count and colors of the
+    object-compare builder, ties at tau included; its graph is read-only
+    and equals the checked constructor's on the same signs."""
+    ds, taus = case
+    for tau in taus:
+        g, colors = build_graph(ds, tau)
+        want, want_colors = reference_build_graph(ds, tau)
+        assert g.signs.dtype == np.int8 and np.array_equal(g.signs, want.signs)
+        assert np.array_equal(g.positive_bits, want.positive_bits)
+        assert g.positive_pairs == want.positive_pairs
+        assert np.array_equal(colors.color_of, want_colors.color_of)
+        assert not g.signs.flags.writeable and not g.positive_bits.flags.writeable
+        checked = SignedCompleteGraph(g.n, g.signs)
+        assert g == checked and g.positive_pairs == checked.positive_pairs
+        assert np.array_equal(g.positive_bits, checked.positive_bits)

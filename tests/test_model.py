@@ -340,6 +340,18 @@ def test_graph_equality_is_by_value():
         assert g != other and other != g
 
 
+def test_graph_keeps_a_copy_of_a_writable_matrix():
+    """The constructor never freezes the caller's matrix: a writable int8
+    matrix is copied and stays writable, and a read-only int8 matrix, which
+    no one can change, is kept as it is."""
+    s = np.array([[0, 1], [1, 0]], np.int8)
+    g = SignedCompleteGraph(2, s)
+    s[0, 1] = s[1, 0] = -1
+    assert g.signs[0, 1] == 1 and g.positive_pairs == 1 and not g.signs.flags.writeable
+    s.setflags(write=False)
+    assert SignedCompleteGraph(2, s).signs is s
+
+
 def test_graph_positive_bits():
     """The packed rows are padded with zero bits to whole 64-bit words."""
     for n, width in [(13, 8), (64, 8), (65, 16)]:

@@ -73,6 +73,15 @@ def _algorithm_list(text):
     return algos
 
 
+class _Noted(argparse.Action):
+    """Store an option's value and add its dest to ``given``, so a command
+    can refuse an option it would ignore, even one given its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 @contextlib.contextmanager
 def _reading(path):
     """Turn a failure to read input file ``path``, or to decode it as UTF-8,
@@ -312,14 +321,19 @@ def _verify_instance(g, colors, spec, pivot):
 
 
 def cmd_verify(args):
+    if args.graph is None and args.mirror is None and args.random is None:
+        raise ParseError("verify needs --graph, --mirror or --random")
+    # only --random draws instances, and --mirror runs no pivot
+    if args.max_n is not None and args.random is None:
+        raise ParseError("verify --max-n needs --random")
+    if args.mirror is not None and args.given & {"seed", "restarts"}:
+        raise ParseError("verify --mirror takes no --seed or --restarts")
     pivot = PivotRun(args.seed, args.restarts)
     if args.graph is not None:
         if args.spec is None or args.colors is None:
             raise ParseError("verify needs --colors and --ratio/--bounds")
         g, colors = _load_instance(args.graph, args.colors)
         return 0 if _verify_instance(g, colors, args.spec, pivot) else 1
-    if args.mirror is None and args.random is None:
-        raise ParseError("verify needs --graph, --mirror or --random")
     # each makes its own colors and 1:1 spec
     if args.colors is not None or args.spec is not None:
         flag = "--mirror" if args.mirror is not None else "--random"
@@ -333,9 +347,10 @@ def cmd_verify(args):
         ok = _print_check("opt_fair(mirror) == 4*opt_cc", opt_h, "==", 4 * opt_g)
         return 0 if ok else 1
     rng = random.Random(args.seed)
+    max_n = 8 if args.max_n is None else args.max_n
     ok = True
     for _ in range(args.random):
-        half = rng.randrange(1, args.max_n // 2 + 1)
+        half = rng.randrange(1, max_n // 2 + 1)
         n = 2 * half
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = SignedCompleteGraph.from_negative_edges(
@@ -370,13 +385,14 @@ def build_parser():
     parser = _Parser(prog="faircc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.set_defaults(given=frozenset())  # the dests of _Noted options given
+    seeded.add_argument("--seed", type=int, default=0, action=_Noted)
     instance = argparse.ArgumentParser(add_help=False, parents=[seeded])
     instance.add_argument("--colors", default=None)
     spec = instance.add_mutually_exclusive_group()
     spec.add_argument("--ratio", dest="spec", type=_ratio_spec, metavar="RATIO")
     spec.add_argument("--bounds", dest="spec", type=_bounds_spec, metavar="BOUNDS")
-    instance.add_argument("--restarts", type=_at_least(1), default=25)
+    instance.add_argument("--restarts", type=_at_least(1), default=25, action=_Noted)
 
     p = sub.add_parser("ingest", parents=[seeded], help="CSV -> signed graph + colors")
     p.add_argument("--csv", required=True)
@@ -412,7 +428,7 @@ def build_parser():
     source.add_argument("--graph", default=None)
     source.add_argument("--mirror", default=None, help="base graph for the mirror identity")
     source.add_argument("--random", type=_at_least(1), default=None, help="random instance sweep")
-    p.add_argument("--max-n", type=_at_least(2), default=8)
+    p.add_argument("--max-n", type=_at_least(2), default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit derived instances")

@@ -204,7 +204,11 @@ def build_graph(ds: TabularDataset, tau=0.5, ids=None):
             sims += codes[:, None] == codes[None, :]
         else:
             vals = np.array([row[name] for row in ds.rows], dtype=float)
-            lo, hi = vals.min(), vals.max()
+            lo, hi = float(vals.min()), float(vals.max())
+            if hi - lo == float("inf"):  # Python floats overflow without a warning
+                raise InvalidInputError(
+                    f"numeric column {name!r}: range {lo:g}..{hi:g} overflows float64"
+                )
             norm = (vals - lo) / ((hi - lo) or 1.0)  # a constant column is all 0
             diff = np.subtract.outer(norm, norm)
             sims += np.subtract(1.0, np.abs(diff, out=diff), out=diff)

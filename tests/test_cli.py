@@ -278,6 +278,14 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
          "verify --random takes no --colors, --ratio or --bounds"),
         ("verify --mirror {ws}/missing.json --bounds 1:1..1:2",
          "verify --mirror takes no --colors, --ratio or --bounds"),
+        ("verify --graph {ws}/missing.json --colors {ws}/c.csv --ratio 1:1 --max-n 4",
+         "verify --max-n needs --random"),
+        ("verify --mirror {ws}/missing.json --max-n 2", "verify --max-n needs --random"),
+        ("verify --mirror {ws}/missing.json --seed 5",
+         "verify --mirror takes no --seed or --restarts"),
+        ("verify --mirror {ws}/missing.json --restarts 3",
+         "verify --mirror takes no --seed or --restarts"),
+        ("verify --mirror {ws}/g.json --seed 0", "verify --mirror takes no --seed or --restarts"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
@@ -291,7 +299,9 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         "cluster-bad-ratio-before-input", "cluster-no-colors-before-input",
         "verify-no-colors-before-input", "verify-random-bad-bounds", "cluster-ratio-and-bounds",
         "experiment-ratio-and-bounds", "verify-ratio-and-bounds", "verify-graph-and-mirror",
-        "verify-random-with-spec", "verify-mirror-with-spec",
+        "verify-random-with-spec", "verify-mirror-with-spec", "verify-graph-max-n",
+        "verify-mirror-max-n", "verify-mirror-seed", "verify-mirror-restarts",
+        "verify-mirror-default-seed",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):
@@ -818,6 +828,17 @@ def test_ingest_non_finite_numeric_exits_3(workspace, capsys, value):
     assert sorted(workspace.iterdir()) == before
 
 
+def test_ingest_numeric_range_beyond_float64_exits_1(workspace, capsys):
+    (workspace / "data.csv").write_text(
+        make_csv([("v0", 1e308, "eng", "R"), ("v1", -1e308, "law", "B"),
+                  ("v2", 0, "eng", "R"), ("v3", 1, "law", "B")])
+    )
+    before = sorted(workspace.iterdir())
+    assert run_ingest(workspace) == 1
+    assert "numeric column 'age': range -1e+308..1e+308 overflows float64" in capsys.readouterr().err
+    assert sorted(workspace.iterdir()) == before
+
+
 @pytest.mark.parametrize("spec", [["--ratio", "1:2"], ["--bounds", "1:1..1:2"]])
 def test_experiment_cells_match_cluster(workspace, capsys, spec):
     """Sharing fairlets, cc clusterings and one pivot pass per graph across
@@ -1007,7 +1028,7 @@ def test_registry_errors_name_no_flags():
     assert run_algorithm("cc", g) == run_algorithm("cc", g, colors, spec, memo={})
 
 
-def test_traced_layer_names_exist(capsys):
+def test_traced_layer_names_exist(capsys, tmp_path):
     """Every function the benchmark's tracer wraps still exists, and its
     argument extras still read: a rename fails here, not only in the
     traced benchmark run."""
@@ -1024,3 +1045,15 @@ def test_traced_layer_names_exist(capsys):
     assert tracer.absent == []
     assert tracer.absent_extras == set()
     assert {"oracle.opt_fair", "oracle.best_partition", "bmatching.solve"} <= set(tracer.summary())
+    # opt_cc, which no benchmark workload calls, is the mirror check's
+    # second search
+    path = tmp_path / "g.json"
+    path.write_text(random_graph(4, seed=2).to_json())
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "--mirror", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: agg["calls"] for name, agg in tracer.summary().items()}
+    assert calls["oracle.opt_cc"] == 1 and calls["oracle.best_partition"] == 2

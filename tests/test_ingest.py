@@ -191,6 +191,16 @@ def test_build_graph_needs_two_rows_and_features():
         build_graph(TabularDataset(rows, bare))
 
 
+def test_build_graph_refuses_a_numeric_range_beyond_float64():
+    """A column whose max - min overflows would give nan similarities."""
+    rows = tuple(
+        {"id": str(i), "age": age, "job": "x", "group": "RB"[i % 2]}
+        for i, age in enumerate((1e308, -1e308, 0.0, 1.0))
+    )
+    with pytest.raises(InvalidInputError, match="numeric column 'age': range -1e.308..1e.308"):
+        build_graph(TabularDataset(rows, SCHEMA))
+
+
 def test_similarity_config_validation():
     """The threshold tau must lie in [0, 1], and is checked before the rows."""
     ds = make_dataset(["R", "B"])

@@ -43,6 +43,11 @@ def all_negative(n):
     )
 
 
+def one_color(n):
+    """Colors and spec of the unconstrained problem: one color, no bounds."""
+    return ColorAssignment(np.zeros(n, np.int64)), FairnessSpec(0, {})
+
+
 @pytest.mark.parametrize("n,count", sorted(BELL.items()))
 def test_enumerator_counts_match_bell_numbers(n, count):
     assert sum(1 for _ in all_partitions(n)) == count
@@ -51,7 +56,7 @@ def test_enumerator_counts_match_bell_numbers(n, count):
 def test_python_kernel_matches_enumeration():
     for seed in range(20):
         g = random_graph(6, seed)
-        cost, assign = best_partition(g)
+        cost, assign = best_partition(g, *one_color(6))
         assert cost == brute_opt(g)
         assert tuple(assign) in set(all_partitions(6))
 
@@ -60,7 +65,7 @@ def test_lexicographic_tie_break():
     # +,+,- triangle: optima are [0,0,0], [0,0,1], [0,1,0], all cost 1
     signs = np.array([[0, 1, 1], [1, 0, -1], [1, -1, 0]], dtype=np.int8)
     g = SignedCompleteGraph(3, signs)
-    cost, assign = best_partition(g)
+    cost, assign = best_partition(g, *one_color(3))
     assert (cost, assign) == (1, [0, 0, 0])
 
 
@@ -98,13 +103,13 @@ def test_fair_search_is_first_fair_optimum_of_enumeration(seed):
 def search_cases(draw):
     """(graph, colors, spec) on n <= 9: 1-3 colors, a random base color,
     exact or interval bounds on the other colors (about a quarter of them
-    left unbounded), or no spec at all."""
+    left unbounded), or, in half the draws, the one-color problem."""
     n = draw(st.integers(1, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     negative = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = SignedCompleteGraph.from_negative_edges(n, [e for e, neg in zip(pairs, negative) if neg])
     if draw(st.booleans()):
-        return g, None, None
+        return (g, *one_color(n))
     k = draw(st.integers(1, min(3, n)))
     extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
     colors = ColorAssignment(draw(st.permutations(list(range(k)) + extra)))
@@ -131,9 +136,13 @@ def search_cases(draw):
 )
 def test_search_matches_the_reference(case):
     """The pruned search returns the same cost and assignment as the search
-    that checks fairness only at the leaves, the sentinel included."""
+    that checks fairness only at the leaves, the sentinel included; on one
+    color it also equals the reference's unconstrained search."""
     g, colors, spec = case
-    assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
+    found = best_partition(g, colors, spec)
+    assert found == reference_best_partition(g, colors, spec)
+    if colors.num_colors == 1:
+        assert found == reference_best_partition(g)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -142,7 +151,7 @@ def test_search_matches_the_reference_at_n10(seed):
     colors = random_colors((5, 5), seed)
     spec = FairnessSpec.exact({1: 1})
     assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
-    assert best_partition(g) == reference_best_partition(g)
+    assert best_partition(g, *one_color(10)) == reference_best_partition(g)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -153,14 +162,18 @@ def test_search_matches_the_reference_at_n10(seed):
         ((4, 4, 4), {1: (1, 1), 2: (1, 1)}),
         ((3, 4, 5), {1: (1, 2), 2: (1, 2)}),
         ((6, 6), {1: (1, 1)}),
+        ((12,), {}),
     ],
-    ids=["4:8-interval", "4:4:4-exact", "3:4:5-interval", "6:6-exact"],
+    ids=["4:8-interval", "4:4:4-exact", "3:4:5-interval", "6:6-exact", "one-color"],
 )
 def test_search_matches_the_reference_at_n12(counts, bounds, seed):
     g = random_graph(12, seed + 700)
     colors = random_colors(counts, seed)
     spec = FairnessSpec(0, bounds)
-    assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
+    found = best_partition(g, colors, spec)
+    assert found == reference_best_partition(g, colors, spec)
+    if len(counts) == 1:  # the unconstrained problem
+        assert found == reference_best_partition(g)
 
 
 def test_opt_cc_extremes():

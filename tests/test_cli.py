@@ -16,7 +16,7 @@ from faircc import (
     check_fairness,
     run_algorithm,
 )
-from faircc import algorithms, baselines, cli, fair_clustering, oracle, pivot
+from faircc import algorithms, baselines, cli, fair_clustering, model, oracle, pivot
 from faircc.pivot import PivotRun
 from faircc.cli import _bounds_spec, _ratio_spec, main
 from conftest import random_colors, random_graph
@@ -480,6 +480,17 @@ def test_exit_code_oracle_limit(workspace, capsys):
     (workspace / "big.json").write_text(g.to_json())
     rc = main(["verify", "--mirror", str(workspace / "big.json")])
     assert rc == 4
+
+
+def test_verify_refuses_oracle_tables_beyond_physical_memory(workspace, monkeypatch, capsys):
+    """An instance under the cap whose subset tables exceed physical memory
+    exits 4 before the search runs."""
+    monkeypatch.setattr(model, "_physical_memory", lambda: 10_000)
+    (workspace / "g.json").write_text(random_graph(10, 0).to_json())
+    (workspace / "c.csv").write_text("".join(f"{v},{v % 2}\n" for v in range(10)))
+    argv = ["verify", "--graph", str(workspace / "g.json"), "--colors", str(workspace / "c.csv")]
+    assert main(argv + ["--ratio", "1:1"]) == 4
+    assert "n=10 needs 28672 bytes of subset tables" in capsys.readouterr().err
 
 
 def test_verify_mirror_refuses_an_oversized_mirror_before_searching(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from faircc import (
     opt_cc,
     opt_fair,
 )
+from faircc import model
 from faircc.oracle import best_partition
 from conftest import (
     all_partitions,
@@ -145,6 +147,66 @@ def test_search_matches_the_reference(case):
         assert found == reference_best_partition(g)
 
 
+@st.composite
+def tie_heavy_cases(draw):
+    """(graph, colors, spec) on n <= 9 with signs from a noiseless planted
+    partition, or all positive, or all negative, under one color, an exact
+    spec or an interval spec. Many partitions then share the optimum, so a
+    search that stops at the wrong leaf returns another string."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["planted", "positive", "negative"]))
+    if kind == "planted":
+        block = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    else:
+        block = [0] * n if kind == "positive" else list(range(n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if block[u] != block[v]]
+    g = SignedCompleteGraph.from_negative_edges(n, pairs)
+    mode = draw(st.sampled_from(["one-color", "exact", "interval"]))
+    if mode == "one-color" or n == 1:
+        return (g, *one_color(n))
+    k = draw(st.integers(2, min(3, n)))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    colors = ColorAssignment(draw(st.permutations(list(range(k)) + extra)))
+    base = draw(st.integers(0, k - 1))
+    bounds = {}
+    for c in set(range(k)) - {base}:
+        p = draw(st.integers(1, 2))
+        bounds[c] = (p, p if mode == "exact" else p + draw(st.integers(1, 2)))
+    return g, colors, FairnessSpec(base, bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_cases())
+@example(  # a bound far past int32, which the DP must read as "any count"
+    (
+        SignedCompleteGraph.from_negative_edges(4, [(0, 1), (0, 3), (1, 2), (2, 3)]),
+        ColorAssignment((0, 1, 1, 0)),
+        FairnessSpec(0, {1: (1, 2**40)}),
+    )
+)
+def test_search_matches_the_reference_on_ties(case):
+    """Where optima tie, the search returns the reference's cost and
+    lexicographically first string, the sentinel included."""
+    g, colors, spec = case
+    assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
+
+
+@pytest.mark.parametrize(
+    "g,colors,spec,expected",
+    [
+        (all_positive(1), *one_color(1), (0, [0])),
+        (all_positive(2), *one_color(2), (0, [0, 0])),
+        (all_negative(2), *one_color(2), (0, [0, 1])),
+        (all_negative(2), ColorAssignment((1, 0)), FairnessSpec.exact({1: 1}), (1, [0, 0])),
+        (all_positive(2), ColorAssignment((0, 1)), FairnessSpec.exact({1: 2}), (-1, None)),
+    ],
+    ids=["n1", "n2-positive", "n2-negative", "n2-forced-pair", "n2-infeasible"],
+)
+def test_search_on_one_and_two_vertices(g, colors, spec, expected):
+    assert best_partition(g, colors, spec) == expected
+    assert reference_best_partition(g, colors, spec) == expected
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_search_matches_the_reference_at_n10(seed):
     g = random_graph(10, seed + 500)
@@ -174,6 +236,74 @@ def test_search_matches_the_reference_at_n12(counts, bounds, seed):
     assert found == reference_best_partition(g, colors, spec)
     if len(counts) == 1:  # the unconstrained problem
         assert found == reference_best_partition(g)
+
+
+@pytest.mark.parametrize(
+    "search,expected",
+    [
+        (
+            lambda: opt_fair(
+                random_graph(14, 900), random_colors((7, 7), 0), FairnessSpec.exact({1: 1})
+            ),
+            (29, [0, 0, 1, 0, 0, 0, 1, 2, 2, 2, 2, 0, 0, 0]),
+        ),
+        (lambda: opt_cc(random_graph(14, 901)), (29, [0, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0])),
+    ],
+    ids=["opt_fair-7:7", "opt_cc"],
+)
+def test_search_at_n14_in_bounded_memory(monkeypatch, search, expected):
+    """With the cap raised to 14, each oracle returns the (cost, string)
+    that the branch-and-bound search without the DP found, pinned here,
+    with a traced peak of at most 64 MB for the call."""
+    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "14")
+    tracemalloc.start()
+    try:
+        clustering, cost = search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cost, clustering.cluster_of.tolist()) == expected
+    assert peak <= 64 * 2**20
+
+
+def test_tables_beyond_physical_memory_are_refused_before_allocating(monkeypatch):
+    """At 10^5 bytes of memory the subset tables of 10 vertices, 2^10 * 27
+    bytes, fit, and those of 12, 2^12 * 29 bytes, are refused with nothing
+    allocated: a search at n = 12 traces megabytes."""
+    monkeypatch.setattr(model, "_physical_memory", lambda: 10**5)
+    assert best_partition(all_positive(10), *one_color(10)) == (0, [0] * 10)
+    g = all_positive(12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleLimitError, match="n=12 needs 118784 bytes"):
+            best_partition(g, *one_color(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_search_at_n16_finds_a_planted_partition_in_bounded_memory(monkeypatch):
+    """A noiseless planted partition costs 0 and no other does. Its blocks
+    {0, 1, 8, 9}, {2, 3, 10, 11}, ... put the first vertices, which the DP
+    reads as high bits, in blocks together and with later vertices, and
+    each holds two vertices of each color. One color and the 1:1 spec give
+    that partition, each call with a traced peak of at most 64 MB."""
+    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "16")
+    block = [(v // 2) % 4 for v in range(16)]
+    g = SignedCompleteGraph.from_negative_edges(
+        16, [(u, v) for u in range(16) for v in range(u + 1, 16) if block[u] != block[v]]
+    )
+    alternating = ColorAssignment([v % 2 for v in range(16)])
+    for colors, spec in [one_color(16), (alternating, FairnessSpec.exact({1: 1}))]:
+        tracemalloc.start()
+        try:
+            clustering, cost = opt_fair(g, colors, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cost, clustering.cluster_of.tolist()) == (0, block)
+        assert peak <= 64 * 2**20
 
 
 def test_opt_cc_extremes():

@@ -3,16 +3,13 @@
 Disagreements split over blocks: a partition costs g's positive pairs plus,
 per block, its negative pairs minus its positive pairs, and fairness is a
 condition on each block alone. So the fair optimum is a set-partition DP
-over vertex subsets, O(3^n) in numpy integers. A walk over restricted
-growth strings in lexicographic order, which cuts every branch that holds
-no fair partition at that cost, then stops at its first leaf: the
-lexicographically smallest optimal string, as a full enumeration would
-pick. The unconstrained optimum is the one-color case: with one color and
-no bounds every partition is fair. ``mirror_graph`` builds the
-vertex-duplication instance whose fair optimum equals four times the
-unconstrained optimum of the base graph.
+over vertex subsets, O(3^n) in numpy integers, and a back-trace through
+its tables gives an optimal partition. The unconstrained optimum is the
+one-color case: with one color and no bounds every partition is fair.
+``mirror_graph`` builds the vertex-duplication instance whose fair optimum
+equals four times the unconstrained optimum of the base graph.
 
-The searches take at most 10 vertices, or the positive integer in
+The searches take at most 16 vertices, or the positive integer in
 ``FAIRCC_ORACLE_MAX_N``. A larger instance, or one whose 2^n-entry subset
 tables exceed physical memory, raises OracleLimitError (exit 4), and an
 override that is not a positive integer raises InvalidInputError (exit 1).
@@ -33,9 +30,9 @@ _ENV_MAX_N = "FAIRCC_ORACLE_MAX_N"
 
 def _check_size(n):
     """Raise OracleLimitError when n exceeds the cap on the exhaustive
-    partition searches, $FAIRCC_ORACLE_MAX_N or else 10, and
+    partition searches, $FAIRCC_ORACLE_MAX_N or else 16, and
     InvalidInputError when that variable holds no positive integer."""
-    raw = os.environ.get(_ENV_MAX_N) or "10"
+    raw = os.environ.get(_ENV_MAX_N) or "16"
     cap = int(raw) if raw.strip().isdecimal() else 0
     if cap < 1:
         raise InvalidInputError(f"{_ENV_MAX_N} must be a positive integer, got {raw!r}")
@@ -47,14 +44,15 @@ def _check_size(n):
 # within n^2 / 2 of zero, so a DP value above _INF // 2 means that no fair
 # partition exists, and two values of at most _INF still add in int32.
 _INF = 1 << 29
-# The pair table covers at most this many low bits: 3^12 rows, 4 MB.
+# The pair table covers at most this many low bits: 3^12 rows, 8.5 MB.
 _PAIR_BITS = 12
 _pairs = []  # the largest pair table built so far: t, rest, starts
 
 
 def _pair_table(bits):
-    """Every pair T within S within {0..bits-1}, as int32 columns T and
-    S - T with rows sorted by S, and the row where each S starts.
+    """Every pair T within S within {0..bits-1}, as intp columns T and
+    S - T with rows sorted by S, and the row where each S starts. Index
+    columns in intp are gathered by ``np.take`` without a cast copy.
 
     The rows of S + {b} are those of S, first with T and then with
     T + {b}, and they follow every row of the sets below bit b. So the
@@ -62,7 +60,7 @@ def _pair_table(bits):
     for is kept, built on first use and grown by the bits a later call
     needs."""
     if not _pairs:
-        _pairs[:] = np.zeros(1, np.int32), np.zeros(1, np.int32), np.zeros(1, np.intp)
+        _pairs[:] = np.zeros(1, np.intp), np.zeros(1, np.intp), np.zeros(1, np.intp)
     t, rest, starts = _pairs
     for b in range(len(starts).bit_length() - 1, bits):
         size, bit = len(t), 1 << b
@@ -78,10 +76,11 @@ def _pair_table(bits):
 
 
 def _fair_optimum(g, colors, spec):
-    """The least sum of w(B) over the blocks B of a partition whose every
-    block is fair, where w(B) is B's negative pairs minus its positive
-    pairs, or a value above _INF // 2 when no partition is fair. A
-    partition's disagreements are g's positive pairs plus that sum.
+    """The DP's tables (f, w), indexed by vertex subset. w(B) is B's
+    negative pairs minus its positive pairs when B is a fair block, else
+    _INF. f(S) is the least sum of w(B) over the blocks B of a partition
+    of S whose every block is fair, or a value above _INF // 2 when none
+    is. A partition's disagreements are g's positive pairs plus that sum.
 
     Subset DP, with bit j standing for vertex n-1-j so that the vertices
     after a vertex are the bits below its own. For S with top bit m and
@@ -129,7 +128,7 @@ def _fair_optimum(g, colors, spec):
                 if not th:
                     break
                 th = (th - 1) & h
-    return int(f[-1])
+    return f, w
 
 
 def best_partition(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec):
@@ -137,24 +136,22 @@ def best_partition(g: SignedCompleteGraph, colors: ColorAssignment, spec: Fairne
     block has n1 >= 1 base-color vertices and n1*p_c <= n_c <= n1*q_c for
     every bounded color c.
 
-    The optimum comes first, from the subset DP of ``_fair_optimum``. Then
-    a walk over restricted growth strings in lexicographic order stops at
-    its first leaf. It cuts a branch whose cost so far plus a lower bound
-    on the cost to come exceeds the optimum. The bound sums, over the
-    unplaced vertices, each one's cheapest cost against the placed ones;
-    these pair sets are disjoint. It also cuts a branch that no completion
-    can make fair: it would open more blocks than there are base vertices,
-    a block holds more of a color c than q_c times its base vertices plus
-    the base vertices left, more blocks lack a base vertex than base
-    vertices are left, or the blocks lack more of a color c to reach p_c
-    per base vertex than vertices of c are left. With one color and no
-    bounds none of these cuts fires. No cut drops a fair partition at the
-    optimum, so the first leaf is the lexicographically smallest of them.
+    The subset DP of ``_fair_optimum`` gives the optimum of every set of
+    vertices. A back-trace then reads one optimal partition out of its
+    tables: from S = V, the smallest vertex left, bit m of S, takes the
+    block {m} + T for the first T within S - {m}, in the order below,
+    with w({m} + T) + f(S - {m} - T) = f(S), and S loses that block. The
+    subsets T are listed by doubling over the bits of S - {m} from the
+    last vertex to the first, so the empty T, the singleton block, comes
+    first. Blocks are numbered in the order of their
+    smallest vertex, so the assignment is a restricted growth string, and
+    the same input always gives the same one; among tied optima it is the
+    back-trace's choice, not the lexicographically smallest.
 
-    Returns (cost, assignment) with that restricted growth string, or
-    (-1, None) when no partition is fair. The DP's subset tables and their
-    temporaries take about 2^n * (n + colors + 16) bytes; when that exceeds
-    physical memory, OracleLimitError is raised before any is allocated.
+    Returns (cost, assignment), or (-1, None) when no partition is fair.
+    The DP's subset tables and their temporaries take about
+    2^n * (n + colors + 16) bytes; when that exceeds physical memory,
+    OracleLimitError is raised before any is allocated.
     """
     n = g.n
     need, memory = (1 << n) * (n + colors.num_colors + 16), model._physical_memory()
@@ -163,90 +160,25 @@ def best_partition(g: SignedCompleteGraph, colors: ColorAssignment, spec: Fairne
             f"n={n} needs {need} bytes of subset tables, "
             f"more than the {memory} bytes of physical memory"
         )
-    opt = _fair_optimum(g, colors, spec)
-    if opt > _INF // 2:
+    f, w = _fair_optimum(g, colors, spec)
+    if f[-1] > _INF // 2:
         return -1, None
-    opt += g.positive_pairs
-    pos = (g.signs > 0).astype(np.int64).tolist()  # ints add faster than bools
-    # v joining block b adds step[v][w] to extra[b][w] (see walk): +1 for a
-    # negative pair, -1 for a positive one
-    step = (-g.signs).tolist()
-    base, bounds = spec.base_color, list(spec.bounds.items())
-    color_of = colors.color_of.tolist()  # the search reads a list faster than an array
-    left = [[0] * colors.num_colors for _ in range(n + 1)]  # color counts of v..n-1
-    for v in range(n - 1, -1, -1):
-        left[v] = list(left[v + 1])
-        left[v][color_of[v]] += 1
-    max_blocks = left[0][base]
-    hist = [[0] * colors.num_colors for _ in range(n)]  # per block, color counts
-    zeros = [0] * n
     assign = [0] * n
-
-    def can_be_fair(v, num_blocks):
-        """False when no placement of v+1..n-1 makes every block fair."""
-        after = left[v + 1]
-        spare = after[base]
-        bare = 0
-        for b in range(num_blocks):
-            if not hist[b][base]:
-                bare += 1
-        if bare > spare:
-            return False
-        for c, (p, q) in bounds:
-            short = 0
-            for b in range(num_blocks):
-                h = hist[b]
-                n1, n_c = h[base], h[c]
-                if n_c > q * (n1 + spare):
-                    return False
-                lack = p * n1 - n_c
-                if lack > 0:
-                    short += lack
-            if short > after[c]:
-                return False
-        return True
-
-    def walk(v, num_blocks, cost, pos_in, extra):
-        """True once a leaf is reached, with its string in ``assign``."""
-        # pos_in[w]: w's positive edges to 0..v-1; extra[b][w]: 2 * (w's
-        # negative edges into block b) - |b|, so w joining block b costs
-        # pos_in[w] + extra[b][w] against 0..v-1 and a new block pos_in[w]
-        if v == n:
-            return True
-        rest = v + 1
-        to_come = 0
-        if num_blocks:
-            to_come = sum(pos_in[rest:]) + sum(map(min, zeros[rest:], *(x[rest:] for x in extra)))
-        joined = cost + pos_in[v]
-        color = color_of[v]
-        child_pos_in = None
-        for b in range(num_blocks + 1 if num_blocks < max_blocks else max_blocks):
-            new_cost = joined + extra[b][v] if b < num_blocks else joined
-            if new_cost + to_come > opt:
-                continue
-            h = hist[b]
-            h[color] += 1
-            if can_be_fair(v, num_blocks if b < num_blocks else b + 1):
-                assign[v] = b
-                if child_pos_in is None:
-                    child_pos_in = [a + p for a, p in zip(pos_in, pos[v])]
-                if b < num_blocks:
-                    old = extra[b]
-                    extra[b] = [e + s for e, s in zip(old, step[v])]
-                    if walk(v + 1, num_blocks, new_cost, child_pos_in, extra):
-                        return True
-                    extra[b] = old
-                else:
-                    extra.append(step[v])
-                    if walk(v + 1, num_blocks + 1, new_cost, child_pos_in, extra):
-                        return True
-                    extra.pop()
-            h[color] -= 1
-        return False
-
-    found = walk(0, 0, 0, zeros, [])
-    assert found, "the DP's optimum is the cost of a fair partition"
-    return opt, assign
+    s, block_id = (1 << n) - 1, 0
+    while s:
+        m = s.bit_length() - 1  # bit m is the smallest vertex of S
+        rest = s ^ (1 << m)
+        ts = np.zeros(1, np.intp)  # every T within rest
+        for j in range(m):
+            if rest >> j & 1:
+                ts = np.concatenate([ts, ts | (1 << j)])
+        block = (1 << m) | int(ts[np.argmin(w[ts | (1 << m)] + f[rest ^ ts])])
+        for j in range(m + 1):
+            if block >> j & 1:
+                assign[n - 1 - j] = block_id
+        s ^= block
+        block_id += 1
+    return int(f[-1]) + g.positive_pairs, assign
 
 
 def opt_cc(g: SignedCompleteGraph):
@@ -257,9 +189,9 @@ def opt_cc(g: SignedCompleteGraph):
 
 def opt_fair(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec):
     """Exhaustive minimum over partitions whose every block passes the
-    fairness check; ties resolve to the lexicographically smallest
-    restricted growth string. Colors that do not cover the graph, then a
-    spec that fails check_spec, raise first."""
+    fairness check; ties resolve to the partition that the back-trace of
+    ``best_partition`` reads first. Colors that do not cover the graph,
+    then a spec that fails check_spec, raise first."""
     if colors.n != g.n:
         raise InvalidInputError(f"colors cover {colors.n} vertices but the graph has {g.n}")
     check_spec(colors, spec)

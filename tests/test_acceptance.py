@@ -132,7 +132,7 @@ def test_matching_solver_exactness():
 
 def test_matching_weight_lemmas():
     """w(M_i) <= 2*q_i*OPT_fair for 1:1, 1:p (p in {2,3}), and three
-    colors, on random instances with n <= 8."""
+    colors, on random instances with n <= 8 and a few with n = 14 and 16."""
     families = [
         ((3, 3), FairnessSpec.exact({1: 1}), 70),
         ((4, 4), FairnessSpec.exact({1: 1}), 20),
@@ -140,6 +140,9 @@ def test_matching_weight_lemmas():
         ((2, 6), FairnessSpec.exact({1: 3}), 45),
         ((2, 2, 2), FairnessSpec.exact({1: 1, 2: 1}), 25),
         ((2, 2, 4), FairnessSpec.exact({1: 1, 2: 2}), 25),
+        ((7, 7), FairnessSpec.exact({1: 1}), 3),
+        ((4, 4, 8), FairnessSpec.exact({1: 1, 2: 2}), 2),
+        ((8, 8), FairnessSpec.exact({1: 1}), 2),
     ]
     instances = 0
     violations = 0
@@ -161,16 +164,21 @@ def test_matching_weight_lemmas():
 
 
 def test_balanced_pipeline_constant():
-    """cost(FairCC) <= 13 * OPT_fair on random balanced 1:1 instances."""
+    """cost(FairCC) <= 13 * OPT_fair on random balanced 1:1 instances, 100
+    each at n = 4, 6 and 8 against enumeration and a few at n = 14 and 16
+    against the exact oracle."""
     spec = FairnessSpec.exact({1: 1})
     instances = 0
     violations = 0
-    for counts in ((2, 2), (3, 3), (4, 4)):
-        for seed in range(100):
+    for counts, reps in (((2, 2), 100), ((3, 3), 100), ((4, 4), 100), ((7, 7), 3), ((8, 8), 2)):
+        for seed in range(reps):
             g = random_graph(sum(counts), seed * 17 + instances)
             colors = random_colors(counts, seed)
             c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
-            opt = brute_opt_fair(g, colors, spec)
+            if g.n <= 8:
+                opt = brute_opt_fair(g, colors, spec)
+            else:
+                opt = opt_fair(g, colors, spec)[1]
             if disagreements(g, c) > 13 * opt:
                 violations += 1
             instances += 1
@@ -184,11 +192,14 @@ def test_balanced_pipeline_constant():
 
 def test_unbalanced_pipeline_constants():
     """Exact-ratio budget ((p^2+2p)*3 + 4p^2) for p in {2,3} and the
-    interval budget for bounds 1:1..1:2."""
+    interval budget for bounds 1:1..1:2, against enumeration at n <= 8 and
+    the exact oracle at n = 14 and 16."""
     cases = [
         ((2, 4), FairnessSpec.exact({1: 2}), 40, 70),
         ((2, 6), FairnessSpec.exact({1: 3}), 81, 70),
         ((2, 3), FairnessSpec(0, {1: (1, 2)}), 40, 70),
+        ((6, 8), FairnessSpec(0, {1: (1, 2)}), 40, 2),
+        ((4, 12), FairnessSpec.exact({1: 3}), 81, 2),
     ]
     instances = 0
     violations = 0
@@ -198,7 +209,10 @@ def test_unbalanced_pipeline_constants():
             g = random_graph(sum(counts), seed * 23 + instances)
             colors = random_colors(counts, seed)
             c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
-            opt = brute_opt_fair(g, colors, spec)
+            if g.n <= 8:
+                opt = brute_opt_fair(g, colors, spec)
+            else:
+                opt = opt_fair(g, colors, spec)[1]
             if disagreements(g, c) > budget * opt:
                 violations += 1
             instances += 1

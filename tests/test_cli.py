@@ -596,8 +596,8 @@ def test_malformed_colors_row_exits_3(workspace, capsys, row):
 
 def test_verify_refuses_an_oversized_instance_before_the_matchings(workspace, monkeypatch, capsys):
     """verify checks the oracle's size cap before any matcher work."""
-    (workspace / "big.json").write_text(random_graph(12, 0).to_json())
-    (workspace / "big.csv").write_text("".join(f"{v},{v % 2}\n" for v in range(12)))
+    (workspace / "big.json").write_text(random_graph(18, 0).to_json())
+    (workspace / "big.csv").write_text("".join(f"{v},{v % 2}\n" for v in range(18)))
     calls = count_calls(monkeypatch, [(fair_clustering, "build_matchings")])
     rc = main(
         [
@@ -608,7 +608,7 @@ def test_verify_refuses_an_oversized_instance_before_the_matchings(workspace, mo
         ]
     )
     assert rc == 4 and calls == {"build_matchings": 0}
-    assert "n=12 exceeds oracle limit 10" in capsys.readouterr().err
+    assert "n=18 exceeds oracle limit 16" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3"])

@@ -50,6 +50,24 @@ def one_color(n):
     return ColorAssignment(np.zeros(n, np.int64)), FairnessSpec(0, {})
 
 
+def check_search(g, colors, spec):
+    """Assert that ``best_partition`` returns an optimal fair partition as a
+    restricted growth string: its cost is the reference's, the sentinel
+    included, the partition is fair and costs that much, and a second call
+    returns the same answer. Returns the answer."""
+    found = best_partition(g, colors, spec)
+    cost, assign = found
+    assert cost == reference_best_partition(g, colors, spec)[0]
+    if cost < 0:
+        assert assign is None
+    else:
+        assert is_fair_partition(colors, spec, assign)
+        assert partition_cost(g, assign) == cost
+        assert all(0 <= b <= max(assign[:v], default=-1) + 1 for v, b in enumerate(assign))
+    assert best_partition(g, colors, spec) == found
+    return found
+
+
 @pytest.mark.parametrize("n,count", sorted(BELL.items()))
 def test_enumerator_counts_match_bell_numbers(n, count):
     assert sum(1 for _ in all_partitions(n)) == count
@@ -63,12 +81,13 @@ def test_python_kernel_matches_enumeration():
         assert tuple(assign) in set(all_partitions(6))
 
 
-def test_lexicographic_tie_break():
-    # +,+,- triangle: optima are [0,0,0], [0,0,1], [0,1,0], all cost 1
+def test_back_trace_tie_break():
+    # +,+,- triangle: optima are [0,0,0], [0,0,1], [0,1,0], all cost 1. The
+    # back-trace gives vertex 0 the first block that attains the optimum,
+    # trying blocks with later vertices first: {0} costs 2, {0, 2} costs 1.
     signs = np.array([[0, 1, 1], [1, 0, -1], [1, -1, 0]], dtype=np.int8)
     g = SignedCompleteGraph(3, signs)
-    cost, assign = best_partition(g, *one_color(3))
-    assert (cost, assign) == (1, [0, 0, 0])
+    assert best_partition(g, *one_color(3)) == (1, [0, 1, 0])
 
 
 def test_fair_infeasible_returns_sentinel():
@@ -81,7 +100,8 @@ def test_fair_infeasible_returns_sentinel():
 @pytest.mark.parametrize("seed", range(16))
 def test_fair_search_is_first_fair_optimum_of_enumeration(seed):
     """Three colors, a random base color and interval bounds: the search
-    returns the lexicographically first fair optimum, or the sentinel."""
+    returns a fair partition at the enumeration's fair optimum, or the
+    sentinel when the enumeration finds no fair partition."""
     rng = random.Random(seed)
     base = rng.randrange(3)
     lefts = rng.randrange(1, 3)
@@ -94,11 +114,8 @@ def test_fair_search_is_first_fair_optimum_of_enumeration(seed):
     colors = random_colors(counts, seed)
     spec = FairnessSpec(base, bounds)
     fair = [a for a in all_partitions(g.n) if is_fair_partition(colors, spec, a)]
-    expected = (-1, None)
-    if fair:
-        best = min(partition_cost(g, a) for a in fair)
-        expected = (best, list(next(a for a in fair if partition_cost(g, a) == best)))
-    assert best_partition(g, colors, spec) == expected
+    best = min((partition_cost(g, a) for a in fair), default=-1)
+    assert check_search(g, colors, spec)[0] == best
 
 
 @st.composite
@@ -137,14 +154,13 @@ def search_cases(draw):
     )
 )
 def test_search_matches_the_reference(case):
-    """The pruned search returns the same cost and assignment as the search
+    """The back-trace returns a fair partition at the cost of the search
     that checks fairness only at the leaves, the sentinel included; on one
-    color it also equals the reference's unconstrained search."""
+    color that cost is also the reference's unconstrained optimum."""
     g, colors, spec = case
-    found = best_partition(g, colors, spec)
-    assert found == reference_best_partition(g, colors, spec)
+    cost, _ = check_search(g, colors, spec)
     if colors.num_colors == 1:
-        assert found == reference_best_partition(g)
+        assert cost == reference_best_partition(g)[0]
 
 
 @st.composite
@@ -152,7 +168,7 @@ def tie_heavy_cases(draw):
     """(graph, colors, spec) on n <= 9 with signs from a noiseless planted
     partition, or all positive, or all negative, under one color, an exact
     spec or an interval spec. Many partitions then share the optimum, so a
-    search that stops at the wrong leaf returns another string."""
+    back-trace that follows a wrong choice returns a worse or unfair one."""
     n = draw(st.integers(1, 9))
     kind = draw(st.sampled_from(["planted", "positive", "negative"]))
     if kind == "planted":
@@ -185,10 +201,9 @@ def tie_heavy_cases(draw):
     )
 )
 def test_search_matches_the_reference_on_ties(case):
-    """Where optima tie, the search returns the reference's cost and
-    lexicographically first string, the sentinel included."""
-    g, colors, spec = case
-    assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
+    """Where optima tie, the back-trace still returns a fair partition at
+    the reference's cost, the sentinel included."""
+    check_search(*case)
 
 
 @pytest.mark.parametrize(
@@ -211,9 +226,8 @@ def test_search_on_one_and_two_vertices(g, colors, spec, expected):
 def test_search_matches_the_reference_at_n10(seed):
     g = random_graph(10, seed + 500)
     colors = random_colors((5, 5), seed)
-    spec = FairnessSpec.exact({1: 1})
-    assert best_partition(g, colors, spec) == reference_best_partition(g, colors, spec)
-    assert best_partition(g, *one_color(10)) == reference_best_partition(g)
+    check_search(g, colors, FairnessSpec.exact({1: 1}))
+    assert check_search(g, *one_color(10))[0] == reference_best_partition(g)[0]
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -231,11 +245,9 @@ def test_search_matches_the_reference_at_n10(seed):
 def test_search_matches_the_reference_at_n12(counts, bounds, seed):
     g = random_graph(12, seed + 700)
     colors = random_colors(counts, seed)
-    spec = FairnessSpec(0, bounds)
-    found = best_partition(g, colors, spec)
-    assert found == reference_best_partition(g, colors, spec)
+    cost, _ = check_search(g, colors, FairnessSpec(0, bounds))
     if len(counts) == 1:  # the unconstrained problem
-        assert found == reference_best_partition(g)
+        assert cost == reference_best_partition(g)[0]
 
 
 @pytest.mark.parametrize(
@@ -245,16 +257,17 @@ def test_search_matches_the_reference_at_n12(counts, bounds, seed):
             lambda: opt_fair(
                 random_graph(14, 900), random_colors((7, 7), 0), FairnessSpec.exact({1: 1})
             ),
-            (29, [0, 0, 1, 0, 0, 0, 1, 2, 2, 2, 2, 0, 0, 0]),
+            (29, [0, 1, 2, 0, 0, 1, 2, 3, 4, 3, 4, 0, 0, 0]),
         ),
         (lambda: opt_cc(random_graph(14, 901)), (29, [0, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0])),
     ],
     ids=["opt_fair-7:7", "opt_cc"],
 )
 def test_search_at_n14_in_bounded_memory(monkeypatch, search, expected):
-    """With the cap raised to 14, each oracle returns the (cost, string)
-    that the branch-and-bound search without the DP found, pinned here,
-    with a traced peak of at most 64 MB for the call."""
+    """With the cap raised to 14, each oracle returns the cost that the
+    branch-and-bound search without the DP found and the back-trace's
+    string, both pinned here, with a traced peak of at most 64 MB for the
+    call."""
     monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "14")
     tracemalloc.start()
     try:
@@ -372,10 +385,11 @@ def test_opt_fair_checks_the_spec(colors, bounds):
 
 
 def test_size_limits(monkeypatch):
-    with pytest.raises(OracleLimitError):
-        opt_cc(all_positive(11))
-    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "11")
-    assert opt_cc(all_positive(11))[1] == 0
+    with pytest.raises(OracleLimitError, match="n=17 exceeds oracle limit 16"):
+        opt_cc(all_positive(17))
+    assert opt_cc(all_positive(16))[1] == 0
+    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "17")
+    assert opt_cc(all_positive(17))[1] == 0
     inst = BMatchingInstance([[0] * 9], [9], [9])
     with pytest.raises(OracleLimitError):
         opt_bmatching(inst)
@@ -387,9 +401,9 @@ def test_env_override(monkeypatch):
     with pytest.raises(OracleLimitError, match="limit 12"):
         opt_cc(all_positive(13))
     monkeypatch.delenv("FAIRCC_ORACLE_MAX_N")
-    assert opt_cc(all_positive(10))[1] == 0
-    with pytest.raises(OracleLimitError, match="limit 10"):
-        opt_cc(all_positive(11))
+    assert opt_cc(all_positive(16))[1] == 0
+    with pytest.raises(OracleLimitError, match="limit 16"):
+        opt_cc(all_positive(17))
 
 
 def test_opt_bmatching_basics():

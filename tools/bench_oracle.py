@@ -10,8 +10,11 @@ its least thread CPU time over the rounds, and each set reports the
 minimum, median, mean and maximum of its instances' times.
 ``cold_peak_kb`` is the traced peak of the first call in the interpreter
 (it builds any lazily built table); ``peak_kb`` is the largest traced peak
-of one later call. ``identical_results`` says whether the two trees return
-the same (cost, assignment) on every instance.
+of one later call. ``identical_costs`` says whether the two trees return
+the same cost on every instance, the -1 of "no fair partition" included;
+``new_fair_at_cost`` says whether every assignment the new tree returns is
+fair and has as many disagreements as its cost, in every round. Ties may
+resolve to different optimal partitions in the two trees.
 
 The sets: ``n10`` is the 200 instances of the benchmark's ``oracle_n10``
 workload at seed 0 (5:5, ratio 1:1); ``n12`` is 3 random graphs each at
@@ -78,7 +81,14 @@ def instances(name):
 def measure(src, name):
     """One round on one set in this interpreter: a JSON line on stdout."""
     sys.path[:0] = [src, str(ROOT / "pipebench")]
+    from faircc import Clustering, check_fairness, disagreements
     from faircc.oracle import best_partition
+
+    def fair_at_cost(g, colors, spec, cost, assign):
+        if assign is None:
+            return cost == -1
+        c = Clustering(assign)
+        return check_fairness(colors, c, spec).overall_pass and disagreements(g, c) == cost
 
     insts = instances(name)
     tracemalloc.start()
@@ -95,7 +105,13 @@ def measure(src, name):
         results.append(best_partition(*inst))
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    print(json.dumps({"times": times, "cold_peak": cold_peak, "peak": max(peaks), "results": results}))
+    print(json.dumps({
+        "times": times,
+        "cold_peak": cold_peak,
+        "peak": max(peaks),
+        "costs": [cost for cost, _ in results],
+        "fair_at_cost": all(fair_at_cost(*i, *r) for i, r in zip(insts, results)),
+    }))
 
 
 def summary(runs):
@@ -145,7 +161,10 @@ def main(argv=None):
                 runs[side].append(json.loads(line))
         out["sets"][name] = {
             "instances": len(runs["base"][0]["times"]),
-            "identical_results": runs["base"][0]["results"] == runs["new"][0]["results"],
+            "identical_costs": all(
+                run["costs"] == runs["base"][0]["costs"] for run in runs["base"] + runs["new"]
+            ),
+            "new_fair_at_cost": all(run["fair_at_cost"] for run in runs["new"]),
             "base": summary(runs["base"]),
             "new": summary(runs["new"]),
         }

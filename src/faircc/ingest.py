@@ -186,7 +186,9 @@ def build_graph(ds: TabularDataset, tau=0.5, ids=None):
 
     similarity(u, v) = mean over feature columns; positive sign iff
     similarity >= tau, a threshold in [0, 1]. Deterministic, no randomness
-    anywhere.
+    anywhere. An ``ids`` that lacks a protected value of ``ds`` raises
+    InvalidInputError naming the first such value, before any similarity
+    is computed.
     """
     if not 0.0 <= tau <= 1.0:
         raise InvalidInputError("tau must lie in [0, 1]")
@@ -195,6 +197,11 @@ def build_graph(ds: TabularDataset, tau=0.5, ids=None):
     features = ds.schema.feature_columns()
     if not features:
         raise InvalidInputError("schema has no feature columns")
+    values = ds.protected_values()
+    ids = color_ids(ds) if ids is None else ids
+    missing = [v for v in values if v not in ids]
+    if missing:
+        raise InvalidInputError(f"ids give no color id to protected value {missing[0]!r}")
     n = ds.n
     sims = np.zeros((n, n))
     for name, kind in features:
@@ -218,6 +225,4 @@ def build_graph(ds: TabularDataset, tau=0.5, ids=None):
     signs = np.where(sims >= tau, np.int8(1), np.int8(-1))
     np.fill_diagonal(signs, 0)
     g = SignedCompleteGraph._trusted(signs)
-
-    ids = color_ids(ds) if ids is None else ids
-    return g, ColorAssignment([ids[v] for v in ds.protected_values()])
+    return g, ColorAssignment([ids[v] for v in values])

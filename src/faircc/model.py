@@ -693,20 +693,30 @@ def check_spec(colors: ColorAssignment, spec: FairnessSpec):
             )
 
 
-def check_fairness(colors: ColorAssignment, c: Clustering, spec: FairnessSpec) -> FairnessReport:
-    """A cluster with n1 base vertices and n_i of color i passes iff n1 >= 1
-    and n1*p_i <= n_i <= n1*q_i for every constrained color i."""
-    counts = _color_counts(colors, c)
+def _fair_rows(counts: np.ndarray, spec: FairnessSpec, n: int) -> np.ndarray:
+    """The fairness rule, a bool per row of ``counts``, a rows x colors
+    table of color counts in clusters of at most n vertices: a cluster with
+    n1 base vertices and n_i of color i passes iff n1 >= 1 and
+    n1*p_i <= n_i <= n1*q_i for every constrained color i. A color past the
+    table's columns counts 0 in every row."""
     column = dict(enumerate(counts.T))
-    absent = np.zeros(len(counts), np.int64)  # a color the colors lack
-    n1 = column.get(spec.base_color, absent)
+    absent = np.zeros(len(counts), np.int64)
+    n1 = column.get(spec.base_color, absent).astype(np.int64, copy=False)
     verdicts = n1 >= 1
     for color, (p, q) in spec.bounds.items():
         n_i = column.get(color, absent)
         # a cluster with a base vertex holds at most n - 1 others, so a bound
         # above n decides nothing more, and n1 * bound stays in int64
-        p, q = min(p, c.n), min(q, c.n)
+        p, q = min(p, n), min(q, n)
         verdicts &= (n1 * p <= n_i) & (n_i <= n1 * q)
+    return verdicts
+
+
+def check_fairness(colors: ColorAssignment, c: Clustering, spec: FairnessSpec) -> FairnessReport:
+    """Each cluster's verdict under the rule of ``_fair_rows``, which the
+    exact oracle applies to its blocks too."""
+    counts = _color_counts(colors, c)
+    verdicts = _fair_rows(counts, spec, c.n)
     return FairnessReport(counts, verdicts, bool(verdicts.all()))
 
 

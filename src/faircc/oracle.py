@@ -9,36 +9,20 @@ one-color case: with one color and no bounds every partition is fair.
 ``mirror_graph`` builds the vertex-duplication instance whose fair optimum
 equals four times the unconstrained optimum of the base graph.
 
-The searches take at most 16 vertices, or the positive integer in
-``FAIRCC_ORACLE_MAX_N``. A larger instance, or one whose 2^n-entry subset
-tables exceed physical memory, raises OracleLimitError (exit 4), and an
-override that is not a positive integer raises InvalidInputError (exit 1).
+The searches take at most ``_MAX_N`` = 16 vertices, whose subset tables
+take a few megabytes; a larger instance raises OracleLimitError (exit 4).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import model
-from .errors import InfeasibleSpecError, InvalidInputError, OracleLimitError
+from .errors import InvalidInputError, OracleLimitError
 from .model import Clustering, ColorAssignment, FairnessSpec, SignedCompleteGraph, check_spec
 
-_ENV_MAX_N = "FAIRCC_ORACLE_MAX_N"
-
-
-def _check_size(n):
-    """Raise OracleLimitError when n exceeds the cap on the exhaustive
-    partition searches, $FAIRCC_ORACLE_MAX_N or else 16, and
-    InvalidInputError when that variable holds no positive integer."""
-    raw = os.environ.get(_ENV_MAX_N) or "16"
-    cap = int(raw) if raw.strip().isdecimal() else 0
-    if cap < 1:
-        raise InvalidInputError(f"{_ENV_MAX_N} must be a positive integer, got {raw!r}")
-    if n > cap:
-        raise OracleLimitError(f"n={n} exceeds oracle limit {cap}")
-
+# the most vertices an exhaustive search takes
+_MAX_N = 16
 
 # A block that is not fair weighs _INF. Sums of real block weights stay
 # within n^2 / 2 of zero, so a DP value above _INF // 2 means that no fair
@@ -77,10 +61,11 @@ def _pair_table(bits):
 
 def _fair_optimum(g, colors, spec):
     """The DP's tables (f, w), indexed by vertex subset. w(B) is B's
-    negative pairs minus its positive pairs when B is a fair block, else
-    _INF. f(S) is the least sum of w(B) over the blocks B of a partition
-    of S whose every block is fair, or a value above _INF // 2 when none
-    is. A partition's disagreements are g's positive pairs plus that sum.
+    negative pairs minus its positive pairs when B is a fair block, by
+    the rule of ``check_fairness``, else _INF. f(S) is the least sum of
+    w(B) over the blocks B of a partition of S whose every block is fair,
+    or a value above _INF // 2 when none is. A partition's disagreements
+    are g's positive pairs plus that sum.
 
     Subset DP, with bit j standing for vertex n-1-j so that the vertices
     after a vertex are the bits below its own. For S with top bit m and
@@ -91,8 +76,8 @@ def _fair_optimum(g, colors, spec):
     n, k = g.n, colors.num_colors
     order = np.arange(n - 1, -1, -1)
     # row j: vertex n-1-j's negated signs to the vertex of each bit, then a
-    # one in its color's column; n < 128 whenever the tables fit in memory,
-    # so int8 holds every sum of these rows
+    # one in its color's column; n <= _MAX_N, so int8 holds every sum of
+    # these rows
     rows = np.zeros((n, n + k), np.int8)
     rows[:, :n] = -g.signs[np.ix_(order, order)]
     rows[np.arange(n), n + colors.color_of[order]] = 1
@@ -102,13 +87,8 @@ def _fair_optimum(g, colors, spec):
         low = 1 << j
         np.add(w[:low], sums[:low, j], out=w[low : 2 * low])
         np.add(sums[:low], rows[j], out=sums[low : 2 * low])
-    n1 = sums[:, n + spec.base_color].astype(np.int32)
-    fair = n1 >= 1
-    for c, (p, q) in spec.bounds.items():
-        n_c = sums[:, n + c]
-        # a bound past n decides every block as n + 1 or n would, in int32
-        fair &= (min(p, n + 1) * n1 <= n_c) & (n_c <= min(q, n) * n1)
-    del sums, n1  # freed before f is allocated
+    fair = model._fair_rows(sums[:, n:], spec, n)
+    del sums  # freed before f is allocated
     w[~fair] = _INF
     f = np.empty(1 << n, np.int32)
     f[0] = 0
@@ -133,8 +113,8 @@ def _fair_optimum(g, colors, spec):
 
 def best_partition(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec):
     """Minimum-disagreement partition of ``g`` among those whose every
-    block has n1 >= 1 base-color vertices and n1*p_c <= n_c <= n1*q_c for
-    every bounded color c.
+    block passes ``check_fairness``: n1 >= 1 base-color vertices and
+    n1*p_c <= n_c <= n1*q_c for every bounded color c.
 
     The subset DP of ``_fair_optimum`` gives the optimum of every set of
     vertices. A back-trace then reads one optimal partition out of its
@@ -143,23 +123,18 @@ def best_partition(g: SignedCompleteGraph, colors: ColorAssignment, spec: Fairne
     with w({m} + T) + f(S - {m} - T) = f(S), and S loses that block. The
     subsets T are listed by doubling over the bits of S - {m} from the
     last vertex to the first, so the empty T, the singleton block, comes
-    first. Blocks are numbered in the order of their
-    smallest vertex, so the assignment is a restricted growth string, and
-    the same input always gives the same one; among tied optima it is the
-    back-trace's choice, not the lexicographically smallest.
+    first. Blocks are numbered in the order of their smallest vertex, so
+    the assignment is a restricted growth string, and the same input
+    always gives the same one; among tied optima it is the back-trace's
+    choice, not the lexicographically smallest.
 
     Returns (cost, assignment), or (-1, None) when no partition is fair.
-    The DP's subset tables and their temporaries take about
-    2^n * (n + colors + 16) bytes; when that exceeds physical memory,
-    OracleLimitError is raised before any is allocated.
+    More than ``_MAX_N`` vertices raise OracleLimitError before any table
+    is allocated.
     """
     n = g.n
-    need, memory = (1 << n) * (n + colors.num_colors + 16), model._physical_memory()
-    if need > memory:
-        raise OracleLimitError(
-            f"n={n} needs {need} bytes of subset tables, "
-            f"more than the {memory} bytes of physical memory"
-        )
+    if n > _MAX_N:
+        raise OracleLimitError(f"n={n} exceeds oracle limit {_MAX_N}")
     f, w = _fair_optimum(g, colors, spec)
     if f[-1] > _INF // 2:
         return -1, None
@@ -191,14 +166,12 @@ def opt_fair(g: SignedCompleteGraph, colors: ColorAssignment, spec: FairnessSpec
     """Exhaustive minimum over partitions whose every block passes the
     fairness check; ties resolve to the partition that the back-trace of
     ``best_partition`` reads first. Colors that do not cover the graph,
-    then a spec that fails check_spec, raise first."""
+    then a spec that fails check_spec, raise first. A spec that passes
+    check_spec makes V itself a fair block, so some partition is fair."""
     if colors.n != g.n:
         raise InvalidInputError(f"colors cover {colors.n} vertices but the graph has {g.n}")
     check_spec(colors, spec)
-    _check_size(g.n)
     cost, assign = best_partition(g, colors, spec)
-    if cost < 0:
-        raise InfeasibleSpecError("no clustering satisfies the fairness spec")
     return Clustering(assign), cost
 
 

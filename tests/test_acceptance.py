@@ -224,11 +224,10 @@ def test_unbalanced_pipeline_constants():
     )
 
 
-def test_mirror_identity_exhaustive_and_random(monkeypatch):
+def test_mirror_identity_exhaustive_and_random():
     """opt_fair(mirror(G), 1:1) == 4 * opt_cc(G): exhaustively for every
     n=4 sign pattern, for 100 random n=5 graphs and for 20 random n=6
-    graphs, whose 12-vertex mirrors need the oracle cap raised to 12."""
-    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "12")
+    graphs, whose mirrors have 12 vertices."""
     start = time.perf_counter()
     spec = FairnessSpec.exact({1: 1})
     failures = 0

@@ -16,7 +16,7 @@ from faircc import (
     check_fairness,
     run_algorithm,
 )
-from faircc import algorithms, baselines, cli, fair_clustering, model, oracle, pivot
+from faircc import algorithms, baselines, cli, fair_clustering, oracle, pivot
 from faircc.pivot import PivotRun
 from faircc.cli import _bounds_spec, _ratio_spec, main
 from conftest import random_colors, random_graph
@@ -482,28 +482,19 @@ def test_exit_code_oracle_limit(workspace, capsys):
     assert rc == 4
 
 
-def test_verify_refuses_oracle_tables_beyond_physical_memory(workspace, monkeypatch, capsys):
-    """An instance under the cap whose subset tables exceed physical memory
-    exits 4 before the search runs."""
-    monkeypatch.setattr(model, "_physical_memory", lambda: 10_000)
-    (workspace / "g.json").write_text(random_graph(10, 0).to_json())
-    (workspace / "c.csv").write_text("".join(f"{v},{v % 2}\n" for v in range(10)))
-    argv = ["verify", "--graph", str(workspace / "g.json"), "--colors", str(workspace / "c.csv")]
-    assert main(argv + ["--ratio", "1:1"]) == 4
-    assert "n=10 needs 28672 bytes of subset tables" in capsys.readouterr().err
-
-
 def test_verify_mirror_refuses_an_oversized_mirror_before_searching(
     workspace, monkeypatch, capsys
 ):
     """verify --mirror meets the oracle's cap on the 2n-vertex mirror before
-    it searches the n-vertex base graph."""
-    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "14")
+    it searches the n-vertex base graph: the one refusal, at the top of
+    best_partition, comes before either subset DP runs."""
     (workspace / "base.json").write_text(random_graph(14, 0).to_json())
-    calls = count_calls(monkeypatch, [(oracle, "best_partition")])
+    calls = count_calls(
+        monkeypatch, [(oracle, "best_partition"), (oracle, "_fair_optimum"), (oracle, "opt_cc")]
+    )
     assert main(["verify", "--mirror", str(workspace / "base.json")]) == 4
-    assert calls == {"best_partition": 0}
-    assert "n=28 exceeds oracle limit 14" in capsys.readouterr().err
+    assert calls == {"best_partition": 1, "_fair_optimum": 0, "opt_cc": 0}
+    assert "n=28 exceeds oracle limit 16" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -609,13 +600,6 @@ def test_verify_refuses_an_oversized_instance_before_the_matchings(workspace, mo
     )
     assert rc == 4 and calls == {"build_matchings": 0}
     assert "n=18 exceeds oracle limit 16" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
-def test_malformed_oracle_cap_exits_1(monkeypatch, capsys, cap):
-    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", cap)
-    assert main(["verify", "--random", "1", "--max-n", "4"]) == 1
-    assert f"FAIRCC_ORACLE_MAX_N must be a positive integer, got {cap!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("color", [99999999999999999999, 10000000000])

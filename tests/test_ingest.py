@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,20 @@ def test_balanced_sample_keeps_the_ratio_color_order():
         got = sample(ds, 6, seed, balance="1:2")
         _, colors = build_graph(got, ids=ids)
         assert colors.counts == (2, 4)
+
+
+def test_build_graph_refuses_ids_that_miss_a_value():
+    """An ids map without the data's "C" names it, the first value it
+    lacks, before the 1200 x 1200 similarity matrix (11 MB) is built."""
+    ds = make_dataset(["A", "C", "B", "D"] * 300)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="protected value 'C'"):
+            build_graph(ds, ids={"A": 0, "B": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # Categorical values that == and a dict key agree on: 1, 1.0 and True are

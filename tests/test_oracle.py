@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from faircc import (
     BMatchingInstance,
+    Clustering,
     ColorAssignment,
     FairnessSpec,
     InfeasibleSpecError,
     OracleLimitError,
     SignedCompleteGraph,
+    check_fairness,
     disagreements,
     mirror_graph,
     opt_cc,
     opt_fair,
 )
-from faircc import model
 from faircc.oracle import best_partition
 from conftest import (
     all_partitions,
@@ -263,12 +264,10 @@ def test_search_matches_the_reference_at_n12(counts, bounds, seed):
     ],
     ids=["opt_fair-7:7", "opt_cc"],
 )
-def test_search_at_n14_in_bounded_memory(monkeypatch, search, expected):
-    """With the cap raised to 14, each oracle returns the cost that the
-    branch-and-bound search without the DP found and the back-trace's
-    string, both pinned here, with a traced peak of at most 64 MB for the
-    call."""
-    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "14")
+def test_search_at_n14_in_bounded_memory(search, expected):
+    """Each oracle returns the cost that the branch-and-bound search without
+    the DP found and the back-trace's string, both pinned here, with a
+    traced peak of at most 64 MB for the call."""
     tracemalloc.start()
     try:
         clustering, cost = search()
@@ -279,30 +278,37 @@ def test_search_at_n14_in_bounded_memory(monkeypatch, search, expected):
     assert peak <= 64 * 2**20
 
 
-def test_tables_beyond_physical_memory_are_refused_before_allocating(monkeypatch):
-    """At 10^5 bytes of memory the subset tables of 10 vertices, 2^10 * 27
-    bytes, fit, and those of 12, 2^12 * 29 bytes, are refused with nothing
-    allocated: a search at n = 12 traces megabytes."""
-    monkeypatch.setattr(model, "_physical_memory", lambda: 10**5)
-    assert best_partition(all_positive(10), *one_color(10)) == (0, [0] * 10)
-    g = all_positive(12)
+def test_the_cap_is_met_before_allocating():
+    """best_partition refuses 17 vertices with nothing allocated: a search
+    at n = 16 traces megabytes, the refusal less than 64 KB."""
+    g = all_positive(17)
     tracemalloc.start()
     try:
-        with pytest.raises(OracleLimitError, match="n=12 needs 118784 bytes"):
-            best_partition(g, *one_color(12))
+        with pytest.raises(OracleLimitError, match="n=17 exceeds oracle limit 16"):
+            best_partition(g, *one_color(17))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16
 
 
-def test_search_at_n16_finds_a_planted_partition_in_bounded_memory(monkeypatch):
+def test_the_fairness_rule_multiplies_wide():
+    """All 16 vertices, 8 of each color, form one block at 1:1..1:16: its
+    upper bound n1*q = 8*16 = 128 lies past the int8 of the DP's count
+    table, so a rule that multiplied in int8 would wrap and split V."""
+    colors = ColorAssignment([v % 2 for v in range(16)])
+    spec = FairnessSpec(0, {1: (1, 16)})
+    clustering, cost = opt_fair(all_positive(16), colors, spec)
+    assert (cost, clustering.num_clusters) == (0, 1)
+    assert check_fairness(colors, Clustering([0] * 16), spec).overall_pass
+
+
+def test_search_at_n16_finds_a_planted_partition_in_bounded_memory():
     """A noiseless planted partition costs 0 and no other does. Its blocks
     {0, 1, 8, 9}, {2, 3, 10, 11}, ... put the first vertices, which the DP
     reads as high bits, in blocks together and with later vertices, and
     each holds two vertices of each color. One color and the 1:1 spec give
     that partition, each call with a traced peak of at most 64 MB."""
-    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "16")
     block = [(v // 2) % 4 for v in range(16)]
     g = SignedCompleteGraph.from_negative_edges(
         16, [(u, v) for u in range(16) for v in range(u + 1, 16) if block[u] != block[v]]
@@ -384,26 +390,13 @@ def test_opt_fair_checks_the_spec(colors, bounds):
         opt_fair(g, ColorAssignment(colors), FairnessSpec(0, bounds))
 
 
-def test_size_limits(monkeypatch):
+def test_size_limits():
     with pytest.raises(OracleLimitError, match="n=17 exceeds oracle limit 16"):
         opt_cc(all_positive(17))
     assert opt_cc(all_positive(16))[1] == 0
-    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "17")
-    assert opt_cc(all_positive(17))[1] == 0
     inst = BMatchingInstance([[0] * 9], [9], [9])
     with pytest.raises(OracleLimitError):
         opt_bmatching(inst)
-
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("FAIRCC_ORACLE_MAX_N", "12")
-    assert opt_cc(all_positive(12))[1] == 0
-    with pytest.raises(OracleLimitError, match="limit 12"):
-        opt_cc(all_positive(13))
-    monkeypatch.delenv("FAIRCC_ORACLE_MAX_N")
-    assert opt_cc(all_positive(16))[1] == 0
-    with pytest.raises(OracleLimitError, match="limit 16"):
-        opt_cc(all_positive(17))
 
 
 def test_opt_bmatching_basics():

@@ -7,12 +7,17 @@ fairlet ids and matching weights per cost kind and base color (pair costs
 for ``faircc`` and ``wmatch``, unit costs for ``ufaircc``), and per graph,
 the full one (``cc``, ``ccmerge``) or a base color's induced one
 (``faircc``, ``ufaircc``), its pool of scored pivot restarts and its pivot
-clustering and cost per PivotRun, all kept by ``cc_clustering``. PivotRuns
-whose seed windows overlap so run and score each seed once. A caller that
-knows every PivotRun it will ask for puts the union of their seed windows,
-a PivotRun, under ``"window"``; each pool then runs and scores that whole
-window in its first pass, one lockstep pass per pool. Stages are called
-through their modules, so code that replaces one there
+clustering, cost and kept restart seed per PivotRun, all kept by
+``cc_clustering``. PivotRuns whose seed windows overlap so run and score
+each seed once. A caller that knows every PivotRun it will ask for puts the
+union of their seed windows, a PivotRun, under ``"window"``; each pool then
+runs and scores that whole window in its first pass, one lockstep pass per
+pool. A fair algorithm's result depends on its PivotRun only through the
+restart its graph's pool keeps, so each checked result is kept under
+(algorithm, base color, kept seed), the seed None for the seedless
+``wmatch``, and a later call that keeps the same restart returns it without
+a repair, attachment or fairness check. Stages are called through their
+modules, so code that replaces one there
 (``fair_clustering.build_matchings``, ...) sees every call.
 """
 
@@ -38,10 +43,12 @@ def matchings(g, colors, spec, memo, unit_costs=False) -> tuple:
 
 
 def cc_clustering(g, pivot, memo, colors=None, base=None) -> tuple:
-    """run_cc(pivot) and its disagreements, found once per memo, on ``g``
-    or, with ``colors`` and ``base``, on the graph that base color induces
-    (built once per memo), one label per base vertex in vertex order; the
-    cost is the kept restart's score in that graph's pool."""
+    """run_cc(pivot), its disagreements and the seed of the restart it
+    keeps, found once per memo under ("cc", base, pivot), on ``g`` or, with
+    ``colors`` and ``base``, on the graph that base color induces (built
+    once per memo), one label per base vertex in vertex order; the cost and
+    seed are the fewest disagreements in that graph's pool and the earliest
+    seed that scores them, the restart run_cc keeps."""
     key = ("cc", base, pivot)
     if key not in memo:
         if ("restarts", base) not in memo:
@@ -52,7 +59,7 @@ def cc_clustering(g, pivot, memo, colors=None, base=None) -> tuple:
             memo[("restarts", base)] = g, {}
         graph, pool = memo[("restarts", base)]
         clustering = baselines.run_cc(graph, pivot, pool, memo.get("window"))
-        memo[key] = clustering, min(pool[seed][0] for seed in pivot.seeds)
+        memo[key] = clustering, *min((pool[seed][0], seed) for seed in pivot.seeds)
     return memo[key]
 
 
@@ -80,9 +87,7 @@ def run_algorithm(
         raise InvalidInputError(f"algorithm {algo!r} needs colors and a fairness spec")
     if colors.n != g.n:
         raise InvalidInputError(f"colors cover {colors.n} vertices but the graph has {g.n}")
-    if algo == "ccmerge":
-        clustering = baselines.run_ccmerge(g, colors, spec, cc_clustering(g, pivot, memo)[0])
-    elif try_all_bases:
+    if try_all_bases:
         if any(bounds != (1, 1) for bounds in spec.bounds.values()):
             raise InvalidInputError("try_all_bases requires all ratios 1:1")
         check_spec(colors, spec)
@@ -91,15 +96,26 @@ def run_algorithm(
         results = [run_algorithm("faircc", g, colors, one, pivot, memo) for one in specs]
         clustering = min(results, key=lambda c: disagreements(g, c))  # the first of equal costs
     else:
-        fairlets, _ = matchings(g, colors, spec, memo, unit_costs=algo == "ufaircc")
-        if algo == "wmatch":
-            clustering = baselines.run_wmatch(fairlets)
+        pivoted = kept = None  # wmatch pivots nothing
+        if algo != "wmatch":  # ccmerge repairs the full graph's pivot
+            base = None if algo == "ccmerge" else spec.base_color
+            pivoted, _, kept = cc_clustering(g, pivot, memo, colors, base)
+        key = (algo, spec.base_color, kept)
+        if key in memo:
+            return memo[key]
+        if algo == "ccmerge":
+            clustering = baselines.run_ccmerge(g, colors, spec, pivoted)
         else:
-            base = cc_clustering(g, pivot, memo, colors, spec.base_color)[0]
-            clustering = fair_clustering.run_pipeline(fairlets, base)
+            fairlets, _ = matchings(g, colors, spec, memo, unit_costs=algo == "ufaircc")
+            if algo == "wmatch":
+                clustering = baselines.run_wmatch(fairlets)
+            else:
+                clustering = fair_clustering.run_pipeline(fairlets, pivoted)
     report = check_fairness(colors, clustering, spec)
     if not report.overall_pass:
         raise FairCCError(
             f"{algo} seed {pivot.seed}: unfair clustering: {report.describe_violations()}"
         )
+    if not try_all_bases:
+        memo[key] = clustering
     return clustering

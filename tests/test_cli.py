@@ -14,6 +14,7 @@ from faircc import (
     InvalidInputError,
     SignedCompleteGraph,
     check_fairness,
+    disagreements,
     run_algorithm,
 )
 from faircc import algorithms, baselines, cli, fair_clustering, oracle, pivot
@@ -834,26 +835,42 @@ def test_ingest_numeric_range_beyond_float64_exits_1(workspace, capsys):
     assert sorted(workspace.iterdir()) == before
 
 
-@pytest.mark.parametrize("spec", [["--ratio", "1:2"], ["--bounds", "1:1..1:2"]])
-def test_experiment_cells_match_cluster(workspace, capsys, spec):
-    """Sharing fairlets, cc clusterings and one pivot pass per graph across
-    the matrix changes no cell: each row equals, column by column, the row
-    of a fresh ``cluster`` run of the same algo and seed."""
-    write_planted(workspace, 60, (20, 40), seed=3, blocks=4)
+@pytest.mark.parametrize(
+    "spec,counts,runs,restarts",
+    [
+        (["--ratio", "1:2"], (20, 40), 3, 7),
+        (["--bounds", "1:1..1:2"], (20, 40), 3, 7),
+        # the windows 2..4, 3..5, ..., 7..9 keep restarts 3, 3, 6, 6, 6, 9 on
+        # both graphs, so results are both shared and rebuilt within one pool
+        (["--bounds", "1:1..1:2"], (20, 40), 6, 3),
+        (["--ratio", "1:1:1"], (20, 20, 20), 6, 3),
+    ],
+    ids=["spec0", "spec1", "spec2", "spec3"],
+)
+def test_experiment_cells_match_cluster(workspace, capsys, monkeypatch, spec, counts, runs, restarts):
+    """Sharing fairlets, cc clusterings, one pivot pass per graph and one
+    result per kept restart across the matrix changes no cell: each row
+    equals, column by column, the row of a fresh ``cluster`` run of the same
+    algo and seed."""
+    calls = count_calls(monkeypatch, [(baselines, "run_ccmerge"), (fair_clustering, "run_pipeline")])
+    write_planted(workspace, 60, counts, seed=3, blocks=4)
     files = ["--graph", str(workspace / "g.json"), "--colors", str(workspace / "c.csv")]
     rc = main(
         ["experiment", *files, *spec, "--algos", ",".join(cli.ALGORITHMS),
-         "--seed", "2", "--runs", "3", "--restarts", "7",
+         "--seed", "2", "--runs", str(runs), "--restarts", str(restarts),
          "--out", str(workspace / "x.csv")]
     )
     assert rc == 0
+    # the ccmerge, faircc and ufaircc cells that built their result: more
+    # than each algorithm's first cell, fewer than all of them
+    assert 3 < calls["run_ccmerge"] + calls["run_pipeline"] < 3 * runs
     with open(workspace / "x.csv", newline="") as fh:
         rows = [r for r in csv.DictReader(fh) if r["seed"] != "mean"]
-    assert len(rows) == 3 * len(cli.ALGORITHMS)
+    assert len(rows) == runs * len(cli.ALGORITHMS)
     for row in rows:
         rc = main(
             ["cluster", *files, *spec, "--algo", row["algo"], "--seed", row["seed"],
-             "--restarts", "7", "--out-clustering", str(workspace / "k.json"),
+             "--restarts", str(restarts), "--out-clustering", str(workspace / "k.json"),
              "--out-result", str(workspace / "r.json")]
         )
         assert rc == 0
@@ -890,7 +907,9 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     constructor), which faircc and ufaircc share, all through run_cc. The
     seed windows 0..4, 1..5, ..., 4..8 overlap, so each graph runs every
     seed 0..8 once, in one pivot pass. The cc rows take their cost from the
-    restart pool, so only the 20 other rows score their clustering."""
+    restart pool, so only the 20 other rows score their clustering. Each
+    ccmerge repair, faircc or ufaircc attachment runs once per distinct
+    restart its graph's windows keep, and wmatch, which needs no seed, once."""
     calls = count_calls(
         monkeypatch,
         [
@@ -899,14 +918,21 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
             (baselines, "best_of_restarts"),
             (algorithms.SignedCompleteGraph, "_trusted"),
             (cli, "disagreements"),
+            (baselines, "run_ccmerge"),
+            (fair_clustering, "run_pipeline"),
+            (baselines, "run_wmatch"),
         ],
     )
     passed = {}  # graph size -> the seeds of each pivot pass, in call order
+    kept = {}  # graph size -> the seed each window k..k+4 keeps
     pivot_cluster = pivot.pivot_cluster
 
     def spy(g, seeds):
         passed.setdefault(g.n, []).append(list(seeds))
-        return pivot_cluster(g, seeds)
+        labels = pivot_cluster(g, seeds)
+        cost = {s: disagreements(g, Clustering.from_labels(row)) for s, row in zip(seeds, labels)}
+        kept[g.n] = [min((cost[s], s) for s in range(k, k + 5))[1] for k in range(5)]
+        return labels
 
     monkeypatch.setattr(pivot, "pivot_cluster", spy)
     write_planted(workspace, 60, (20, 40), seed=3, blocks=4)
@@ -917,18 +943,23 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
          "--restarts", "5", "--out", str(workspace / "x.csv")]
     )
     assert rc == 0
+    # two distinct kept restarts per graph: one repair, two attachments each
+    assert kept == {60: [3, 3, 6, 6, 6], 20: [1, 1, 6, 6, 6]}
     assert calls == {
         "build_matchings": 2, "run_cc": 10, "best_of_restarts": 10, "_trusted": 2,
-        "disagreements": 20,
+        "disagreements": 20, "run_ccmerge": 2, "run_pipeline": 4, "run_wmatch": 1,
     }
     # one pass per graph, of runs + restarts - 1 seeds
     assert passed == {60: [list(range(9))], 20: [list(range(9))]}
 
 
 def test_experiment_checks_fairness_once_per_fair_cell(workspace, monkeypatch):
-    """Four fair algorithms by two seeds: run_algorithm checks each cell's
-    clustering, and the result row takes its verdict without a second
-    check."""
+    """Four fair algorithms by two seeds: run_algorithm checks each fair
+    result once, and the result row takes its verdict without a second
+    check. Cells that keep the same restart share one checked result: the
+    windows 0..24 and 1..25 keep restart 7 on the base color's graph, so
+    faircc and ufaircc build one result each, and restarts 0 and 25 on the
+    full graph, so ccmerge builds two; wmatch needs no seed and builds one."""
     calls = count_calls(
         monkeypatch, [(algorithms, "check_fairness"), (cli, "check_fairness")]
     )
@@ -940,7 +971,7 @@ def test_experiment_checks_fairness_once_per_fair_cell(workspace, monkeypatch):
          "--out", str(workspace / "x.csv")]
     )
     assert rc == 0
-    assert calls == {"check_fairness": 8}
+    assert calls == {"check_fairness": 5}
     with open(workspace / "x.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["fair"] for row in rows] == ["true"] * 12  # 8 cells and 4 mean rows

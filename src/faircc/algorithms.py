@@ -13,11 +13,11 @@ each seed once. A caller that knows every PivotRun it will ask for puts the
 union of their seed windows, a PivotRun, under ``"window"``; each pool then
 runs and scores that whole window in its first pass, one lockstep pass per
 pool. A fair algorithm's result depends on its PivotRun only through the
-restart its graph's pool keeps, so each checked result is kept under
-(algorithm, base color, kept seed), the seed None for the seedless
-``wmatch``, and a later call that keeps the same restart returns it without
-a repair, attachment or fairness check. Stages are called through their
-modules, so code that replaces one there
+restart its graph's pool keeps, so each checked result is scored once and
+kept as (clustering, cost) under (algorithm, base color, kept seed), the
+seed None for the seedless ``wmatch``, and a later call that keeps the same
+restart returns it without a repair, attachment, fairness check or scoring.
+Stages are called through their modules, so code that replaces one there
 (``fair_clustering.build_matchings``, ...) sees every call.
 """
 
@@ -66,8 +66,9 @@ def cc_clustering(g, pivot, memo, colors=None, base=None) -> tuple:
 def run_algorithm(
     algo, g, colors=None, spec=None, pivot=PivotRun(), memo=None, try_all_bases=False
 ):
-    """The clustering ``algo`` finds on one instance; ``cc`` needs only the
-    graph, the fair algorithms also ``colors`` and ``spec``.
+    """The clustering ``algo`` finds on one instance and its disagreements,
+    as (clustering, cost); ``cc`` needs only the graph, the fair algorithms
+    also ``colors`` and ``spec``. A ``cc`` cost is its restart pool's score.
 
     With ``try_all_bases`` (``faircc`` only, every ratio 1:1, a spec that
     check_spec accepts) faircc runs once per candidate base color and keeps
@@ -82,7 +83,7 @@ def run_algorithm(
     if try_all_bases and algo != "faircc":
         raise InvalidInputError("try_all_bases applies only to faircc")
     if algo == "cc":
-        return cc_clustering(g, pivot, memo)[0]
+        return cc_clustering(g, pivot, memo)[:2]
     if colors is None or spec is None:
         raise InvalidInputError(f"algorithm {algo!r} needs colors and a fairness spec")
     if colors.n != g.n:
@@ -94,7 +95,7 @@ def run_algorithm(
         bases = range(colors.num_colors)
         specs = [FairnessSpec.exact({c: 1 for c in bases if c != base}, base) for base in bases]
         results = [run_algorithm("faircc", g, colors, one, pivot, memo) for one in specs]
-        clustering = min(results, key=lambda c: disagreements(g, c))  # the first of equal costs
+        clustering, cost = min(results, key=lambda result: result[1])  # the first of equal costs
     else:
         pivoted = kept = None  # wmatch pivots nothing
         if algo != "wmatch":  # ccmerge repairs the full graph's pivot
@@ -116,6 +117,7 @@ def run_algorithm(
         raise FairCCError(
             f"{algo} seed {pivot.seed}: unfair clustering: {report.describe_violations()}"
         )
-    if not try_all_bases:
-        memo[key] = clustering
-    return clustering
+    if try_all_bases:
+        return clustering, cost
+    memo[key] = clustering, disagreements(g, clustering)
+    return memo[key]

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import fair_clustering, ingest, oracle
-from .algorithms import ALGORITHMS, cc_clustering, matchings, run_algorithm
+from .algorithms import ALGORITHMS, matchings, run_algorithm
 from .errors import FairCCError, ParseError
 from .model import (
     ColorAssignment,
@@ -29,7 +29,6 @@ from .model import (
     SignedCompleteGraph,
     check_fairness,
     color_distribution,
-    disagreements,
 )
 from .pivot import PivotRun
 
@@ -208,7 +207,8 @@ def _run_cells(args, algos, seeds, try_all_bases=False):
     cell under ``args.spec`` through one memo, algo-major; returns the
     result rows, the last cell's clustering and the colors. The memo's
     window is the union of the cells' seed windows, so each restart pool
-    runs once."""
+    runs once, and a row's cost is the one the memo scored with its result,
+    so a cell that reuses a result scores nothing."""
     fair = [algo for algo in algos if algo != "cc"]
     if fair and args.colors is None:
         raise ParseError(f"algorithm {fair[0]!r} needs --colors")
@@ -222,12 +222,8 @@ def _run_cells(args, algos, seeds, try_all_bases=False):
         for seed in seeds:
             start = time.perf_counter()
             pivot = PivotRun(seed, args.restarts)
-            clustering = run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases)
+            clustering, cost = run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases)
             millis = int((time.perf_counter() - start) * 1000) if args.timing else 0
-            if algo == "cc":  # the restart pool has scored the kept clustering
-                cost = cc_clustering(g, pivot, memo)[1]
-            else:
-                cost = disagreements(g, clustering)
             rows.append(
                 _result_row(args.dataset, algo, seed, g, colors, spec, clustering, cost, millis)
             )
@@ -313,8 +309,7 @@ def _verify_instance(g, colors, spec, pivot):
     for color in sorted(weights):
         q = spec.bounds[color][1]
         ok &= _print_check(f"w(M_{color}) <= 2*{q}*OPT_fair", weights[color], "<=", 2 * q * opt)
-    clustering = run_algorithm("faircc", g, colors, spec, pivot, memo)
-    cost = disagreements(g, clustering)
+    _, cost = run_algorithm("faircc", g, colors, spec, pivot, memo)
     budget = fair_clustering.approximation_budget(spec, colors.num_colors)
     ok &= _print_check(f"cost(faircc) <= {budget}*OPT_fair", cost, "<=", budget * opt)
     return ok

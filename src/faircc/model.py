@@ -699,14 +699,15 @@ def _fair_rows(counts: np.ndarray, spec: FairnessSpec, n: int) -> np.ndarray:
     n1 base vertices and n_i of color i passes iff n1 >= 1 and
     n1*p_i <= n_i <= n1*q_i for every constrained color i. A color past the
     table's columns counts 0 in every row."""
+    # a cluster with a base vertex holds at most n - 1 others, so a bound
+    # above n decides nothing more, and every n1 * bound fits this type
+    narrow = np.min_scalar_type(-n * n)
     column = dict(enumerate(counts.T))
-    absent = np.zeros(len(counts), np.int64)
-    n1 = column.get(spec.base_color, absent).astype(np.int64, copy=False)
+    absent = np.zeros(len(counts), narrow)
+    n1 = column.get(spec.base_color, absent).astype(narrow, copy=False)
     verdicts = n1 >= 1
     for color, (p, q) in spec.bounds.items():
         n_i = column.get(color, absent)
-        # a cluster with a base vertex holds at most n - 1 others, so a bound
-        # above n decides nothing more, and n1 * bound stays in int64
         p, q = min(p, n), min(q, n)
         verdicts &= (n1 * p <= n_i) & (n_i <= n1 * q)
     return verdicts

@@ -73,10 +73,10 @@ def test_fairness_hard_invariant():
             pivot = PivotRun(seed, 5)
             outputs = [
                 run_wmatch(fairlets_of(g, colors, spec)),
-                run_algorithm("ufaircc", g, colors, spec, pivot),
+                run_algorithm("ufaircc", g, colors, spec, pivot)[0],
                 run_ccmerge(g, colors, spec, run_cc(g, pivot)),
             ]
-            outputs.append(run_algorithm("faircc", g, colors, spec, pivot))
+            outputs.append(run_algorithm("faircc", g, colors, spec, pivot)[0])
             for c in outputs:
                 if not check_fairness(colors, c, spec).overall_pass:
                     violations += 1
@@ -174,7 +174,7 @@ def test_balanced_pipeline_constant():
         for seed in range(reps):
             g = random_graph(sum(counts), seed * 17 + instances)
             colors = random_colors(counts, seed)
-            c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
+            c, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
             if g.n <= 8:
                 opt = brute_opt_fair(g, colors, spec)
             else:
@@ -208,7 +208,7 @@ def test_unbalanced_pipeline_constants():
         for seed in range(reps):
             g = random_graph(sum(counts), seed * 23 + instances)
             colors = random_colors(counts, seed)
-            c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
+            c, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
             if g.n <= 8:
                 opt = brute_opt_fair(g, colors, spec)
             else:

@@ -73,7 +73,7 @@ def test_wmatch_all_positive_four_pays_the_cut():
 def test_ufaircc_all_positive_is_free():
     g = all_positive(6)
     colors = ColorAssignment((0, 1, 0, 1, 0, 1))
-    c = run_algorithm("ufaircc", g, colors, FairnessSpec.exact({1: 1}))
+    c, _ = run_algorithm("ufaircc", g, colors, FairnessSpec.exact({1: 1}))
     assert disagreements(g, c) == 0
 
 
@@ -83,8 +83,8 @@ def test_ufaircc_matches_faircc_on_forced_pairs():
     for seed in range(10):
         g = random_graph(2, seed)
         colors = ColorAssignment((0, 1))
-        a = run_algorithm("ufaircc", g, colors, spec, PivotRun(seed, 5))
-        b = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 5))
+        a, _ = run_algorithm("ufaircc", g, colors, spec, PivotRun(seed, 5))
+        b, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 5))
         assert disagreements(g, a) == disagreements(g, b)
 
 
@@ -95,8 +95,8 @@ def test_faircc_no_worse_than_ufaircc_on_average():
         g = random_graph(8, seed + 400)
         colors = random_colors((4, 4), seed)
         run = PivotRun(seed, 10)
-        smart.append(disagreements(g, run_algorithm("faircc", g, colors, spec, run)))
-        unit.append(disagreements(g, run_algorithm("ufaircc", g, colors, spec, run)))
+        smart.append(disagreements(g, run_algorithm("faircc", g, colors, spec, run)[0]))
+        unit.append(disagreements(g, run_algorithm("ufaircc", g, colors, spec, run)[0]))
     assert statistics.mean(smart) <= statistics.mean(unit)
 
 
@@ -122,7 +122,7 @@ def test_ufaircc_pinned_labels(counts, neg, seed, bounds, labels):
     g = random_graph(sum(counts), seed, neg)
     colors = random_colors(counts, seed)
     spec = FairnessSpec(0, bounds)
-    c = run_algorithm("ufaircc", g, colors, spec, PivotRun(seed, 5))
+    c, _ = run_algorithm("ufaircc", g, colors, spec, PivotRun(seed, 5))
     assert c.cluster_of.tolist() == list(labels)
 
 
@@ -248,7 +248,7 @@ def test_baselines_deterministic():
         return run_wmatch(fairlets_of(g, colors, spec))
 
     def ufaircc(g, colors, spec, pivot):
-        return run_algorithm("ufaircc", g, colors, spec, pivot)
+        return run_algorithm("ufaircc", g, colors, spec, pivot)[0]
 
     def ccmerge(g, colors, spec, pivot):
         return run_ccmerge(g, colors, spec, run_cc(g, pivot))

@@ -906,10 +906,11 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     (built once, like the graph the file gives, through the trusted
     constructor), which faircc and ufaircc share, all through run_cc. The
     seed windows 0..4, 1..5, ..., 4..8 overlap, so each graph runs every
-    seed 0..8 once, in one pivot pass. The cc rows take their cost from the
-    restart pool, so only the 20 other rows score their clustering. Each
-    ccmerge repair, faircc or ufaircc attachment runs once per distinct
-    restart its graph's windows keep, and wmatch, which needs no seed, once."""
+    seed 0..8 once, in one pivot pass. Each ccmerge repair, faircc or
+    ufaircc attachment runs once per distinct restart its graph's windows
+    keep, and wmatch, which needs no seed, once. The registry scores each
+    of those 7 results once, where it builds it, and the cc rows take their
+    cost from the restart pool, so the CLI scores nothing itself."""
     calls = count_calls(
         monkeypatch,
         [
@@ -917,7 +918,7 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
             (baselines, "run_cc"),
             (baselines, "best_of_restarts"),
             (algorithms.SignedCompleteGraph, "_trusted"),
-            (cli, "disagreements"),
+            (algorithms, "disagreements"),
             (baselines, "run_ccmerge"),
             (fair_clustering, "run_pipeline"),
             (baselines, "run_wmatch"),
@@ -947,8 +948,9 @@ def test_experiment_builds_shared_layers_once(workspace, monkeypatch):
     assert kept == {60: [3, 3, 6, 6, 6], 20: [1, 1, 6, 6, 6]}
     assert calls == {
         "build_matchings": 2, "run_cc": 10, "best_of_restarts": 10, "_trusted": 2,
-        "disagreements": 20, "run_ccmerge": 2, "run_pipeline": 4, "run_wmatch": 1,
+        "disagreements": 7, "run_ccmerge": 2, "run_pipeline": 4, "run_wmatch": 1,
     }
+    assert not hasattr(cli, "disagreements")
     # one pass per graph, of runs + restarts - 1 seeds
     assert passed == {60: [list(range(9))], 20: [list(range(9))]}
 
@@ -1018,6 +1020,22 @@ def test_base_sweep_shares_the_memo(monkeypatch):
     again = run_algorithm("faircc", g, colors, spec, pivot, memo)
     assert calls == {"build_matchings": 3}
     assert again == fresh
+
+
+def test_base_sweep_scores_once_per_base(workspace, monkeypatch):
+    """cluster --try-all-bases on three colors scores each base color's
+    result once, where the registry builds it, and picks the winner by
+    those costs, so neither the registry nor the CLI scores the winner
+    again."""
+    calls = count_calls(monkeypatch, [(algorithms, "disagreements")])
+    write_planted(workspace, 30, (10, 10, 10), seed=4, blocks=3)
+    rc = main(
+        f"cluster --graph {workspace}/g.json --colors {workspace}/c.csv --algo faircc "
+        f"--ratio 1:1:1 --try-all-bases {OUTS.format(ws=workspace)}".split()
+    )
+    assert rc == 0
+    assert calls == {"disagreements": 3}
+    assert not hasattr(cli, "disagreements")
 
 
 @pytest.mark.parametrize("algo", ["cc", "wmatch", "ufaircc", "ccmerge"])

@@ -113,14 +113,14 @@ def test_pair_cost_table_matches_scalar_per_color(counts):
 def test_two_colors_pair_positive_edge():
     g = SignedCompleteGraph.from_negative_edges(2, [])
     colors = ColorAssignment((0, 1))
-    c = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 1}))
+    c, _ = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 1}))
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
 def test_two_colors_all_positive_four():
     g = SignedCompleteGraph.from_negative_edges(4, [])
     colors = ColorAssignment((0, 1, 0, 1))
-    c = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 1}))
+    c, _ = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 1}))
     assert disagreements(g, c) == 0
 
 
@@ -135,7 +135,7 @@ def test_two_colors_cost_within_thirteen_opt_fair():
     for seed in range(25):
         g = random_graph(6, seed + 500)
         colors = random_colors((3, 3), seed)
-        c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
+        c, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 13 * brute_opt_fair(g, colors, spec)
 
@@ -144,7 +144,7 @@ def test_multi_trivial_three_singleton_colors():
     g = SignedCompleteGraph.from_negative_edges(3, [])
     colors = ColorAssignment((0, 1, 2))
     spec = FairnessSpec.exact({1: 1, 2: 1})
-    c = run_algorithm("faircc", g, colors, spec)
+    c, _ = run_algorithm("faircc", g, colors, spec)
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
@@ -152,7 +152,7 @@ def test_multi_trivial_ratio_two():
     g = SignedCompleteGraph.from_negative_edges(8, [])
     colors = ColorAssignment((0, 0, 1, 1, 2, 2, 2, 2))
     spec = FairnessSpec.exact({1: 1, 2: 2})
-    c = run_algorithm("faircc", g, colors, spec)
+    c, _ = run_algorithm("faircc", g, colors, spec)
     assert c.num_clusters == 1 and disagreements(g, c) == 0
 
 
@@ -163,7 +163,7 @@ def test_multi_bound_constant():
     for seed in range(15):
         g = random_graph(6, seed + 800)
         colors = random_colors((2, 2, 2), seed)
-        c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
+        c, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 34 * brute_opt_fair(g, colors, spec)
 
@@ -180,7 +180,7 @@ def test_bounded_trivial():
     g = SignedCompleteGraph.from_negative_edges(2, [])
     colors = ColorAssignment((0, 1))
     spec = FairnessSpec(0, {1: (1, 2)})
-    c = run_algorithm("faircc", g, colors, spec)
+    c, _ = run_algorithm("faircc", g, colors, spec)
     assert check_fairness(colors, c, spec).overall_pass
 
 
@@ -188,7 +188,7 @@ def test_bounded_all_positive_two_three():
     g = SignedCompleteGraph.from_negative_edges(5, [])
     colors = ColorAssignment((0, 0, 1, 1, 1))
     spec = FairnessSpec(0, {1: (1, 2)})
-    c = run_algorithm("faircc", g, colors, spec)
+    c, _ = run_algorithm("faircc", g, colors, spec)
     assert disagreements(g, c) == 0
     assert check_fairness(colors, c, spec).overall_pass
 
@@ -200,7 +200,7 @@ def test_bounded_constant_q2():
     for seed in range(20):
         g = random_graph(5, seed + 900)
         colors = random_colors((2, 3), seed)
-        c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
+        c, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 25))
         assert check_fairness(colors, c, spec).overall_pass
         assert disagreements(g, c) <= 40 * brute_opt_fair(g, colors, spec)
 
@@ -220,7 +220,7 @@ def test_hyper_node_members_share_cluster():
         g = random_graph(9, seed + 40)
         colors = random_colors((3, 6), seed)
         fairlets = fairlets_of(g, colors, spec)
-        c = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 5))
+        c, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 5))
         for i, base in enumerate(colors.vertices_of(0)):
             members = np.flatnonzero(fairlets == i).tolist()
             assert sorted(colors.color_of[v] for v in members) == [0, 1, 1]
@@ -253,8 +253,8 @@ def test_try_all_bases_never_worse():
     for seed in range(10):
         g = random_graph(6, seed + 60)
         colors = random_colors((2, 2, 2), seed)
-        fixed = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 10))
-        swept = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 10), try_all_bases=True)
+        fixed, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 10))
+        swept, _ = run_algorithm("faircc", g, colors, spec, PivotRun(seed, 10), try_all_bases=True)
         assert disagreements(g, swept) <= disagreements(g, fixed)
     with pytest.raises(InvalidInputError):
         run_algorithm(
@@ -297,22 +297,22 @@ def test_fair_cc_pinned_labels():
     first and third re-recorded when the matcher gained its row reduction,
     which picks another optimal matching of the same weight."""
     g, colors = random_graph(24, 301), random_colors((8, 16), 1)
-    c = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 2}), PivotRun(3, 10))
+    c, _ = run_algorithm("faircc", g, colors, FairnessSpec.exact({1: 2}), PivotRun(3, 10))
     assert c.cluster_of.tolist() == [
         0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1
     ]
     g, colors = random_graph(24, 302), random_colors((8, 8, 8), 2)
     spec = FairnessSpec.exact({1: 1, 2: 1})
-    c = run_algorithm("faircc", g, colors, spec, PivotRun(4, 10))
+    c, _ = run_algorithm("faircc", g, colors, spec, PivotRun(4, 10))
     assert c.cluster_of.tolist() == [
         0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0
     ]
-    c = run_algorithm("faircc", g, colors, spec, PivotRun(4, 10), try_all_bases=True)
+    c, _ = run_algorithm("faircc", g, colors, spec, PivotRun(4, 10), try_all_bases=True)
     assert c.cluster_of.tolist() == [
         0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0
     ]
     g, colors = random_graph(24, 303), random_colors((10, 14), 3)
-    c = run_algorithm("faircc", g, colors, FairnessSpec(0, {1: (1, 2)}), PivotRun(5, 10))
+    c, _ = run_algorithm("faircc", g, colors, FairnessSpec(0, {1: (1, 2)}), PivotRun(5, 10))
     assert c.cluster_of.tolist() == [
         0, 1, 1, 2, 2, 1, 1, 1, 1, 1, 0, 0, 2, 1, 0, 2, 1, 1, 1, 1, 0, 1, 2, 1
     ]
@@ -335,7 +335,7 @@ def test_two_stages_compose_to_fair_cc():
         base = run_cc(induced, pivot)
         assert base.n == 8
         c = run_pipeline(fairlets, base)
-        assert c == run_algorithm("faircc", g, colors, spec, pivot)
+        assert c == run_algorithm("faircc", g, colors, spec, pivot)[0]
         assert run_wmatch(fairlets) == run_wmatch(fairlets_of(g, colors, spec))
 
 
@@ -370,8 +370,8 @@ def test_fairness_invariant_over_random_specs(instance, seed):
     check_spec(colors, spec)
     pivot = PivotRun(seed, 3)
     results = {
-        "faircc": run_algorithm("faircc", g, colors, spec, pivot),
-        "ufaircc": run_algorithm("ufaircc", g, colors, spec, pivot),
+        "faircc": run_algorithm("faircc", g, colors, spec, pivot)[0],
+        "ufaircc": run_algorithm("ufaircc", g, colors, spec, pivot)[0],
         "wmatch": run_wmatch(fairlets_of(g, colors, spec)),
         "ccmerge": run_ccmerge(g, colors, spec, run_cc(g, pivot)),
     }
@@ -411,8 +411,9 @@ def memo_orders(draw):
 @given(memo_orders())
 def test_one_memo_gives_every_cell_its_fresh_clustering(case):
     """Cells in any order through one memo, whose window covers every
-    cell's seeds, give the clustering a fresh memo gives: the full graph's
-    restart pool and each base color's never mix."""
+    cell's seeds, give the clustering and cost a fresh memo gives: the full
+    graph's restart pool and each base color's never mix. Every returned
+    cost, a shared result's too, is the clustering's disagreements."""
     g, colors, spec, cells = case
     seeds = [seed for _, seed in cells]
     memo = {"window": PivotRun(min(seeds), max(seeds) - min(seeds) + 3)}
@@ -421,6 +422,8 @@ def test_one_memo_gives_every_cell_its_fresh_clustering(case):
         shared = run_algorithm(algo, g, colors, spec, pivot, memo, try_all_bases)
         fresh = run_algorithm(algo, g, colors, spec, pivot, {}, try_all_bases)
         assert shared == fresh, (algo, try_all_bases, seed)
+        clustering, cost = shared
+        assert cost == disagreements(g, clustering), (algo, try_all_bases, seed)
 
 
 @pytest.mark.parametrize("n_colored", [6, 2])

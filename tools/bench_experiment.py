@@ -13,10 +13,11 @@ each tree reports the minimum, median, mean and maximum of its instances'
 times. ``calls_per_experiment`` counts, per experiment, the ccmerge repairs
 (``baselines.run_ccmerge``), the faircc and ufaircc attachments
 (``fair_clustering.run_pipeline``), the wmatch clusterings
-(``baselines.run_wmatch``) and the fairness gate of ``run_algorithm``
-(``algorithms.check_fairness``). ``identical_csv`` says whether every
-experiment writes the same CSV bytes and prints the same stdout in both
-trees, in every round.
+(``baselines.run_wmatch``), the fairness gate of ``run_algorithm``
+(``algorithms.check_fairness``) and the scoring calls (``disagreements``,
+summed over its ``cli`` and ``algorithms`` bindings; a binding a tree lacks
+counts 0). ``identical_csv`` says whether every experiment writes the same
+CSV bytes and prints the same stdout in both trees, in every round.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ COUNTED = (
     ("fair_clustering", "run_pipeline"),
     ("baselines", "run_wmatch"),
     ("algorithms", "check_fairness"),
+    ("cli", "disagreements"),
+    ("algorithms", "disagreements"),
 )
 
 
@@ -58,6 +61,8 @@ def measure(src, seed):
     calls = {name: 0 for _, name in COUNTED}
 
     def counted(module, name):
+        if not hasattr(module, name):
+            return
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):

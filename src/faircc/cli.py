@@ -381,7 +381,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.set_defaults(given=frozenset())  # the dests of _Noted options given
-    seeded.add_argument("--seed", type=int, default=0, action=_Noted)
+    seeded.add_argument("--seed", type=_at_least(0), default=0, action=_Noted)
     instance = argparse.ArgumentParser(add_help=False, parents=[seeded])
     instance.add_argument("--colors", default=None)
     spec = instance.add_mutually_exclusive_group()

@@ -152,6 +152,8 @@ def sample(ds: TabularDataset, n, seed, balance=None) -> TabularDataset:
     terms matched to the protected values in color_ids(ds) order."""
     if not 1 <= n <= ds.n:
         raise InvalidInputError(f"cannot sample {n} of {ds.n} rows")
+    if seed < 0:  # random.Random seeds from |seed|: -3 would draw what 3 draws
+        raise InvalidInputError(f"sample seed must be nonnegative, got {seed}")
     order = list(range(ds.n))
     random.Random(seed).shuffle(order)
     if balance is None:

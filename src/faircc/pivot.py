@@ -46,6 +46,10 @@ class PivotRun:
             if not isinstance(value, numbers.Integral):  # numpy's integers are registered
                 raise InvalidInputError(f"pivot {name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        # random.Random seeds from |seed|, so a negative seed would rerun
+        # the pass of its positive twin
+        if self.seed < 0:
+            raise InvalidInputError(f"pivot seed must be nonnegative, got {self.seed}")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
 

@@ -287,6 +287,14 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         ("verify --mirror {ws}/missing.json --restarts 3",
          "verify --mirror takes no --seed or --restarts"),
         ("verify --mirror {ws}/g.json --seed 0", "verify --mirror takes no --seed or --restarts"),
+        ("cluster --graph {ws}/missing.json --algo cc --seed -1 " + OUTS,
+         "argument --seed: must be at least 0, got -1"),
+        ("experiment --graph {ws}/missing.json --algos cc --seed -1 --out {ws}/x.csv",
+         "argument --seed: must be at least 0, got -1"),
+        ("verify --graph {ws}/missing.json --colors {ws}/c.csv --ratio 1:1 --seed -1",
+         "argument --seed: must be at least 0, got -1"),
+        ("ingest --csv {ws}/missing.csv --schema {ws}/missing.json --seed -1 " + INGEST_OUTS,
+         "argument --seed: must be at least 0, got -1"),
     ],
     ids=[
         "experiment-no-colors", "experiment-runs-0", "verify-random-0", "verify-bare",
@@ -302,7 +310,8 @@ INGEST_OUTS = "--out-graph {ws}/g2.json --out-colors {ws}/c2.csv"
         "experiment-ratio-and-bounds", "verify-ratio-and-bounds", "verify-graph-and-mirror",
         "verify-random-with-spec", "verify-mirror-with-spec", "verify-graph-max-n",
         "verify-mirror-max-n", "verify-mirror-seed", "verify-mirror-restarts",
-        "verify-mirror-default-seed",
+        "verify-mirror-default-seed", "cluster-seed-negative", "experiment-seed-negative",
+        "verify-seed-negative", "ingest-seed-negative",
     ],
 )
 def test_argument_errors_exit_3(workspace, capsys, argv, message):

@@ -136,6 +136,14 @@ def test_sample_needs_at_least_one_row(n):
         sample(ds, n, seed=0)
 
 
+def test_sample_refuses_a_negative_seed():
+    """random.Random(-3) draws what random.Random(3) draws, so a negative
+    seed is refused rather than aliased."""
+    ds = make_dataset(["R"] * 10 + ["B"] * 30)
+    with pytest.raises(InvalidInputError, match="sample seed must be nonnegative, got -3"):
+        sample(ds, 12, seed=-3)
+
+
 def test_build_graph_identical_rows_positive():
     ds = make_dataset(["R", "B", "R"])  # ages differ, job constant
     g, colors = build_graph(ds, tau=0.0)

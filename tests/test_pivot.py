@@ -96,8 +96,12 @@ def test_zero_restarts_rejected():
         ("0", 3, "pivot seed must be an integer, got '0'"),
         (0, None, "pivot restarts must be an integer, got None"),
         (0, 0.0, "pivot restarts must be an integer, got 0.0"),
+        (-1, 3, "pivot seed must be nonnegative, got -1"),
     ],
-    ids=["seed-float", "restarts-float", "seed-str", "restarts-none", "restarts-integral-float"],
+    ids=[
+        "seed-float", "restarts-float", "seed-str", "restarts-none", "restarts-integral-float",
+        "seed-negative",
+    ],
 )
 def test_non_integer_seed_or_restarts_rejected(seed, restarts, message):
     with pytest.raises(InvalidInputError) as info:
@@ -178,7 +182,7 @@ def test_best_of_restarts_pinned_labels():
     neg_prob=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
     gseed=st.integers(0, 2**32),
     seeds=st.lists(st.integers(0, 60), min_size=1, max_size=30),
-    start=st.integers(-5, 1000),
+    start=st.integers(0, 1000),
     restarts=st.integers(1, 30),
 )
 def test_lockstep_pass_matches_the_per_seed_loop(n, neg_prob, gseed, seeds, start, restarts):

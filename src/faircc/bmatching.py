@@ -24,10 +24,14 @@ second-cheapest one, for two passes; most right nodes end the passes
 assigned. Each right node still free then gets a shortest augmenting path:
 one Dijkstra over reduced costs that the dual potentials keep nonnegative,
 each step vectorized over all slot columns, whose costs are gathered from
-the L x R table rather than stored, into buffers the steps reuse.
-Everything stays in int64, and instances whose costs could overflow it are
-rejected, so the optimum is exact; which of several optima it returns
-depends on both phases.
+the L x R table rather than stored, into buffers the steps reuse. When
+every left node has exactly one slot, a bid or step reads its row of the
+table in place rather than gathering it; the assignment is the same. Each
+phase keeps its bookkeeping (the row of each column, the column and dual
+of each row, a search's settled columns) in Python lists, and a search
+updates the duals once, at its end. Everything stays in int64, and
+instances whose costs could overflow it are rejected, so the optimum is
+exact; which of several optima it returns depends on both phases.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ _UNREACHED = np.iinfo(np.int64).max
 # lengths and their sums stay within a few multiples of that, below 2**61
 # while M * (R + 1) < 2**56
 _COST_LIMIT = 2**56
+_SETTLED = 2**61  # the search's key of a settled column, above every path length
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +106,9 @@ def _degrees(bounds):
     anything but an integer (a float, a str, ...) is invalid input."""
     bounds = tuple(bounds)
     for x in bounds:
-        if not isinstance(x, numbers.Integral):  # numpy's integers are registered
+        # a Python int passes by its type, before the costlier ABC check,
+        # with which numpy's integers are registered
+        if type(x) is not int and not isinstance(x, numbers.Integral):
             raise InvalidInputError(f"degree bounds must be integers, got {x!r}")
     return tuple(int(x) for x in bounds)
 
@@ -118,6 +125,12 @@ class BMatching:
         assign = np.array(self.assign, np.int64)
         assign.setflags(write=False)
         object.__setattr__(self, "assign", assign)
+
+
+def _one_slot(rows, owner):
+    """Whether every left node has exactly one slot column, so a row's slot
+    costs are the row itself, read in place rather than gathered."""
+    return len(owner) == rows.shape[1] and bool((owner == np.arange(len(owner))).all())
 
 
 def _reduce_rows(rows, owner, offset):
@@ -141,6 +154,7 @@ def _reduce_rows(rows, owner, offset):
     [-M, M), at most 2M below the lowest v; so afterwards v > -8nM.
     """
     n, m = len(rows), len(owner)
+    one_slot = _one_slot(rows, owner)
     base = offset.copy()  # offset - v: the reduced cost less the row's own cost
     row_of = [-1] * m
     col_of = [-1] * n
@@ -151,15 +165,17 @@ def _reduce_rows(rows, owner, offset):
         rebids = len(todo)
         for i in todo:
             while True:
-                rows[i].take(owner, out=reach)
-                reach += base
+                if one_slot:
+                    np.add(rows[i], base, out=reach)
+                else:
+                    rows[i].take(owner, out=reach)
+                    reach += base
                 j1 = int(reach.argmin())
-                u1 = int(reach[j1])
-                u2 = u1  # a single column has no second-cheapest
+                u1 = u2 = reach.item(j1)  # a single column has no second-cheapest
                 if m > 1:
                     reach[j1] = _UNREACHED
                     j2 = int(reach.argmin())
-                    u2 = int(reach[j2])
+                    u2 = reach.item(j2)
                 evicted = row_of[j1]
                 if u1 < u2:
                     base[j1] += u2 - u1
@@ -182,48 +198,66 @@ def _assign(rows, owner, offset):
     """Column of each row in a minimum-cost assignment of every row to a
     distinct column, where column j of row i costs
     ``rows[i, owner[j]] + offset[j]`` (n rows, m >= n columns, int64)."""
-    n, m = len(rows), len(owner)
+    m = len(owner)
+    one_slot = _one_slot(rows, owner)
     v, col_of, row_of, free = _reduce_rows(rows, owner, offset)
+    base = offset - v  # the reduced cost less the row's own cost
     # an assigned row's dual u is its column's reduced cost, its row minimum
-    u = np.zeros(n, np.int64)
+    u = np.zeros(len(rows), np.int64)
     held = np.flatnonzero(col_of >= 0)
     cols = col_of[held]
-    u[held] = rows[held, owner[cols]] + offset[cols] - v[cols]
-    dist = np.empty(m, np.int64)  # path length of each settled column
-    key = np.empty(m, np.int64)  # path length so far, _UNREACHED once settled
+    u[held] = rows[held, owner[cols]] + base[cols]
+    u, col_of, row_of = u.tolist(), col_of.tolist(), row_of.tolist()
+    # A settled column's key is _SETTLED and its entry of search_base is
+    # 2 * _SETTLED, so no mask of unsettled columns is needed. Path
+    # lengths, potentials and their sums stay below _SETTLED = 2**61 in size
+    # (see _COST_LIMIT). So an unsettled column's path length, which the
+    # first step sets for every column of the complete table, is below
+    # _SETTLED, and argmin never picks a settled column; a settled column's
+    # reach, its cost in [0, 2**56) plus 2**62 plus low - u[i] in
+    # (-2**61, 2**61), lies in (2**61, 2**63): never below its key, and
+    # within int64.
+    key = np.empty(m, np.int64)  # path length so far, _SETTLED once settled
     pred = np.empty(m, np.int64)
-    unsettled = np.empty(m, bool)
     reach = np.empty(m, np.int64)
     better = np.empty(m, bool)
+    # the step's row and its path length less its dual, as 0-d arrays: numpy
+    # converts a Python int operand anew on every call
+    row, shift = np.empty((), np.int64), np.empty((), np.int64)
     for start in free:
-        key.fill(_UNREACHED)
-        unsettled.fill(True)
-        base = offset - v
+        key.fill(_SETTLED)
+        search_base = base.copy()  # base, but 2 * _SETTLED at settled columns
+        settled, dist = [], []  # settled columns in order, and their path lengths
         i, low = start, 0
         while True:  # Dijkstra from ``start`` until it reaches a free column
-            rows[i].take(owner, out=reach)
-            reach += base
-            reach += low - u[i]
+            if one_slot:
+                np.add(rows[i], search_base, out=reach)
+            else:
+                rows[i].take(owner, out=reach)
+                reach += search_base
+            row[()], shift[()] = i, low - u[i]
+            reach += shift
             np.less(reach, key, out=better)
-            better &= unsettled
             np.copyto(key, reach, where=better)
-            np.copyto(pred, i, where=better)
+            np.copyto(pred, row, where=better)
             j = int(key.argmin())
-            low = int(key[j])
-            dist[j] = low
-            key[j] = _UNREACHED
-            unsettled[j] = False
-            if row_of[j] < 0:
-                break
+            low = key.item(j)
+            key[j], search_base[j] = _SETTLED, 2 * _SETTLED
+            settled.append(j)
+            dist.append(low)
             i = row_of[j]
-        cols = np.flatnonzero(~unsettled)
-        slack = low - dist[cols]
-        v[cols] -= slack
-        inner = row_of[cols] >= 0
-        u[row_of[cols[inner]]] += slack[inner]
+            if i < 0:
+                break
+        # v falls by each settled column's slack low - dist, so base rises by
+        # it, and so does the dual u of the row that holds the column
+        slack = [low - d for d in dist]
+        base[settled] += slack
+        for col, gain in zip(settled, slack):
+            if row_of[col] >= 0:
+                u[row_of[col]] += gain
         u[start] += low
-        while True:  # flip the path back to ``start``
-            i = pred[j]
+        while True:  # flip the path back from the free column j to ``start``
+            i = pred.item(j)
             row_of[j] = i
             col_of[i], j = j, col_of[i]
             if i == start:

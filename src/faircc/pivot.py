@@ -64,7 +64,11 @@ def pivot_cluster(g: SignedCompleteGraph, seeds) -> np.ndarray:
     int64 matrix whose row k gives the cluster id of every vertex in the
     pass seeded ``seeds[k]``, ids assigned in order of cluster creation
     (the round number)."""
-    rngs = [random.Random(seed) for seed in seeds]
+    rngs = []
+    for seed in seeds:
+        if seed < 0:  # as PivotRun: it would rerun the pass of its positive twin
+            raise InvalidInputError(f"pivot seed must be nonnegative, got {seed}")
+        rngs.append(random.Random(seed))
     labels = np.empty((len(rngs), g.n), np.int64)
     live = np.arange(len(rngs))  # rows of the restarts still clustering
     unclustered = np.ones((len(rngs), g.n), bool)  # one row per live restart

@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMITTED = {"oracle": "BENCH_oracle.json", "experiment": "BENCH_experiment.json"}
+COMMITTED = {
+    "oracle": "BENCH_oracle.json",
+    "experiment": "BENCH_experiment.json",
+    "matcher": "BENCH_matcher.json",
+}
 
 
 def load_tool():
@@ -29,7 +33,8 @@ def canned_line(suite, side, rnd, spoiled):
     """One round's measure line on three instances. Instance i takes
     (i + 1) ms in the base tree and 2 (i + 1) ms in the new one at its
     fastest, reached in round 2; ``spoiled`` changes one result of the
-    new tree's round 3."""
+    new tree's round 3: a cost, a fairness check, or the digest of one
+    experiment's output or of one instance's fairlet ids."""
     tree = 1 if side == "base" else 2
     times = [1e-3 * tree * (k + 1) * (1 + (rnd - 2) ** 2) for k in range(3)]
     bad = spoiled if side == "new" and rnd == 3 else None
@@ -41,6 +46,8 @@ def canned_line(suite, side, rnd, spoiled):
             "costs": [5, -1, 8 if bad == "cost" else 7],
             "fair_at_cost": bad != "fair",
         }
+    if suite == "matcher":
+        return {"times": times, "peak": 2048 * tree, "digests": ["a", "x" if bad else "b", "c"]}
     calls = {"run_ccmerge": 28, "run_pipeline": 50, "run_wmatch": 20}
     calls.update(check_fairness=98, disagreements=98)
     return {"times": times, "calls": calls, "digests": ["a", "x" if bad else "b", "c"]}
@@ -65,7 +72,7 @@ def run_tool(monkeypatch, capsys, tmp_path, suite, spoiled=None):
     return rc, json.loads(capsys.readouterr().out), order
 
 
-@pytest.mark.parametrize("suite", ["oracle", "experiment"])
+@pytest.mark.parametrize("suite", ["oracle", "experiment", "matcher"])
 def test_every_verdict_holds(monkeypatch, capsys, tmp_path, suite):
     """Exit 0 with the committed file's keys; each tree's cpu_ms_* summarise
     every instance's least time over the rounds; the rounds alternate which
@@ -89,12 +96,14 @@ def test_every_verdict_holds(monkeypatch, capsys, tmp_path, suite):
         ("oracle", "cost", "identical_costs"),
         ("oracle", "fair", "new_fair_at_cost"),
         ("experiment", "digest", "identical_csv"),
+        ("matcher", "fairlet", "identical_fairlets"),
     ],
 )
 def test_a_false_verdict_exits_1(monkeypatch, capsys, tmp_path, suite, spoiled, verdict):
     """One round of the new tree with a different cost, an unfair or
-    mispriced partition, or different output bytes fails every set, since
-    the stub spoils each set's round 3; the JSON is printed all the same."""
+    mispriced partition, different output bytes or a changed fairlet id
+    fails every set, since the stub spoils each set's round 3; the JSON is
+    printed all the same."""
     rc, out, _ = run_tool(monkeypatch, capsys, tmp_path, suite, spoiled)
     assert rc == 1
     assert all(s[verdict] is False for s in out["sets"].values())

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -14,7 +15,11 @@ from faircc import (
     bmatching,
     solve,
 )
-from conftest import opt_bmatching, reference_solve
+from faircc.fair_clustering import pair_cost_table
+from conftest import opt_bmatching, random_graph, reference_solve
+
+# sha256 of solve's assignments on pinned_instances() and their weights
+PINNED_DIGEST = "b0359e94f7c968b37cf7845caaca22f09c519e2d8c3ed47791f7606ebb0a6e5c"
 
 
 def enumerate_optimum(cost, lo, hi):
@@ -432,3 +437,67 @@ def test_constant_table_skips_the_search(monkeypatch):
     deal = list(range(300)) + [l for l in range(150) for _ in range(2)]
     assert got.assign.tolist() == deal
     assert got.weight == 600
+
+
+def pinned_instances():
+    """30 seeded instances that reach both phases of the solver:
+    1:1 pair-cost and few-valued tables that leave rows free after the row
+    reduction, 1..2 and per-node intervals under the -M shift, exact 1:2
+    tables, and costs near the int64 limit."""
+    rng = np.random.default_rng(2024)
+    insts = []
+    for n in (20, 40, 60, 80):  # pair costs of a random 1:1 graph, as fairlet_n400's
+        g = random_graph(2 * n, seed=n)
+        colors = rng.permutation(np.repeat([0, 1], n))
+        table = pair_cost_table(g, np.flatnonzero(colors == 0), np.flatnonzero(colors == 1))
+        insts.append((table, [1] * n, [1] * n))
+    for n, top in ((16, 2), (30, 3), (45, 4), (60, 8)):  # few values: many ties
+        insts.append((rng.integers(0, top, (n, n)), [1] * n, [1] * n))
+    for L, R, top in (
+        (8, 12, 10), (15, 22, 5), (20, 31, 40), (30, 47, 3),
+        (40, 70, 100), (12, 23, 2), (25, 26, 20), (35, 60, 9),
+    ):
+        insts.append((rng.integers(0, top, (L, R)), [1] * L, [2] * L))
+    for L, R in ((10, 18), (30, 50)):  # per-node intervals from 0..1 up to 1..3
+        lo = rng.integers(0, 2, L)
+        cost = rng.integers(0, 30, (L, R))
+        insts.append((cost, lo.tolist(), (lo + rng.integers(1, 3, L)).tolist()))
+    for L, top in ((6, 10), (15, 4), (20, 50), (30, 3), (40, 12), (24, 2)):
+        insts.append((rng.integers(0, top, (L, 2 * L)), [2] * L, [2] * L))
+    for L, R, lo, hi in (
+        (10, 10, 1, 1), (25, 25, 1, 1), (12, 18, 1, 2),
+        (20, 33, 1, 2), (9, 18, 2, 2), (16, 32, 2, 2),
+    ):  # costs near the limit, as in test_costs_that_could_overflow_int64_are_rejected
+        top = (2**56 // (R + 1) - 1) // (L * R) - 1
+        choices = np.array([0, top, top - 1, top // 2])
+        near = rng.random((L, R)) < 0.5
+        cost = np.where(near, choices[rng.integers(0, 4, (L, R))], rng.integers(0, top, (L, R)))
+        insts.append((cost, [lo] * L, [hi] * L))
+    return insts
+
+
+def test_solve_pinned_assignments():
+    """The assignment ``solve`` picks among equal optima, not only its
+    weight, stays what it was: a rewrite of the solver's loops must keep
+    both phases' visit order and tie-breaking. Each weight is also checked
+    against the reference solver."""
+    freed = []
+    reduce_rows = bmatching._reduce_rows
+
+    def spy(rows, owner, offset):
+        reduced = reduce_rows(rows, owner, offset)
+        freed.append(len(reduced[3]))
+        return reduced
+
+    digest = hashlib.sha256()
+    weights = []
+    with mock.patch.object(bmatching, "_reduce_rows", spy):
+        for cost, lo, hi in pinned_instances():
+            inst = BMatchingInstance(cost, lo, hi)
+            got = solve(inst)
+            assert got.weight == reference_solve(inst).weight
+            digest.update(got.assign.astype("<i8").tobytes())
+            weights.append(got.weight)
+    digest.update(repr(weights).encode())
+    assert len(weights) == 30 and sum(n > 0 for n in freed) >= 10  # the search runs
+    assert digest.hexdigest() == PINNED_DIGEST

@@ -114,6 +114,16 @@ def test_non_integer_restarts_rejected_by_the_registry():
         run_algorithm("cc", all_positive(3), pivot=PivotRun(0, 2.5))
 
 
+@pytest.mark.parametrize("seeds", [[-2], [3, -2], [np.int64(-2)]], ids=["alone", "second", "numpy"])
+def test_pivot_cluster_rejects_a_negative_seed(seeds):
+    """random.Random seeds from |seed|, so -2 would rerun seed 2's pass; the
+    lockstep kernel refuses it with PivotRun's message, whichever seed of
+    the list it is."""
+    with pytest.raises(InvalidInputError) as info:
+        pivot_cluster(random_graph(12, seed=3), seeds)
+    assert str(info.value) == "pivot seed must be nonnegative, got -2"
+
+
 def test_numpy_integer_seed_and_restarts_are_stored_as_ints():
     run = PivotRun(np.int64(3), np.int32(4))
     assert run == PivotRun(3, 4) and hash(run) == hash(PivotRun(3, 4))

@@ -4,6 +4,7 @@ Usage, from the repository root:
 
     python tools/bench_ab.py oracle --base OLD/src --new src > BENCH_oracle.json
     python tools/bench_ab.py experiment --base OLD/src --new src > BENCH_experiment.json
+    python tools/bench_ab.py matcher --base OLD/src --new src > BENCH_matcher.json
 
 Each of ROUNDS rounds runs every set of the suite once per tree, each in a
 fresh interpreter with OPENBLAS_NUM_THREADS=1, alternating which tree goes
@@ -36,6 +37,15 @@ and prints the same stdout and exit code in both trees, in every round.
 (``baselines.run_wmatch``), the fairness gate of ``run_algorithm``
 (``algorithms.check_fairness``) and its scoring calls
 (``algorithms.disagreements``).
+
+``matcher`` times ``fair_clustering.build_matchings``, the per-color
+b-matchings of the fairlet stage, pair-cost tables included.
+``identical_fairlets`` says whether both trees return the same fairlet id of
+every vertex and the same matching weights on every instance, in every
+round; ``peak_kb`` is the largest traced peak of one call. The sets:
+``fairlet_n400`` and ``sweep_n120`` are the first MATCHED instances of those
+workloads at seed 0 under their bounds; ``n3200`` is 2 planted graphs (8
+blocks, 15% noise) at 1600:1600 under ratio 1:1.
 """
 
 from __future__ import annotations
@@ -131,12 +141,16 @@ def oracle_measure(name):
     }
 
 
+def agree(runs, key):
+    """Whether every round of both trees returned the base tree's first
+    round's ``key``."""
+    return all(run[key] == runs["base"][0][key] for run in runs["base"] + runs["new"])
+
+
 def oracle_verdicts(runs):
     return {
         "instances": len(runs["base"][0]["times"]),
-        "identical_costs": all(
-            run["costs"] == runs["base"][0]["costs"] for run in runs["base"] + runs["new"]
-        ),
+        "identical_costs": agree(runs, "costs"),
         "new_fair_at_cost": all(run["fair_at_cost"] for run in runs["new"]),
     }
 
@@ -200,11 +214,7 @@ def experiment_measure(name):
 
 
 def experiment_verdicts(runs):
-    return {
-        "identical_csv": all(
-            run["digests"] == runs["base"][0]["digests"] for run in runs["base"] + runs["new"]
-        ),
-    }
+    return {"identical_csv": agree(runs, "digests")}
 
 
 def experiment_extras(runs):
@@ -215,6 +225,62 @@ def experiment_extras(runs):
     }
 
 
+MATCHED = 20  # instances of each workload set of the matcher suite
+
+
+def matcher_instances(name):
+    import numpy as np
+
+    from faircc import ColorAssignment, FairnessSpec, SignedCompleteGraph
+    from workloads import bounds, make_colors, make_instance, make_signs
+
+    if name == "n3200":
+        planted = {"kind": "planted", "blocks": 8, "noise": 0.15}
+        rngs = [np.random.default_rng([graph, 3200]) for graph in range(2)]
+        pairs = [(make_signs(3200, planted, rng), make_colors([1600, 1600], rng)) for rng in rngs]
+        spec = FairnessSpec(0, {1: (1, 1)})
+    else:
+        pairs = [make_instance(name, 0, op) for op in range(MATCHED)]
+        spec = FairnessSpec(0, bounds(name))
+    return [(SignedCompleteGraph(len(s), s), ColorAssignment(c), spec) for s, c in pairs]
+
+
+def matcher_measure(name):
+    from faircc import ColorAssignment, FairnessSpec, SignedCompleteGraph
+    from faircc.fair_clustering import build_matchings
+    from workloads import make_instance
+
+    insts = matcher_instances(name)
+    signs, colors = make_instance("fairlet_n400", 0, -1)  # a tiny 4:4 warm-up
+    tiny = SignedCompleteGraph(8, signs), ColorAssignment(colors), FairnessSpec(0, {1: (1, 1)})
+    build_matchings(*tiny)
+    times, peaks, digests = [], [], []
+    for inst in insts:
+        start = time.thread_time()
+        build_matchings(*inst)
+        times.append(time.thread_time() - start)
+    for inst in insts:
+        tracemalloc.start()
+        fairlets, weights = build_matchings(*inst)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        digest = hashlib.sha256(fairlets.astype("<i8").tobytes())
+        digest.update(repr(sorted(weights.items())).encode())
+        digests.append(digest.hexdigest())
+    return {"times": times, "peak": max(peaks), "digests": digests}
+
+
+def matcher_verdicts(runs):
+    return {
+        "instances": len(runs["base"][0]["times"]),
+        "identical_fairlets": agree(runs, "digests"),
+    }
+
+
+def matcher_extras(runs):
+    return {"peak_kb": round(max(run["peak"] for run in runs) / 1024, 1)}
+
+
 # name: (sets, measure(set) -> one round's JSON, verdicts(runs of both trees),
 # extras(runs of one tree), the file's own top-level keys)
 SUITES = {
@@ -222,6 +288,10 @@ SUITES = {
     "experiment": (
         ("seed0", "seed7"), experiment_measure, experiment_verdicts, experiment_extras,
         {"workload": WORKLOAD, "instances": INSTANCES},
+    ),
+    "matcher": (
+        ("fairlet_n400", "sweep_n120", "n3200"), matcher_measure, matcher_verdicts,
+        matcher_extras, {},
     ),
 }
 

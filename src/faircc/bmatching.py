@@ -17,19 +17,18 @@ fixed deal: the right nodes, in order, take the mandatory slots in slot
 order and then the optional ones in slot order (every slot counts as
 mandatory when all must be filled).
 
-Any other table is solved in two phases after Jonker and Volgenant 1987.
+Any other table is solved in two phases after Jonker and Volgenant 1987,
+on one R x slots int64 matrix of slot costs, shift included, built once
+and taking 8 * R * slots bytes.
 Augmenting row reduction first lets the right nodes bid for their cheapest
 slot columns, raising a column's dual price by the bidder's gap to its
 second-cheapest one, for two passes; most right nodes end the passes
 assigned. Each right node still free then gets a shortest augmenting path:
 one Dijkstra over reduced costs that the dual potentials keep nonnegative,
-each step vectorized over all slot columns, whose costs are gathered from
-the L x R table rather than stored, into buffers the steps reuse. When
-every left node has exactly one slot, a bid or step reads its row of the
-table in place rather than gathering it; the assignment is the same. Each
-phase keeps its bookkeeping (the row of each column, the column and dual
-of each row, a search's settled columns) in Python lists, and a search
-updates the duals once, at its end. Everything stays in int64, and
+each step vectorized over all slot columns into buffers the steps reuse.
+Each phase keeps its bookkeeping (the row of each column, the column and
+dual of each row, a search's settled columns) in Python lists, and a
+search updates the duals once, at its end. Everything stays in int64, and
 instances whose costs could overflow it are rejected, so the optimum is
 exact; which of several optima it returns depends on both phases.
 """
@@ -47,8 +46,9 @@ from .model import _int64_array
 _UNREACHED = np.iinfo(np.int64).max
 # shifted costs lie in [-M, M) with M = sum of costs + 1. The row reduction
 # leaves every dual v above -8RM (see _reduce_rows) and each of the at most R
-# searches lowers v by less than 2M more, so |v| < 10RM; potentials, path
-# lengths and their sums stay within a few multiples of that, below 2**61
+# searches lowers v by less than 2M more, so -10RM < v <= 0. A row's dual u
+# is a cost less a v, and a path length is at most the first step's cost
+# less a v, so u, v and path lengths all lie below 10(R+1)M < 2**60 in size
 # while M * (R + 1) < 2**56
 _COST_LIMIT = 2**56
 _SETTLED = 2**61  # the search's key of a settled column, above every path length
@@ -127,13 +127,7 @@ class BMatching:
         object.__setattr__(self, "assign", assign)
 
 
-def _one_slot(rows, owner):
-    """Whether every left node has exactly one slot column, so a row's slot
-    costs are the row itself, read in place rather than gathered."""
-    return len(owner) == rows.shape[1] and bool((owner == np.arange(len(owner))).all())
-
-
-def _reduce_rows(rows, owner, offset):
+def _reduce_rows(rows):
     """Augmenting row reduction (Jonker and Volgenant 1987): two passes of
     bids that assign most rows before the search, for the costs of
     ``_assign``. Returns the column duals v, the column of each row and the
@@ -153,9 +147,8 @@ def _reduce_rows(rows, owner, offset):
     bid sets v[j1] to ``c1 - c2 + v[j2]`` for two shifted costs in
     [-M, M), at most 2M below the lowest v; so afterwards v > -8nM.
     """
-    n, m = len(rows), len(owner)
-    one_slot = _one_slot(rows, owner)
-    base = offset.copy()  # offset - v: the reduced cost less the row's own cost
+    n, m = rows.shape
+    base = np.zeros(m, np.int64)  # -v: the reduced cost less the row's own cost
     row_of = [-1] * m
     col_of = [-1] * n
     reach = np.empty(m, np.int64)
@@ -165,11 +158,7 @@ def _reduce_rows(rows, owner, offset):
         rebids = len(todo)
         for i in todo:
             while True:
-                if one_slot:
-                    np.add(rows[i], base, out=reach)
-                else:
-                    rows[i].take(owner, out=reach)
-                    reach += base
+                np.add(rows[i], base, out=reach)
                 j1 = int(reach.argmin())
                 u1 = u2 = reach.item(j1)  # a single column has no second-cheapest
                 if m > 1:
@@ -191,32 +180,30 @@ def _reduce_rows(rows, owner, offset):
                     break
                 rebids -= 1
                 i = evicted
-    return offset - base, np.array(col_of), np.array(row_of), free
+    return -base, np.array(col_of), np.array(row_of), free
 
 
-def _assign(rows, owner, offset):
+def _assign(rows):
     """Column of each row in a minimum-cost assignment of every row to a
-    distinct column, where column j of row i costs
-    ``rows[i, owner[j]] + offset[j]`` (n rows, m >= n columns, int64)."""
-    m = len(owner)
-    one_slot = _one_slot(rows, owner)
-    v, col_of, row_of, free = _reduce_rows(rows, owner, offset)
-    base = offset - v  # the reduced cost less the row's own cost
+    distinct column, where column j of row i costs ``rows[i, j]`` (an
+    n x m int64 matrix, m >= n)."""
+    m = rows.shape[1]
+    v, col_of, row_of, free = _reduce_rows(rows)
+    base = -v  # the reduced cost less the row's own cost
     # an assigned row's dual u is its column's reduced cost, its row minimum
     u = np.zeros(len(rows), np.int64)
     held = np.flatnonzero(col_of >= 0)
     cols = col_of[held]
-    u[held] = rows[held, owner[cols]] + base[cols]
+    u[held] = rows[held, cols] + base[cols]
     u, col_of, row_of = u.tolist(), col_of.tolist(), row_of.tolist()
     # A settled column's key is _SETTLED and its entry of search_base is
-    # 2 * _SETTLED, so no mask of unsettled columns is needed. Path
-    # lengths, potentials and their sums stay below _SETTLED = 2**61 in size
-    # (see _COST_LIMIT). So an unsettled column's path length, which the
-    # first step sets for every column of the complete table, is below
-    # _SETTLED, and argmin never picks a settled column; a settled column's
-    # reach, its cost in [0, 2**56) plus 2**62 plus low - u[i] in
-    # (-2**61, 2**61), lies in (2**61, 2**63): never below its key, and
-    # within int64.
+    # 2 * _SETTLED, so no mask of unsettled columns is needed. The first
+    # step sets every column's path length, below 2**60 (see _COST_LIMIT),
+    # so argmin never picks a settled column. A settled column's reach is
+    # its cost in [-M, M), M < 2**55, plus 2**62, plus low - u[i] with low
+    # in [0, (10R+1)M) and u[i] in (-M, (10R+1)M), so below 10(R+1)M < 2**60
+    # in size; it lies in (2**61, 2**63): never below its key, and within
+    # int64.
     key = np.empty(m, np.int64)  # path length so far, _SETTLED once settled
     pred = np.empty(m, np.int64)
     reach = np.empty(m, np.int64)
@@ -230,11 +217,7 @@ def _assign(rows, owner, offset):
         settled, dist = [], []  # settled columns in order, and their path lengths
         i, low = start, 0
         while True:  # Dijkstra from ``start`` until it reaches a free column
-            if one_slot:
-                np.add(rows[i], search_base, out=reach)
-            else:
-                rows[i].take(owner, out=reach)
-                reach += search_base
+            np.add(rows[i], search_base, out=reach)
             row[()], shift[()] = i, low - u[i]
             reach += shift
             np.less(reach, key, out=better)
@@ -290,8 +273,9 @@ def solve(inst: BMatchingInstance) -> BMatching:
     if inst.cost.min() == inst.cost.max():  # every degree-feasible deal is optimal
         assign = owner[np.argsort(offset, kind="stable")[:R]]
         return BMatching(assign, int(inst.cost[0, 0]) * R)
-    # a copy unless the table is an R x L array's transpose, as pair_cost_table's is
-    assign = owner[_assign(np.ascontiguousarray(inst.cost.T), owner, offset)]
+    rows = inst.cost.T.take(owner, axis=1)  # R x slots: right node by slot column
+    rows += offset
+    assign = owner[_assign(rows)]
     weight = int(inst.cost[assign, np.arange(R)].sum())
     return BMatching(assign, weight)
 

@@ -39,8 +39,8 @@ def pair_cost_table(g: SignedCompleteGraph, lefts, rights) -> np.ndarray:
     product runs in float32, exact for integers below 2**24.
 
     The table is built R x L in place and returned as its read-only
-    transpose, so ``BMatchingInstance`` keeps it and ``solve`` reads its
-    R x L rows, neither making a copy.
+    transpose, so ``BMatchingInstance`` keeps it without a copy, and the
+    transpose gives ``solve`` contiguous R x L rows to gather from.
     """
     S = g.signs
     table = (S[rights].astype(np.float32) @ S[lefts].astype(np.float32).T).astype(np.int64)

@@ -33,6 +33,20 @@ from .errors import InvalidInputError
 from .model import Clustering, SignedCompleteGraph, _label_disagreements
 
 
+def _seed(seed):
+    """``seed`` as a Python int; anything but a nonnegative integer is
+    invalid input."""
+    # a Python int passes by its type, before the costlier ABC check, with
+    # which numpy's integers are registered
+    if type(seed) is not int and not isinstance(seed, numbers.Integral):
+        raise InvalidInputError(f"pivot seed must be an integer, got {seed!r}")
+    # random.Random seeds from |seed|, so a negative seed would rerun the
+    # pass of its positive twin
+    if seed < 0:
+        raise InvalidInputError(f"pivot seed must be nonnegative, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class PivotRun:
     """Seed and restart count for a pivot run."""
@@ -41,15 +55,10 @@ class PivotRun:
     restarts: int = 25
 
     def __post_init__(self):
-        for name in ("seed", "restarts"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):  # numpy's integers are registered
-                raise InvalidInputError(f"pivot {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        # random.Random seeds from |seed|, so a negative seed would rerun
-        # the pass of its positive twin
-        if self.seed < 0:
-            raise InvalidInputError(f"pivot seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
+        if not isinstance(self.restarts, numbers.Integral):
+            raise InvalidInputError(f"pivot restarts must be an integer, got {self.restarts!r}")
+        object.__setattr__(self, "restarts", int(self.restarts))
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
 
@@ -64,11 +73,7 @@ def pivot_cluster(g: SignedCompleteGraph, seeds) -> np.ndarray:
     int64 matrix whose row k gives the cluster id of every vertex in the
     pass seeded ``seeds[k]``, ids assigned in order of cluster creation
     (the round number)."""
-    rngs = []
-    for seed in seeds:
-        if seed < 0:  # as PivotRun: it would rerun the pass of its positive twin
-            raise InvalidInputError(f"pivot seed must be nonnegative, got {seed}")
-        rngs.append(random.Random(seed))
+    rngs = [random.Random(_seed(seed)) for seed in seeds]
     labels = np.empty((len(rngs), g.n), np.int64)
     live = np.arange(len(rngs))  # rows of the restarts still clustering
     unclustered = np.ones((len(rngs), g.n), bool)  # one row per live restart

@@ -14,6 +14,11 @@ COMMITTED = {
     "experiment": "BENCH_experiment.json",
     "matcher": "BENCH_matcher.json",
 }
+SETS = {
+    "oracle": ["n10", "n12", "n14", "n16"],
+    "experiment": ["seed0", "seed7"],
+    "matcher": ["fairlet_n400", "sweep_n120", "n2400", "n3200"],
+}
 
 
 def load_tool():
@@ -74,11 +79,11 @@ def run_tool(monkeypatch, capsys, tmp_path, suite, spoiled=None):
 
 @pytest.mark.parametrize("suite", ["oracle", "experiment", "matcher"])
 def test_every_verdict_holds(monkeypatch, capsys, tmp_path, suite):
-    """Exit 0 with the committed file's keys; each tree's cpu_ms_* summarise
-    every instance's least time over the rounds; the rounds alternate which
-    tree goes first."""
+    """Exit 0 with the suite's sets and the committed file's keys; each
+    tree's cpu_ms_* summarise every instance's least time over the rounds;
+    the rounds alternate which tree goes first."""
     rc, out, order = run_tool(monkeypatch, capsys, tmp_path, suite)
-    assert rc == 0
+    assert rc == 0 and list(out["sets"]) == SETS[suite]
     assert key_tree(out) == key_tree(json.loads((ROOT / COMMITTED[suite]).read_text()))
     for name, entry in out["sets"].items():
         assert order[name] == ["base", "new", "new", "base"] * 2 + ["base", "new"]

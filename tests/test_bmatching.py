@@ -361,10 +361,10 @@ def test_row_reduction_leaves_duals_the_search_can_use(case):
     seen = []
     reduce_rows = bmatching._reduce_rows
 
-    def spy(rows, owner, offset):
-        v, col_of, row_of, free = reduce_rows(rows, owner, offset)
+    def spy(rows):
+        v, col_of, row_of, free = reduce_rows(rows)
         # copies: the search goes on to change these arrays in place
-        seen.append((rows, owner, offset, v.copy(), col_of.copy(), row_of.copy(), list(free)))
+        seen.append((rows, v.copy(), col_of.copy(), row_of.copy(), list(free)))
         return v, col_of, row_of, free
 
     cost, lo, hi = case
@@ -375,7 +375,7 @@ def test_row_reduction_leaves_duals_the_search_can_use(case):
     if not seen:  # a constant table
         assert inst.cost.min() == inst.cost.max()
         return
-    [(rows, owner, offset, v, col_of, row_of, free)] = seen
+    [(rows, v, col_of, row_of, free)] = seen
     held = np.flatnonzero(col_of >= 0)
     assert sorted(free) == np.flatnonzero(col_of < 0).tolist()
     assert (row_of[col_of[held]] == held).all()
@@ -383,7 +383,7 @@ def test_row_reduction_leaves_duals_the_search_can_use(case):
     # only held columns lost v, so free columns keep v = 0 ...
     assert (v <= 0).all() and (v[row_of < 0] == 0).all()
     # ... every held column is its row's cheapest at reduced cost cost - v ...
-    reduced = rows[:, owner] + offset - v
+    reduced = rows - v
     assert (reduced[held, col_of[held]] == reduced[held].min(axis=1)).all()
     # ... and v stays inside the bound that keeps int64 exact
     M = int(inst.cost.sum()) + 1
@@ -396,9 +396,7 @@ def test_single_slot_column_has_no_second_price():
     assert got.assign.tolist() == [0] and got.weight == 5
     got = solve(BMatchingInstance([[5], [2], [9]], [0, 1, 0], [0, 1, 0]))
     assert got.assign.tolist() == [1] and got.weight == 2
-    v, col_of, row_of, free = bmatching._reduce_rows(
-        np.array([[5, 2, 9]]), np.array([0]), np.zeros(1, np.int64)
-    )
+    v, col_of, row_of, free = bmatching._reduce_rows(np.array([[5]]))
     assert v.tolist() == [0] and col_of.tolist() == [0] and row_of.tolist() == [0]
     assert free == []
 
@@ -484,8 +482,8 @@ def test_solve_pinned_assignments():
     freed = []
     reduce_rows = bmatching._reduce_rows
 
-    def spy(rows, owner, offset):
-        reduced = reduce_rows(rows, owner, offset)
+    def spy(rows):
+        reduced = reduce_rows(rows)
         freed.append(len(reduced[3]))
         return reduced
 

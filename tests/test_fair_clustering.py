@@ -73,26 +73,31 @@ def test_pair_cost_table_matches_scalar():
             assert table[i, j] == pair_cost(g, u, x)
 
 
-def test_pair_cost_table_reaches_the_search_without_a_copy(monkeypatch):
-    """The table is the read-only transpose of an R x L array: the
-    instance keeps it, and the search reads that R x L array itself."""
+def test_pair_cost_table_reaches_the_search_as_a_slot_cost_matrix(monkeypatch):
+    """The table is the read-only transpose of an R x L array, which the
+    instance keeps; the search gets one R x slots matrix of its slot costs,
+    the -M shift of each mandatory slot included."""
     g = random_graph(12, seed=5)
     lefts, rights = [0, 3, 4, 9], [1, 2, 5, 6, 7, 8, 10, 11]
     table = pair_cost_table(g, lefts, rights)
     assert table.dtype == np.int64 and not table.flags.writeable
     assert table.shape == (4, 8) and table.T.flags.c_contiguous
-    inst = BMatchingInstance(table, [2] * 4, [2] * 4)
+    inst = BMatchingInstance(table, [1] * 4, [3] * 4)
     assert inst.cost is table
     searched = []
     search = bmatching._assign
 
-    def spy(rows, *rest):
+    def spy(rows):
         searched.append(rows)
-        return search(rows, *rest)
+        return search(rows)
 
     monkeypatch.setattr(bmatching, "_assign", spy)
     solve(inst)
-    assert len(searched) == 1 and searched[0].base is table.base
+    owner = np.repeat(np.arange(4), 3)  # three slots per left node, the first mandatory
+    offset = np.where(np.arange(12) % 3 == 0, -(int(table.sum()) + 1), 0)
+    [rows] = searched
+    assert rows.dtype == np.int64 and rows.shape == (8, 12)
+    assert (rows == table.T[:, owner] + offset).all()
 
 
 @pytest.mark.parametrize("counts", [(5, 7), (4, 4, 6), (3, 9, 2)])

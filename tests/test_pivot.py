@@ -114,14 +114,24 @@ def test_non_integer_restarts_rejected_by_the_registry():
         run_algorithm("cc", all_positive(3), pivot=PivotRun(0, 2.5))
 
 
-@pytest.mark.parametrize("seeds", [[-2], [3, -2], [np.int64(-2)]], ids=["alone", "second", "numpy"])
-def test_pivot_cluster_rejects_a_negative_seed(seeds):
-    """random.Random seeds from |seed|, so -2 would rerun seed 2's pass; the
-    lockstep kernel refuses it with PivotRun's message, whichever seed of
-    the list it is."""
+@pytest.mark.parametrize(
+    "seeds,message",
+    [
+        ([-2], "pivot seed must be nonnegative, got -2"),
+        ([3, -2], "pivot seed must be nonnegative, got -2"),
+        ([np.int64(-2)], "pivot seed must be nonnegative, got -2"),
+        ([1.5], "pivot seed must be an integer, got 1.5"),
+        (["a"], "pivot seed must be an integer, got 'a'"),
+    ],
+    ids=["alone", "second", "numpy", "float", "str"],
+)
+def test_pivot_cluster_rejects_a_negative_seed(seeds, message):
+    """random.Random seeds from |seed|, so -2 would rerun seed 2's pass, and
+    it would seed from a float or a str too; the lockstep kernel refuses
+    each with PivotRun's message, whichever seed of the list it is."""
     with pytest.raises(InvalidInputError) as info:
         pivot_cluster(random_graph(12, seed=3), seeds)
-    assert str(info.value) == "pivot seed must be nonnegative, got -2"
+    assert str(info.value) == message
 
 
 def test_numpy_integer_seed_and_restarts_are_stored_as_ints():

@@ -44,8 +44,10 @@ b-matchings of the fairlet stage, pair-cost tables included.
 every vertex and the same matching weights on every instance, in every
 round; ``peak_kb`` is the largest traced peak of one call. The sets:
 ``fairlet_n400`` and ``sweep_n120`` are the first MATCHED instances of those
-workloads at seed 0 under their bounds; ``n3200`` is 2 planted graphs (8
-blocks, 15% noise) at 1600:1600 under ratio 1:1.
+workloads at seed 0 under their bounds; ``n2400`` is 1 planted graph (8
+blocks, 15% noise) at 960:1440 under bounds 1:1..1:2, so two slots per base
+vertex and the -M shift; ``n3200`` is 2 planted graphs (8 blocks, 15%
+noise) at 1600:1600 under ratio 1:1.
 """
 
 from __future__ import annotations
@@ -226,6 +228,12 @@ def experiment_extras(runs):
 
 
 MATCHED = 20  # instances of each workload set of the matcher suite
+# the matcher suite's planted sets (8 blocks, 15% noise): graphs, color
+# counts and bounds
+PLANTED = {
+    "n2400": (1, [960, 1440], {1: (1, 2)}),
+    "n3200": (2, [1600, 1600], {1: (1, 1)}),
+}
 
 
 def matcher_instances(name):
@@ -234,11 +242,12 @@ def matcher_instances(name):
     from faircc import ColorAssignment, FairnessSpec, SignedCompleteGraph
     from workloads import bounds, make_colors, make_instance, make_signs
 
-    if name == "n3200":
-        planted = {"kind": "planted", "blocks": 8, "noise": 0.15}
-        rngs = [np.random.default_rng([graph, 3200]) for graph in range(2)]
-        pairs = [(make_signs(3200, planted, rng), make_colors([1600, 1600], rng)) for rng in rngs]
-        spec = FairnessSpec(0, {1: (1, 1)})
+    if name in PLANTED:
+        graphs, counts, spec_bounds = PLANTED[name]
+        n, planted = sum(counts), {"kind": "planted", "blocks": 8, "noise": 0.15}
+        rngs = [np.random.default_rng([graph, n]) for graph in range(graphs)]
+        pairs = [(make_signs(n, planted, rng), make_colors(counts, rng)) for rng in rngs]
+        spec = FairnessSpec(0, spec_bounds)
     else:
         pairs = [make_instance(name, 0, op) for op in range(MATCHED)]
         spec = FairnessSpec(0, bounds(name))
@@ -290,7 +299,7 @@ SUITES = {
         {"workload": WORKLOAD, "instances": INSTANCES},
     ),
     "matcher": (
-        ("fairlet_n400", "sweep_n120", "n3200"), matcher_measure, matcher_verdicts,
+        ("fairlet_n400", "sweep_n120", "n2400", "n3200"), matcher_measure, matcher_verdicts,
         matcher_extras, {},
     ),
 }

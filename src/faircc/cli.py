@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 invalid input, 2 infeasible fairness spec,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import json
@@ -81,28 +80,16 @@ class _Noted(argparse.Action):
         namespace.given = namespace.given | {self.dest}
 
 
-@contextlib.contextmanager
-def _reading(path):
-    """Turn a failure to read input file ``path``, or to decode it as UTF-8,
-    into a ParseError."""
-    try:
-        yield
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
-
-
 def _read(path):
     """Text of a UTF-8 input file."""
-    with _reading(path), open(path, encoding="utf-8") as fh:
+    with ingest._reading(path), open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
 def _read_graph(path):
     """The graph of a graph JSON file, handed to ``from_json`` as bytes:
     it decodes only the text that its byte scan declines."""
-    with _reading(path):
+    with ingest._reading(path):
         with open(path, "rb") as fh:
             data = fh.read()
         return SignedCompleteGraph.from_json(data)

@@ -10,16 +10,18 @@ the colors and is excluded from similarity.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import numbers
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleSpecError, InvalidInputError, ParseError
-from .model import ColorAssignment, SignedCompleteGraph
+from .model import ColorAssignment, SignedCompleteGraph, _seed
 
 KINDS = ("categorical", "numeric", "id", "protected")
 
@@ -75,19 +77,26 @@ class TabularDataset:
         return [row[col] for row in self.rows]
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Turn a failure to read input file ``path``, or to decode it as UTF-8,
+    into a ParseError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+
+
 def load_csv(path, schema: Schema):
     """Read a CSV whose header matches the schema.
 
     Rows with a missing protected attribute are dropped; returns
     (dataset, dropped_count).
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -150,12 +159,12 @@ def sample(ds: TabularDataset, n, seed, balance=None) -> TabularDataset:
     """Deterministic sample of n rows: a seeded permutation, prefix-taken
     per color when ``balance`` (a '1:p...' ratio string) is given, its
     terms matched to the protected values in color_ids(ds) order."""
+    if not isinstance(n, numbers.Integral):
+        raise InvalidInputError(f"sample size must be an integer, got {n!r}")
     if not 1 <= n <= ds.n:
         raise InvalidInputError(f"cannot sample {n} of {ds.n} rows")
-    if seed < 0:  # random.Random seeds from |seed|: -3 would draw what 3 draws
-        raise InvalidInputError(f"sample seed must be nonnegative, got {seed}")
     order = list(range(ds.n))
-    random.Random(seed).shuffle(order)
+    random.Random(_seed(seed, "sample seed")).shuffle(order)
     if balance is None:
         picked = sorted(order[:n])
         return TabularDataset(tuple(ds.rows[i] for i in picked), ds.schema)

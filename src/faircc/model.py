@@ -229,6 +229,20 @@ def _require_numbers(values, noun):
         raise InvalidInputError(f"{noun} must hold numbers, not {name}")
 
 
+def _seed(seed, noun):
+    """``seed`` as a Python int; anything but a nonnegative integer is
+    invalid input, named as ``noun``."""
+    # a Python int passes by its type, before the costlier ABC check, with
+    # which numpy's integers are registered
+    if type(seed) is not int and not isinstance(seed, numbers.Integral):
+        raise InvalidInputError(f"{noun} must be an integer, got {seed!r}")
+    # random.Random seeds from |seed|, so a negative seed would rerun the
+    # pass of its positive twin
+    if seed < 0:
+        raise InvalidInputError(f"{noun} must be nonnegative, got {seed}")
+    return int(seed)
+
+
 def _int64_array(values, noun):
     """``values`` as an int64 array, the input itself when it is one; raise
     InvalidInputError naming the fault when a value is not a finite

@@ -30,21 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import Clustering, SignedCompleteGraph, _label_disagreements
-
-
-def _seed(seed):
-    """``seed`` as a Python int; anything but a nonnegative integer is
-    invalid input."""
-    # a Python int passes by its type, before the costlier ABC check, with
-    # which numpy's integers are registered
-    if type(seed) is not int and not isinstance(seed, numbers.Integral):
-        raise InvalidInputError(f"pivot seed must be an integer, got {seed!r}")
-    # random.Random seeds from |seed|, so a negative seed would rerun the
-    # pass of its positive twin
-    if seed < 0:
-        raise InvalidInputError(f"pivot seed must be nonnegative, got {seed}")
-    return int(seed)
+from .model import Clustering, SignedCompleteGraph, _label_disagreements, _seed
 
 
 @dataclass(frozen=True)
@@ -55,7 +41,7 @@ class PivotRun:
     restarts: int = 25
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed, "pivot seed"))
         if not isinstance(self.restarts, numbers.Integral):
             raise InvalidInputError(f"pivot restarts must be an integer, got {self.restarts!r}")
         object.__setattr__(self, "restarts", int(self.restarts))
@@ -73,7 +59,7 @@ def pivot_cluster(g: SignedCompleteGraph, seeds) -> np.ndarray:
     int64 matrix whose row k gives the cluster id of every vertex in the
     pass seeded ``seeds[k]``, ids assigned in order of cluster creation
     (the round number)."""
-    rngs = [random.Random(_seed(seed)) for seed in seeds]
+    rngs = [random.Random(_seed(seed, "pivot seed")) for seed in seeds]
     labels = np.empty((len(rngs), g.n), np.int64)
     live = np.arange(len(rngs))  # rows of the restarts still clustering
     unclustered = np.ones((len(rngs), g.n), bool)  # one row per live restart

@@ -1,6 +1,8 @@
-"""The A/B timing tool's driver, with ``subprocess.run`` stubbed by canned
-measure lines, so no child interpreter runs."""
+"""The A/B timing tool: its driver, with ``subprocess.run`` stubbed by canned
+measure lines, so no child interpreter runs; and each suite's real measure
+loop, run in-process on a few instances of its first set."""
 
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -19,6 +21,7 @@ SETS = {
     "experiment": ["seed0", "seed7"],
     "matcher": ["fairlet_n400", "sweep_n120", "n2400", "n3200"],
 }
+LINE_KEYS = {"times", "cold_peak", "peak", "results", "checked", "calls"}
 
 
 def load_tool():
@@ -38,24 +41,23 @@ def canned_line(suite, side, rnd, spoiled):
     """One round's measure line on three instances. Instance i takes
     (i + 1) ms in the base tree and 2 (i + 1) ms in the new one at its
     fastest, reached in round 2; ``spoiled`` changes one result of the
-    new tree's round 3: a cost, a fairness check, or the digest of one
-    experiment's output or of one instance's fairlet ids."""
+    new tree's round 3: the fingerprint of one instance (a cost, the
+    output of one experiment, the fairlet ids of one instance), or the
+    oracle's fairness check."""
     tree = 1 if side == "base" else 2
-    times = [1e-3 * tree * (k + 1) * (1 + (rnd - 2) ** 2) for k in range(3)]
     bad = spoiled if side == "new" and rnd == 3 else None
-    if suite == "oracle":
-        return {
-            "times": times,
-            "cold_peak": 4096 * tree,
-            "peak": 2048 * tree,
-            "costs": [5, -1, 8 if bad == "cost" else 7],
-            "fair_at_cost": bad != "fair",
-        }
-    if suite == "matcher":
-        return {"times": times, "peak": 2048 * tree, "digests": ["a", "x" if bad else "b", "c"]}
-    calls = {"run_ccmerge": 28, "run_pipeline": 50, "run_wmatch": 20}
-    calls.update(check_fairness=98, disagreements=98)
-    return {"times": times, "calls": calls, "digests": ["a", "x" if bad else "b", "c"]}
+    calls = {}
+    if suite == "experiment":
+        calls = {"run_ccmerge": 1.4, "run_pipeline": 2.5, "run_wmatch": 1.0}
+        calls.update(check_fairness=4.9, disagreements=4.9)
+    return {
+        "times": [1e-3 * tree * (k + 1) * (1 + (rnd - 2) ** 2) for k in range(3)],
+        "cold_peak": 4096 * tree,
+        "peak": 2048 * tree,
+        "results": ["a", "x" if bad not in (None, "fair") else "b", "c"],
+        "checked": bad != "fair",
+        "calls": calls,
+    }
 
 
 def run_tool(monkeypatch, capsys, tmp_path, suite, spoiled=None):
@@ -87,11 +89,14 @@ def test_every_verdict_holds(monkeypatch, capsys, tmp_path, suite):
     assert key_tree(out) == key_tree(json.loads((ROOT / COMMITTED[suite]).read_text()))
     for name, entry in out["sets"].items():
         assert order[name] == ["base", "new", "new", "base"] * 2 + ["base", "new"]
+        assert entry["instances"] == 3
         for side, fastest in (("base", 1.0), ("new", 2.0)):
             assert {k: v for k, v in entry[side].items() if k.startswith("cpu_ms")} == {
                 "cpu_ms_min": fastest, "cpu_ms_median": 2 * fastest,
                 "cpu_ms_mean": 2 * fastest, "cpu_ms_max": 3 * fastest,
             }
+            assert entry[side]["peak_kb"] == 2 * fastest
+            assert entry[side]["cold_peak_kb"] == 4 * fastest
     assert all(v is True for s in out["sets"].values() for v in s.values() if isinstance(v, bool))
 
 
@@ -112,5 +117,28 @@ def test_a_false_verdict_exits_1(monkeypatch, capsys, tmp_path, suite, spoiled, 
     rc, out, _ = run_tool(monkeypatch, capsys, tmp_path, suite, spoiled)
     assert rc == 1
     assert all(s[verdict] is False for s in out["sets"].values())
-    if suite == "experiment":
-        assert out["identical_csv"] is False
+
+
+@pytest.mark.parametrize("suite", ["oracle", "experiment", "matcher"])
+def test_the_real_measure_repeats_itself(monkeypatch, tmp_path, suite):
+    """The suite's own measure loop on the first 3 instances of its first
+    set, twice in one interpreter: a JSON line of the driver's shape whose
+    results and checks agree between the two runs."""
+    tool = load_tool()
+    first = SETS[suite][0]
+    (source, seed, _), = tool.SETS[first]
+    monkeypatch.setitem(tool.SETS, first, [(source, seed, 3)])
+    monkeypatch.syspath_prepend(str(ROOT / "pipebench"))
+    monkeypatch.chdir(tmp_path)
+    for name in tool.COUNTED:  # the experiment suite wraps these; undo that after the test
+        module_name, _, attr = name.partition(".")
+        module = importlib.import_module(f"faircc.{module_name}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    lines = [json.loads(json.dumps(tool.measure(suite, first))) for _ in range(2)]
+    for line in lines:
+        assert set(line) == LINE_KEYS
+        assert len(line["times"]) == len(line["results"]) == 3
+        assert line["checked"] is True and 0 < line["peak"] and 0 < line["cold_peak"]
+    assert lines[0]["results"] == lines[1]["results"]
+    counted = [name.partition(".")[2] for name in tool.COUNTED] if suite == "experiment" else []
+    assert list(lines[0]["calls"]) == counted

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -136,12 +137,23 @@ def test_sample_needs_at_least_one_row(n):
         sample(ds, n, seed=0)
 
 
-def test_sample_refuses_a_negative_seed():
+@pytest.mark.parametrize(
+    "n,seed,message",
+    [
+        (12, -3, "sample seed must be nonnegative, got -3"),
+        (12, 1.5, "sample seed must be an integer, got 1.5"),
+        (12, "a", "sample seed must be an integer, got 'a'"),
+        (2.5, 0, "sample size must be an integer, got 2.5"),
+    ],
+    ids=["seed-3", "seed1.5", "seed-a", "n2.5"],
+)
+def test_sample_refuses_a_bad_seed_or_size(n, seed, message):
     """random.Random(-3) draws what random.Random(3) draws, so a negative
-    seed is refused rather than aliased."""
+    seed is refused rather than aliased; a float seed would seed a pass, and
+    a str seed or a fractional size would end in a raw TypeError."""
     ds = make_dataset(["R"] * 10 + ["B"] * 30)
-    with pytest.raises(InvalidInputError, match="sample seed must be nonnegative, got -3"):
-        sample(ds, 12, seed=-3)
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        sample(ds, n, seed=seed)
 
 
 def test_build_graph_identical_rows_positive():

@@ -6,48 +6,45 @@ Usage, from the repository root:
     python tools/bench_ab.py experiment --base OLD/src --new src > BENCH_experiment.json
     python tools/bench_ab.py matcher --base OLD/src --new src > BENCH_matcher.json
 
-Each of ROUNDS rounds runs every set of the suite once per tree, each in a
-fresh interpreter with OPENBLAS_NUM_THREADS=1, alternating which tree goes
-first. An instance's time is its least thread CPU time over the rounds, and
-each tree reports the minimum, median, mean and maximum of its instances'
-times (``cpu_ms_*``). Every true/false a set reports is a verdict: the tool
-prints the JSON and then exits 1 if any verdict is false.
+Every set is a row of the table SETS, built by ``instances`` with the
+benchmark's generators (``pipebench/workloads.py``): a workload part is the
+first ops of that workload at a benchmark seed, under its bounds; a shape
+part is ``graphs`` graphs of a sign kind and color counts, graph i drawing
+its signs, then its colors, from the rng keyed (i, n, number of colors).
+A suite is its sets, its call and the fingerprint of a call's result.
 
-``oracle`` times ``oracle.best_partition``. ``identical_costs`` says whether
-the two trees return the same cost on every instance, the -1 of "no fair
-partition" included; ``new_fair_at_cost`` says whether every assignment the
-new tree returns is fair and has as many disagreements as its cost, in every
-round. Ties may resolve to different optimal partitions in the two trees.
-``cold_peak_kb`` is the traced peak of the first call in the interpreter (it
-builds any lazily built table); ``peak_kb`` is the largest traced peak of one
-later call. The sets: ``n10`` is the 200 instances of the benchmark's
-``oracle_n10`` workload at seed 0 (5:5, ratio 1:1); ``n12`` is 3 random graphs
-each at 4:8 (1:1..1:2), 4:4:4 (1:1:1), 6:6 (1:1) and 3:4:5 (1:1:1..1:2:2);
-``n14`` is 4 random graphs at 7:7 (1:1) and 2 on one color; ``n16`` is 4
-random graphs at 8:8 (1:1).
+Each of ROUNDS rounds measures every set once per tree, in a fresh
+interpreter with OPENBLAS_NUM_THREADS=1, alternating which tree goes first.
+A measure is one loop for every suite: the first instance, traced, warms
+the interpreter up and gives ``cold_peak_kb`` (it builds any lazily built
+table); one pass takes each instance's thread CPU time; one pass under
+tracemalloc takes each instance's peak and result fingerprint. Each tree
+reports the minimum, median, mean and maximum over the instances of their
+least time over the rounds (``cpu_ms_*``) and ``peak_kb``, the largest
+traced peak of one call. Every true/false of a set is a verdict; the tool
+prints the JSON and then exits 1 if any is false. A suite's ``identical_*``
+verdict says that every round of both trees gave the same fingerprint on
+every instance.
 
-``experiment`` times ``experiment`` with all five algorithms and ``--runs 5``
-(the ``sweep_n120`` workload's command line) on the first INSTANCES
-instances of that workload at benchmark seeds 0 and 7, one set each.
-``identical_csv`` says whether every experiment writes the same CSV bytes
-and prints the same stdout and exit code in both trees, in every round.
-``calls_per_experiment`` counts, per experiment, the ccmerge repairs
-(``baselines.run_ccmerge``), the faircc and ufaircc attachments
-(``fair_clustering.run_pipeline``), the wmatch clusterings
-(``baselines.run_wmatch``), the fairness gate of ``run_algorithm``
-(``algorithms.check_fairness``) and its scoring calls
-(``algorithms.disagreements``).
+``oracle`` times ``oracle.best_partition`` on ``n10`` (the ``oracle_n10``
+workload) and random graphs of 12, 14 and 16 vertices. Its fingerprint is
+the cost, -1 for "no fair partition"; ties may resolve to different
+optimal partitions in the two trees. ``new_fair_at_cost`` says that every
+assignment the new tree returns, in every round, is fair and has as many
+disagreements as its cost.
+
+``experiment`` times one ``experiment`` CLI run (the ``sweep_n120``
+workload's command line: all five algorithms, ``--runs 5``) on files
+written before the passes. Its fingerprint is the exit code, stdout and CSV
+bytes. ``calls_per_instance`` counts, per run of the traced pass, the
+functions in COUNTED: ccmerge repairs, faircc and ufaircc attachments,
+wmatch clusterings, and ``run_algorithm``'s fairness gate and scoring.
 
 ``matcher`` times ``fair_clustering.build_matchings``, the per-color
-b-matchings of the fairlet stage, pair-cost tables included.
-``identical_fairlets`` says whether both trees return the same fairlet id of
-every vertex and the same matching weights on every instance, in every
-round; ``peak_kb`` is the largest traced peak of one call. The sets:
-``fairlet_n400`` and ``sweep_n120`` are the first MATCHED instances of those
-workloads at seed 0 under their bounds; ``n2400`` is 1 planted graph (8
-blocks, 15% noise) at 960:1440 under bounds 1:1..1:2, so two slots per base
-vertex and the -M shift; ``n3200`` is 2 planted graphs (8 blocks, 15%
-noise) at 1600:1600 under ratio 1:1.
+b-matchings of the fairlet stage, pair-cost tables included, on two
+workloads and planted graphs at n = 2400 (bounds 1:1..1:2, so two slots per
+base vertex and the -M shift) and n = 3200. Its fingerprint is every
+vertex's fairlet id and every color's matching weight.
 """
 
 from __future__ import annotations
@@ -70,248 +67,168 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 5
+RANDOM = {"kind": "random"}
+PLANTED = {"kind": "planted", "blocks": 8, "noise": 0.15}
+# set: its parts, each (workload, benchmark seed, ops) or (sign kind, color
+# counts, bounds, graphs)
+SETS = {
+    "n10": [("oracle_n10", 0, 200)],
+    "n12": [
+        (RANDOM, (4, 8), {1: (1, 2)}, 3),
+        (RANDOM, (4, 4, 4), {1: (1, 1), 2: (1, 1)}, 3),
+        (RANDOM, (6, 6), {1: (1, 1)}, 3),
+        (RANDOM, (3, 4, 5), {1: (1, 2), 2: (1, 2)}, 3),
+    ],
+    "n14": [(RANDOM, (7, 7), {1: (1, 1)}, 4), (RANDOM, (14,), {}, 2)],
+    "n16": [(RANDOM, (8, 8), {1: (1, 1)}, 4)],
+    "seed0": [("sweep_n120", 0, 20)],
+    "seed7": [("sweep_n120", 7, 20)],
+    "fairlet_n400": [("fairlet_n400", 0, 20)],
+    "sweep_n120": [("sweep_n120", 0, 20)],
+    "n2400": [(PLANTED, (960, 1440), {1: (1, 2)}, 1)],
+    "n3200": [(PLANTED, (1600, 1600), {1: (1, 1)}, 2)],
+}
 
 
-def oracle_instances(name):
+def instances(name):
+    """(graph, colors, spec) of every instance of set ``name``."""
     import numpy as np
-
     from faircc import ColorAssignment, FairnessSpec, SignedCompleteGraph
-    from workloads import make_instance
+    from workloads import bounds, make_colors, make_instance, make_signs
 
-    def random_instance(counts, bounds, seed):
+    out = []
+    for source, *part in SETS[name]:
+        if isinstance(source, str):  # a workload
+            seed, ops = part
+            out += [(*make_instance(source, seed, op), bounds(source)) for op in range(ops)]
+            continue
+        counts, spec_bounds, graphs = part
         n = sum(counts)
-        rng = np.random.default_rng([seed, n, len(counts)])
-        upper = np.triu(rng.random((n, n)) < 0.5, 1)
-        signs = np.where(upper | upper.T, 1, -1).astype(np.int8)
-        np.fill_diagonal(signs, 0)
-        colors = rng.permutation(np.repeat(np.arange(len(counts)), counts))
-        return SignedCompleteGraph(n, signs), ColorAssignment(colors), FairnessSpec(0, bounds)
-
-    if name == "n10":
-        return [
-            (SignedCompleteGraph(10, s), ColorAssignment(c), FairnessSpec(0, {1: (1, 1)}))
-            for s, c in (make_instance("oracle_n10", 0, op) for op in range(200))
-        ]
-    shapes = {  # (color counts, bounds, graphs)
-        "n12": [
-            ((4, 8), {1: (1, 2)}, 3),
-            ((4, 4, 4), {1: (1, 1), 2: (1, 1)}, 3),
-            ((6, 6), {1: (1, 1)}, 3),
-            ((3, 4, 5), {1: (1, 2), 2: (1, 2)}, 3),
-        ],
-        "n14": [((7, 7), {1: (1, 1)}, 4), ((14,), {}, 2)],
-        "n16": [((8, 8), {1: (1, 1)}, 4)],
-    }[name]
+        for graph in range(graphs):
+            rng = np.random.default_rng([graph, n, len(counts)])
+            out.append((make_signs(n, source, rng), make_colors(counts, rng), spec_bounds))
     return [
-        random_instance(counts, bounds, seed)
-        for counts, bounds, graphs in shapes
-        for seed in range(graphs)
+        (SignedCompleteGraph(len(s), s), ColorAssignment(c), FairnessSpec(0, b)) for s, c, b in out
     ]
 
 
-def oracle_measure(name):
+def oracle(insts):
     from faircc import Clustering, check_fairness, disagreements
     from faircc.oracle import best_partition
 
-    def fair_at_cost(g, colors, spec, cost, assign):
+    def fair_at_cost(args, out):
+        (g, colors, spec), (cost, assign) = args, out
         if assign is None:
             return cost == -1
         c = Clustering(assign)
         return check_fairness(colors, c, spec).overall_pass and disagreements(g, c) == cost
 
-    insts = oracle_instances(name)
-    tracemalloc.start()
-    best_partition(*insts[0])
-    cold_peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    times, peaks, results = [], [], []
-    for inst in insts:
-        start = time.thread_time()
-        best_partition(*inst)
-        times.append(time.thread_time() - start)
-    for inst in insts:
+    return insts, best_partition, lambda out: out[0], fair_at_cost, {}
+
+
+def matcher(insts):
+    from faircc.fair_clustering import build_matchings
+
+    return insts, build_matchings, lambda out: (out[0].tolist(), sorted(out[1].items())), None, {}
+
+
+COUNTED = (
+    "baselines.run_ccmerge", "fair_clustering.run_pipeline", "baselines.run_wmatch",
+    "algorithms.check_fairness", "algorithms.disagreements",
+)
+
+
+def experiment(insts):
+    from faircc import cli
+    from workloads import cli_argv, write_instance
+
+    csv = "x.csv"  # every experiment's, by relative path, so stdout names it alike in both trees
+    calls = dict.fromkeys((name.partition(".")[2] for name in COUNTED), 0)
+    for name in COUNTED:
+        module_name, _, attr = name.partition(".")
+        module = importlib.import_module(f"faircc.{module_name}")
+
+        def counted(*args, _attr=attr, _original=getattr(module, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        setattr(module, attr, counted)
+
+    args = []
+    for op, (g, colors, _) in enumerate(insts):
+        paths = {"graph": f"g{op}.json", "colors": f"c{op}.csv", "csv": csv}
+        write_instance(g.signs, colors.color_of, paths["graph"], paths["colors"])
+        args.append((paths,))
+
+    def run(paths):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(cli_argv("sweep_n120", paths))
+        return rc, out.getvalue()
+
+    def fingerprint(out):
+        return (*out, Path(csv).read_bytes())
+
+    return args, run, fingerprint, None, calls
+
+
+# suite: (sets, identity verdict, check verdict or None, factory), where
+# factory(instances) gives (every instance's call arguments, call,
+# fingerprint(result), check(arguments, result) or None, the counts of
+# COUNTED calls)
+SUITES = {
+    "oracle": (("n10", "n12", "n14", "n16"), "identical_costs", "new_fair_at_cost", oracle),
+    "experiment": (("seed0", "seed7"), "identical_csv", None, experiment),
+    "matcher": (
+        ("fairlet_n400", "sweep_n120", "n2400", "n3200"), "identical_fairlets", None, matcher,
+    ),
+}
+
+
+def measure(suite, name):
+    """One round's JSON line for set ``name``: a traced warm-up on the first
+    instance, a timed pass and a traced pass over every instance."""
+    args, call, fingerprint, check, calls = SUITES[suite][3](instances(name))
+
+    def traced(inst_args):
         tracemalloc.start()
-        results.append(best_partition(*inst))
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        out = call(*inst_args)
+        peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+        return peak, out
+
+    cold_peak, _ = traced(args[0])
+    times = []
+    for inst_args in args:
+        start = time.thread_time()
+        call(*inst_args)
+        times.append(time.thread_time() - start)
+    calls.update(dict.fromkeys(calls, 0))
+    peaks, results, checked = [], [], True
+    for inst_args in args:
+        peak, out = traced(inst_args)
+        peaks.append(peak)
+        results.append(hashlib.sha256(repr(fingerprint(out)).encode()).hexdigest())
+        checked &= check is None or check(inst_args, out)
     return {
         "times": times,
         "cold_peak": cold_peak,
         "peak": max(peaks),
-        "costs": [cost for cost, _ in results],
-        "fair_at_cost": all(fair_at_cost(*i, *r) for i, r in zip(insts, results)),
+        "results": results,
+        "checked": checked,
+        "calls": {attr: count / len(args) for attr, count in calls.items()},
     }
 
 
-def agree(runs, key):
-    """Whether every round of both trees returned the base tree's first
-    round's ``key``."""
-    return all(run[key] == runs["base"][0][key] for run in runs["base"] + runs["new"])
-
-
-def oracle_verdicts(runs):
+def summary(runs):
+    """One tree's entry for a set, from its rounds."""
+    best = [min(per) for per in zip(*(run["times"] for run in runs))]
+    stats = {"min": min, "median": statistics.median, "mean": statistics.mean, "max": max}
     return {
-        "instances": len(runs["base"][0]["times"]),
-        "identical_costs": agree(runs, "costs"),
-        "new_fair_at_cost": all(run["fair_at_cost"] for run in runs["new"]),
-    }
-
-
-def oracle_extras(runs):
-    return {
+        **{f"cpu_ms_{stat}": round(1000 * f(best), 3) for stat, f in stats.items()},
         "peak_kb": round(max(run["peak"] for run in runs) / 1024, 1),
         "cold_peak_kb": round(max(run["cold_peak"] for run in runs) / 1024, 1),
-    }
-
-
-WORKLOAD = "sweep_n120"
-INSTANCES = 20
-COUNTED = (
-    ("baselines", "run_ccmerge"),
-    ("fair_clustering", "run_pipeline"),
-    ("baselines", "run_wmatch"),
-    ("algorithms", "check_fairness"),
-    ("algorithms", "disagreements"),
-)
-
-
-def experiment_measure(name):
-    from faircc import cli
-    from workloads import cli_argv, make_instance, write_instance
-
-    seed = int(name.removeprefix("seed"))
-    calls = dict.fromkeys((attr for _, attr in COUNTED), 0)
-
-    def counted(module, attr):
-        original = getattr(module, attr)
-
-        def wrapper(*args, **kwargs):
-            calls[attr] += 1
-            return original(*args, **kwargs)
-
-        setattr(module, attr, wrapper)
-
-    for module, attr in COUNTED:
-        counted(importlib.import_module(f"faircc.{module}"), attr)
-    paths = {"graph": "g.json", "colors": "c.csv", "csv": "x.csv"}
-
-    def run(op):
-        """(thread CPU seconds, digest of exit code, stdout and CSV) of op ``op``."""
-        write_instance(*make_instance(WORKLOAD, seed, op), paths["graph"], paths["colors"])
-        out = io.StringIO()
-        start = time.thread_time()
-        with contextlib.redirect_stdout(out):
-            rc = cli.main(cli_argv(WORKLOAD, paths))
-        elapsed = time.thread_time() - start
-        digest = hashlib.sha256(f"{rc}\n{out.getvalue()}".encode())
-        digest.update(Path(paths["csv"]).read_bytes())
-        return elapsed, digest.hexdigest()
-
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # relative paths, so stdout names the same CSV in both trees
-        run(-1)  # the workload's tiny set-up instance warms the interpreter up
-        calls.update(dict.fromkeys(calls, 0))
-        times, digests = zip(*(run(op) for op in range(INSTANCES)))
-    return {"times": times, "calls": calls, "digests": digests}
-
-
-def experiment_verdicts(runs):
-    return {"identical_csv": agree(runs, "digests")}
-
-
-def experiment_extras(runs):
-    return {
-        "calls_per_experiment": {
-            name: calls / INSTANCES for name, calls in runs[0]["calls"].items()
-        },
-    }
-
-
-MATCHED = 20  # instances of each workload set of the matcher suite
-# the matcher suite's planted sets (8 blocks, 15% noise): graphs, color
-# counts and bounds
-PLANTED = {
-    "n2400": (1, [960, 1440], {1: (1, 2)}),
-    "n3200": (2, [1600, 1600], {1: (1, 1)}),
-}
-
-
-def matcher_instances(name):
-    import numpy as np
-
-    from faircc import ColorAssignment, FairnessSpec, SignedCompleteGraph
-    from workloads import bounds, make_colors, make_instance, make_signs
-
-    if name in PLANTED:
-        graphs, counts, spec_bounds = PLANTED[name]
-        n, planted = sum(counts), {"kind": "planted", "blocks": 8, "noise": 0.15}
-        rngs = [np.random.default_rng([graph, n]) for graph in range(graphs)]
-        pairs = [(make_signs(n, planted, rng), make_colors(counts, rng)) for rng in rngs]
-        spec = FairnessSpec(0, spec_bounds)
-    else:
-        pairs = [make_instance(name, 0, op) for op in range(MATCHED)]
-        spec = FairnessSpec(0, bounds(name))
-    return [(SignedCompleteGraph(len(s), s), ColorAssignment(c), spec) for s, c in pairs]
-
-
-def matcher_measure(name):
-    from faircc import ColorAssignment, FairnessSpec, SignedCompleteGraph
-    from faircc.fair_clustering import build_matchings
-    from workloads import make_instance
-
-    insts = matcher_instances(name)
-    signs, colors = make_instance("fairlet_n400", 0, -1)  # a tiny 4:4 warm-up
-    tiny = SignedCompleteGraph(8, signs), ColorAssignment(colors), FairnessSpec(0, {1: (1, 1)})
-    build_matchings(*tiny)
-    times, peaks, digests = [], [], []
-    for inst in insts:
-        start = time.thread_time()
-        build_matchings(*inst)
-        times.append(time.thread_time() - start)
-    for inst in insts:
-        tracemalloc.start()
-        fairlets, weights = build_matchings(*inst)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-        digest = hashlib.sha256(fairlets.astype("<i8").tobytes())
-        digest.update(repr(sorted(weights.items())).encode())
-        digests.append(digest.hexdigest())
-    return {"times": times, "peak": max(peaks), "digests": digests}
-
-
-def matcher_verdicts(runs):
-    return {
-        "instances": len(runs["base"][0]["times"]),
-        "identical_fairlets": agree(runs, "digests"),
-    }
-
-
-def matcher_extras(runs):
-    return {"peak_kb": round(max(run["peak"] for run in runs) / 1024, 1)}
-
-
-# name: (sets, measure(set) -> one round's JSON, verdicts(runs of both trees),
-# extras(runs of one tree), the file's own top-level keys)
-SUITES = {
-    "oracle": (("n10", "n12", "n14", "n16"), oracle_measure, oracle_verdicts, oracle_extras, {}),
-    "experiment": (
-        ("seed0", "seed7"), experiment_measure, experiment_verdicts, experiment_extras,
-        {"workload": WORKLOAD, "instances": INSTANCES},
-    ),
-    "matcher": (
-        ("fairlet_n400", "sweep_n120", "n2400", "n3200"), matcher_measure, matcher_verdicts,
-        matcher_extras, {},
-    ),
-}
-
-
-def cpu_ms(runs):
-    best = [min(per) for per in zip(*(run["times"] for run in runs))]
-    return {
-        "cpu_ms_min": round(1000 * min(best), 3),
-        "cpu_ms_median": round(1000 * statistics.median(best), 3),
-        "cpu_ms_mean": round(1000 * statistics.mean(best), 3),
-        "cpu_ms_max": round(1000 * max(best), 3),
+        **({"calls_per_instance": runs[0]["calls"]} if runs[0]["calls"] else {}),
     }
 
 
@@ -322,11 +239,13 @@ def main(argv=None):
     parser.add_argument("--new", help="src directory of the new tree")
     parser.add_argument("--measure", nargs=2, metavar=("SRC", "SET"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    sets, measure, verdicts, extras, header = SUITES[args.suite]
+    sets, identical, checked, _ = SUITES[args.suite]
     if args.measure:
         src, name = args.measure
-        sys.path[:0] = [src, str(ROOT / "pipebench")]
-        print(json.dumps(measure(name)))
+        sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "pipebench")]
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # the experiment suite's files
+            print(json.dumps(measure(args.suite, name)))
         return 0
     if not (args.base and args.new):
         parser.error("--base and --new are required")
@@ -339,7 +258,6 @@ def main(argv=None):
             "python": platform.python_version(),
             "numpy": numpy.__version__,
         },
-        **header,
         "rounds": ROUNDS,
         "sets": {},
     }
@@ -347,19 +265,19 @@ def main(argv=None):
         runs = {"base": [], "new": []}
         for r in range(ROUNDS):
             for side in ("base", "new") if r % 2 == 0 else ("new", "base"):
-                src = str(Path(getattr(args, side)).resolve())
                 line = subprocess.run(
-                    [sys.executable, __file__, args.suite, "--measure", src, name],
+                    [sys.executable, __file__, args.suite, "--measure", getattr(args, side), name],
                     env=env, stdout=subprocess.PIPE, text=True, check=True,
                 ).stdout
                 runs[side].append(json.loads(line))
+        first = runs["base"][0]["results"]
         out["sets"][name] = {
-            **verdicts(runs),
-            **{side: {**cpu_ms(runs[side]), **extras(runs[side])} for side in runs},
+            "instances": len(first),
+            identical: all(run["results"] == first for run in runs["base"] + runs["new"]),
+            **({checked: all(run["checked"] for run in runs["new"])} if checked else {}),
+            **{side: summary(runs[side]) for side in runs},
         }
     ok = all(v for s in out["sets"].values() for v in s.values() if isinstance(v, bool))
-    if args.suite == "experiment":  # its file also holds its one verdict over every set
-        out["identical_csv"] = ok
     print(json.dumps(out, indent=2))
     return 0 if ok else 1
 
